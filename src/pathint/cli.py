@@ -34,7 +34,8 @@ from .lattice import (
     gauss_sum_check,
     gaussian_packet,
     harmonic_potential,
-    lagrangian_step,
+    lagrangian_steps,
+    require_normalized,
     split_step_reference,
     square_well_potential,
     zero_potential,
@@ -399,13 +400,15 @@ def _run_lagrangian_sim(params: dict[str, Any], seed: int) -> tuple[list[str], l
     state = _initial_state(params["initial"], cfg)
     reference = state.copy()
     split = split_step_reference(cfg, potential)
+    values = potential.grid_values(cfg)
     positions = cfg.positions()
     momenta = 2.0 * np.pi * np.arange(cfg.dim) / cfg.x_max
     header = ["step", "norm", "fidelity", "position_mean", "momentum_mean"]
     rows = []
     for step in range(cfg.r + 1):
         if step > 0:
-            state = lagrangian_step(cfg, potential, state)
+            state = require_normalized(cfg, state, "lagrangian_step")
+            state = lagrangian_steps(cfg, values, state, 1)
             reference = split @ reference
         norm = float(np.linalg.norm(state))
         fidelity = float(abs(np.vdot(reference, state)))
@@ -484,11 +487,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--spec", help="path to a full experiment JSON document")
     sub.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     sub.add_argument("--out", help="output CSV path")
-    sub.add_argument(
-        "--jobs", type=int, default=1,
-        help="sweep parallelism; execution is serial and row order is "
-        "deterministic either way",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -613,8 +611,6 @@ def _inline_params(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    if args.jobs < 1:
-        raise SpecError("--jobs must be at least 1")
     if args.spec is not None:
         path = Path(args.spec)
         if not path.is_file():

@@ -470,11 +470,3 @@ class OracleSuite:
         sched = self.schedule
         return np.diag(np.exp(-1j * lam * factor.weight * sched.t / sched.r))
 
-
-def oracle_suite(
-    decomp: Decomposition,
-    schedule: "TrotterSchedule",
-    bits: int,
-    counter: QueryCounter | None = None,
-) -> OracleSuite:
-    return OracleSuite(decomp, schedule, bits, counter)

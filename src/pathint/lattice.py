@@ -225,28 +225,51 @@ def step_global_phase(cfg: LatticeConfig, potential: Potential) -> complex:
     return complex(np.exp(-1j * np.pi / 4) * np.exp(1j * cfg.tau * v0))
 
 
+def require_normalized(cfg: LatticeConfig, state: np.ndarray, caller: str) -> np.ndarray:
+    """The state as a complex grid vector; refuses a wrong length or norm."""
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (cfg.dim,):
+        raise SpecError("state has the wrong length for this grid")
+    if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
+        raise SpecError(f"{caller} expects a normalized state")
+    return state
+
+
+def lagrangian_steps(
+    cfg: LatticeConfig,
+    values: np.ndarray,
+    state: np.ndarray,
+    steps: int,
+    counter: QueryCounter | None = None,
+) -> np.ndarray:
+    """Apply ``steps`` circuit steps to a grid state or to every matrix column.
+
+    ``values`` is ``Potential.grid_values(cfg)``, so a caller that steps
+    repeatedly evaluates the potential once.  Each step applies the action
+    oracle against a zeroed second register, an inverse Fourier transform,
+    and the oracle again with the zeroed register first: two oracle queries
+    and one transform.
+    """
+    first, second = _step_phases(cfg, values)
+    if state.ndim == 2:
+        first, second = first[:, None], second[:, None]
+    for _ in range(steps):
+        state = second * np.fft.fft(first * state, axis=0, norm="ortho")
+        if counter is not None:
+            counter.tick("action", 2)
+            counter.tick("qft")
+    return state
+
+
 def lagrangian_step(
     cfg: LatticeConfig,
     potential: Potential,
     state: np.ndarray,
     counter: QueryCounter | None = None,
 ) -> np.ndarray:
-    """Advance a normalized grid state by one circuit step.
-
-    The step applies the action oracle against a zeroed second register, an
-    inverse Fourier transform, and the oracle again with the zeroed register
-    first: two oracle queries and one transform in total.
-    """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (cfg.dim,):
-        raise SpecError("state has the wrong length for this grid")
-    if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
-        raise SpecError("lagrangian_step expects a normalized state")
-    first, second = _step_phases(cfg, potential.grid_values(cfg))
-    if counter is not None:
-        counter.tick("action", 2)
-        counter.tick("qft")
-    return second * np.fft.fft(first * state, norm="ortho")
+    """Advance a normalized grid state by one circuit step."""
+    state = require_normalized(cfg, state, "lagrangian_step")
+    return lagrangian_steps(cfg, potential.grid_values(cfg), state, 1, counter)
 
 
 def lagrangian_propagator(
@@ -263,14 +286,8 @@ def lagrangian_propagator(
     """
     if cfg.r * cfg.dim > STEP_WORK_CAP:
         raise CapExceeded("propagator work r * 2^n exceeds the cap")
-    first, second = _step_phases(cfg, potential.grid_values(cfg))
     u = np.eye(cfg.dim, dtype=complex)
-    for _ in range(cfg.r):
-        u = second[:, None] * np.fft.fft(first[:, None] * u, axis=0, norm="ortho")
-        if counter is not None:
-            counter.tick("action", 2)
-            counter.tick("qft")
-    return u
+    return lagrangian_steps(cfg, potential.grid_values(cfg), u, cfg.r, counter)
 
 
 def propagator_global_phase(cfg: LatticeConfig, potential: Potential) -> complex:
@@ -384,11 +401,7 @@ def feasible_error_check(
     be normalized and supported on Fourier modes with momentum at most
     p_max; support is projector-enforced with tolerance 1e-10.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (cfg.dim,):
-        raise SpecError("state has the wrong length for this grid")
-    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
-        raise SpecError("feasible_error_check expects a normalized state")
+    psi = require_normalized(cfg, psi, "feasible_error_check")
     if p_max <= 0:
         raise SpecError("momentum cutoff must be positive")
     keep = momentum_mode_mask(cfg, p_max)
@@ -401,13 +414,7 @@ def feasible_error_check(
     ham = kinetic_op(cfg) + np.diag(v)
     exact = exp_unitary(ham, cfg.total_time) @ psi
 
-    first, second = _step_phases(cfg, v)
-    stepped = psi
-    for _ in range(cfg.r):
-        stepped = second * np.fft.fft(first * stepped, norm="ortho")
-        if counter is not None:
-            counter.tick("action", 2)
-            counter.tick("qft")
+    stepped = lagrangian_steps(cfg, v, psi, cfg.r, counter)
 
     pos_gap = np.max(np.abs(np.abs(exact) ** 2 - np.abs(stepped) ** 2))
     exact_modes = np.fft.fft(exact, norm="ortho")

@@ -1,0 +1,139 @@
+"""Signed-permutation linear combination of unitaries.
+
+Both path-sum encodings synthesize their target as a uniform average of
+signed permutations on a folded ``(side, state)`` register of 2N
+amplitudes.  A cell is one such permutation: ``perm[col]`` is the output
+index of input column ``col`` (columns 0..N-1 are side 0, N..2N-1 side 1),
+``phase[col]`` its unit phase, and ``thr[col]`` its rounded B-bit magnitude.
+Replica ``b`` weights a column by 1 while ``b < thr`` and by (-1)^b from
+``thr`` upward, so the average over the 2^B replicas keeps the magnitude
+``(thr - (thr & 1)) / 2^B``: a column with ``thr = 0`` cancels exactly and
+``thr = 2^B`` passes with weight one.
+
+The select register is viewed as ``(lead, 2^B, colors, 2N)`` with the
+cells stacked in ``(lead, colors)`` order, so the leading axes and the
+color axes together index the cells.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import Callable
+
+import numpy as np
+
+from .errors import InvariantViolation
+
+
+def replica_flip(b: np.ndarray | int, thr: np.ndarray | int) -> np.ndarray:
+    """Does replica ``b`` negate a column of rounded magnitude ``thr``?"""
+    return np.greater_equal(b, thr) & (np.mod(b, 2) == 1)
+
+
+def replica_weight(b: np.ndarray | int, thr: np.ndarray | int) -> np.ndarray:
+    """Sign that replica ``b`` gives a column of rounded magnitude ``thr``."""
+    return np.where(replica_flip(b, thr), -1.0, 1.0)
+
+
+def replica_average(thr: np.ndarray | int, bits: int) -> np.ndarray:
+    """Closed form of ``replica_weight`` averaged over all 2^bits replicas."""
+    return (thr - (thr & 1)) / float(1 << bits)
+
+
+def folded_flip(cells: int, dim: int) -> np.ndarray:
+    """Default permutation table: every column moves to the other side."""
+    row = np.concatenate([np.arange(dim) + dim, np.arange(dim)])
+    return np.tile(row, (cells, 1))
+
+
+def hadamard_axis(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Tensor-Hadamard transform along one power-of-two axis (normalized)."""
+    n = arr.shape[axis]
+    if n == 1:
+        return arr
+    a = np.moveaxis(arr, axis, 0)
+    lead_shape = a.shape
+    a = a.reshape(n, -1)
+    h = 1
+    while h < n:
+        a = a.reshape(n // (2 * h), 2, -1)
+        top = a[:, 0] + a[:, 1]
+        bot = a[:, 0] - a[:, 1]
+        a = np.stack([top, bot], axis=1).reshape(n, -1)
+        h *= 2
+    a = a / np.sqrt(n)
+    return np.moveaxis(a.reshape(lead_shape), 0, axis)
+
+
+def system_block(walk: Callable[[np.ndarray], np.ndarray], size: int, dim: int) -> np.ndarray:
+    """Zero-ancilla block of a walk, one basis column at a time.
+
+    The register is flat with every ancilla index slower than the system
+    index, so its first ``dim`` amplitudes are the zero-ancilla subspace.
+    """
+    out = np.empty((dim, dim), dtype=complex)
+    for j in range(dim):
+        column = np.zeros(size, dtype=complex)
+        column[j] = 1.0
+        out[:, j] = walk(column)[:dim]
+    return out
+
+
+class SignedPermutationCells:
+    """Stacked select cells, each a signed permutation of the folded register.
+
+    ``perm``, ``phase`` and ``thr`` have shape (cells, 2N); ``colors`` is the
+    number of cells per leading index of the register view.
+    """
+
+    def __init__(
+        self,
+        perm: np.ndarray,
+        phase: np.ndarray,
+        thr: np.ndarray,
+        bits: int,
+        colors: int,
+    ):
+        columns = np.broadcast_to(np.arange(perm.shape[1]), perm.shape)
+        if not np.array_equal(np.sort(perm, axis=1), columns):
+            raise InvariantViolation("select cell is not a permutation")
+        self.perm = perm
+        self.phase = phase
+        self.thr = thr
+        self.bits = bits
+        self.width = 1 << bits
+        self.colors = colors
+
+    @cached_property
+    def _flip(self) -> np.ndarray:
+        """Boolean (cells, 2^B, 2N) table of the replicas that negate a column."""
+        b = np.arange(self.width)[None, :, None]
+        return replica_flip(b, self.thr[:, None, :])
+
+    def apply(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Select: cell k acts on its (2^B, 2N) slice of the register."""
+        cells, two_n = self.perm.shape
+        v = vec.reshape(-1, self.width, self.colors, two_n)
+        out = np.empty_like(v)
+        for k in range(cells):
+            lead, color = divmod(k, self.colors)
+            block = v[lead, :, color]
+            perm, flip = self.perm[k], self._flip[k]
+            if adjoint:
+                x = np.conj(self.phase[k]) * block[:, perm]
+                np.negative(x, out=x, where=flip)
+                out[lead, :, color] = x
+            else:
+                x = self.phase[k] * block
+                np.negative(x, out=x, where=flip)
+                out[lead, :, color][:, perm] = x
+        return out.reshape(vec.shape)
+
+    def average(self) -> np.ndarray:
+        """Replica-averaged sum of every cell as a dense (2N x 2N) matrix."""
+        two_n = self.perm.shape[1]
+        out = np.zeros((two_n, two_n), dtype=complex)
+        cols = np.arange(two_n)
+        for perm, phase, thr in zip(self.perm, self.phase, self.thr):
+            out[perm, cols] += replica_average(thr, self.bits) * phase
+        return out

@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import lcu
 from .decomp import QueryCounter, round_to_bits
 from .errors import CapExceeded, InvariantViolation, SpecError
 from .linalg import (
@@ -52,7 +53,6 @@ from .linalg import (
     hermitian_eig,
     spectral_norm,
 )
-from .short_time import _hadamard_axis
 
 # Ten times the eigensolver degeneracy tolerance; spectra must clear this.
 GAP_FLOOR = 1e-8
@@ -688,28 +688,13 @@ class PropagatorEncoding:
                 f"propagator encoding with {self.size} amplitudes refused"
             )
         self.subnormalization = float(1 + 2 * (r + 1) * self.d * self.d)
-        color_bits = math.ceil(math.log2(self.d)) if self.d > 1 else 0
-        self.ancilla_width = (
-            math.ceil(math.log2(r + 1)) + 2 + bits + 2 * color_bits + 1
-        )
 
         w0 = 1.0 / (math.sqrt(r + 1.0) * self.d)
         first = np.array([w0, 1.0, 1.0, 0.0])
         self._branch = _branch_unitary(first / np.linalg.norm(first))
         self._step_prep = _dft(r + 1)
         self._color_prep = _dft(self.d)
-        self._b_arr = np.arange(self.width)
-        self._b_sign = np.where(self._b_arr % 2 == 0, 1.0, -1.0)
-        self._actions = [
-            [
-                [
-                    [self._build_action(ell, p, c1, c2) for c2 in range(self.d)]
-                    for c1 in range(self.d)
-                ]
-                for p in range(4)
-            ]
-            for ell in range(r + 1)
-        ]
+        self.cells = self._build_cells()
 
     # -- construction helpers -----------------------------------------------
 
@@ -724,51 +709,42 @@ class PropagatorEncoding:
             return None
         return f
 
-    def _build_action(
-        self, ell: int, p: int, c1: int, c2: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _build_cells(self) -> lcu.SignedPermutationCells:
+        """Select cells in (step, branch, color1, color2) order.
+
+        The zero-transition branch applies the accumulated eigenphases with
+        threshold 2^B, so every replica keeps it; branch 3 keeps the folded
+        side flip and cancels.
+        """
         dim = self.dim
-        two_n = 2 * dim
-        perm = np.empty(two_n, dtype=np.int64)
-        perm[:dim] = np.arange(dim) + dim
-        perm[dim:] = np.arange(dim)
-        phase = np.ones(two_n, dtype=complex)
-        thr = np.zeros(two_n, dtype=np.int64)
-        if p == 0:
-            perm = np.arange(two_n)
-            phase[:dim] = self._phase
-            thr[:dim] = self.width
-        elif p == 1:
+        colors = self.d * self.d
+        perm = lcu.folded_flip((self.r + 1) * 4 * colors, dim)
+        phase = np.ones(perm.shape, dtype=complex)
+        thr = np.zeros(perm.shape, dtype=np.int64)
+        for k, (ell, p, c1, c2) in enumerate(np.ndindex(self.r + 1, 4, self.d, self.d)):
+            if p == 0:
+                perm[k] = np.arange(2 * dim)
+                phase[k, :dim] = self._phase
+                thr[k, :dim] = self.width
+            if p in (0, 3):
+                continue
             for j in range(dim):
                 f = self._edge_for(ell, c1, c2, j)
                 if f is None:
                     continue
-                if ell == 0:
-                    amp = self._eta_start[f, j]
-                    carried = self._phase[f]
+                if p == 2:  # returning path: diagonal correction
+                    to, amp, carried = j, self._zeta[ell, j, f], self._phase[j]
+                elif ell == 0:
+                    to, amp, carried = f, self._eta_start[f, j], self._phase[f]
                 elif ell == self.r:
-                    amp = self._eta_end[f, j]
-                    carried = self._phase[j]
-                else:
-                    amp = 0.0
-                    carried = self._phase[j]
-                perm[j] = f
-                phase[j] = carried * _unit(amp)
-                thr[j] = round_to_bits(abs(amp), self.bits)
-                perm[dim + f] = dim + j
-        elif p == 2:
-            for j in range(dim):
-                f = self._edge_for(ell, c1, c2, j)
-                if f is None:
-                    continue
-                amp = self._zeta[ell, j, f]
-                perm[j] = j
-                phase[j] = self._phase[j] * _unit(amp)
-                thr[j] = round_to_bits(abs(amp), self.bits)
-                perm[dim + j] = dim + j
-        if not np.array_equal(np.sort(perm), np.arange(two_n)):
-            raise InvariantViolation("select cell is not a permutation")
-        return perm, phase, thr
+                    to, amp, carried = f, self._eta_end[f, j], self._phase[j]
+                else:  # interior one-transition steps carry zero
+                    to, amp, carried = f, 0.0, self._phase[j]
+                perm[k, j] = to
+                phase[k, j] = carried * _unit(amp)
+                thr[k, j] = round_to_bits(abs(amp), self.bits)
+                perm[k, dim + to] = dim + j
+        return lcu.SignedPermutationCells(perm, phase, thr, self.bits, colors)
 
     # -- structured applications --------------------------------------------
 
@@ -779,63 +755,27 @@ class PropagatorEncoding:
         for mat, axis in zip(mats, axes):
             use = mat.conj().T if adjoint else mat
             v = _apply_axis(v, use, axis)
-        v = _hadamard_axis(v, 2)
+        v = lcu.hadamard_axis(v, 2)
         return v.reshape(vec.shape)
 
     def apply_select(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         for name, cost in LONGTIME_SELECT_BUDGET.items():
             self.counter.tick(name, cost)
-        v = vec.reshape(self.shape)
-        out = np.empty_like(v)
-        two_n = 2 * self.dim
-        for ell in range(self.r + 1):
-            for p in range(4):
-                for c1 in range(self.d):
-                    for c2 in range(self.d):
-                        perm, phase, thr = self._actions[ell][p][c1][c2]
-                        vals = phase[None, :] * np.where(
-                            self._b_arr[:, None] < thr[None, :],
-                            1.0,
-                            self._b_sign[:, None],
-                        )
-                        block = v[ell, p, :, c1, c2].reshape(self.width, two_n)
-                        res = np.empty_like(block)
-                        if adjoint:
-                            res[:, :] = np.conj(vals) * block[:, perm]
-                        else:
-                            res[:, perm] = vals * block
-                        out[ell, p, :, c1, c2] = res.reshape(self.width, 2, self.dim)
-        return out.reshape(vec.shape)
+        return self.cells.apply(vec, adjoint)
 
     def apply_w(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         v = self.prep(vec)
         v = self.apply_select(v, adjoint=adjoint)
         return self.prep(v, adjoint=True)
 
-    def apply_pi(self, vec: np.ndarray) -> np.ndarray:
-        v = vec.reshape(self.shape)
-        out = np.zeros_like(v)
-        out[0, 0, 0, 0, 0, 0] = v[0, 0, 0, 0, 0, 0]
-        return out.reshape(vec.shape)
-
-    def zero_column(self, j: int) -> np.ndarray:
-        vec = np.zeros(self.shape, dtype=complex)
-        vec[0, 0, 0, 0, 0, 0, j] = 1.0
-        return vec
-
     def block(self) -> np.ndarray:
         """System block of Pi W Pi, column by column."""
-        out = np.empty((self.dim, self.dim), dtype=complex)
-        for j in range(self.dim):
-            w = self.apply_w(self.zero_column(j))
-            out[:, j] = w.reshape(self.shape)[0, 0, 0, 0, 0, 0]
-        return out
+        return lcu.system_block(self.apply_w, self.size, self.dim)
 
     # -- reference targets ---------------------------------------------------
 
     def _rounded_mag(self, value: complex) -> float:
-        t = round_to_bits(abs(value), self.bits)
-        return (t - (t & 1)) / self.width
+        return lcu.replica_average(round_to_bits(abs(value), self.bits), self.bits)
 
     def rounded_target(self) -> np.ndarray:
         """The eigenframe matrix the encoding realizes exactly.
@@ -863,15 +803,3 @@ class PropagatorEncoding:
         """The unrounded eigenframe truncation, for precision-scaling tests."""
         return _assemble_label(self.eigsys, self._rates, self.total_time)
 
-
-def encode_propagator(
-    ham: TimeDependentHamiltonian,
-    total_time: float,
-    r: int | None = None,
-    bits: int = 8,
-    counter: QueryCounter | None = None,
-) -> PropagatorEncoding:
-    """Build the signed-permutation encoding of the truncated evolution."""
-    if r is None:
-        r = ham.grid
-    return PropagatorEncoding(ham, total_time, r, bits, counter=counter)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lcu
 from .decomp import (
     Decomposition,
     QueryCounter,
@@ -196,69 +197,46 @@ def color_graph(
 # signed permutations and the alternating-sign synthesis
 
 
-@dataclass(frozen=True)
-class _ClassAction:
-    """Action of one color class on the (side, state) register, side flip
-    folded in.
-
-    ``perm[col]`` is the output basis index for input column ``col`` (columns
-    0..N-1 are side 0, N..2N-1 side 1).  The phase applies on top of the
-    replica sign rule: weight 1 while b < thr, (-1)^b from thr upward; thr
-    is 0 on backward and fixed-point columns.  A color class without edges
-    (an always-empty padding color) reduces to the signed side flip.
-    """
-
-    perm: np.ndarray
-    phase: np.ndarray
-    thr: np.ndarray
+def _pad_colors(d: int) -> int:
+    p = 1
+    while p < d:
+        p *= 2
+    return p
 
 
-def _class_action(
-    graph: ColoredTransitionGraph,
-    table_overlap: np.ndarray,
-    eigenphase: np.ndarray,
-    c1: int,
-    c2: int,
-    bits: int,
-) -> _ClassAction:
-    dim = graph.dim
-    two_n = 2 * dim
-    perm = np.empty(two_n, dtype=np.int64)
-    phase = np.ones(two_n, dtype=complex)
-    thr = np.zeros(two_n, dtype=np.int64)
-    # every vertex starts as a fixed point; the folded side flip moves it
-    perm[:dim] = np.arange(dim) + dim
-    perm[dim:] = np.arange(dim)
-    for j, q in graph.classes.get((c1, c2), ()):
-        amp = table_overlap[q, j]
-        mag = round_to_bits(abs(amp), bits)
-        arg = amp / abs(amp) if abs(amp) > 0 else 1.0
-        perm[j] = q
-        phase[j] = arg * eigenphase[j]
-        thr[j] = mag
-        perm[dim + q] = dim + j
-    return _ClassAction(perm=perm, phase=phase, thr=thr)
-
-
-def _step_actions(
+def _step_cells(
     decomp: Decomposition,
     sched: TrotterSchedule,
     m: int,
     bits: int,
     overlaps: ScheduleOverlaps,
-    colors: int,
-) -> list[list[_ClassAction]]:
+) -> lcu.SignedPermutationCells:
+    """Select cells of one step, one per padded color class (c1, c2).
+
+    An edge j -> q of class (c1, c2) carries the overlap phase times the
+    eigenphase of j and the rounded overlap magnitude; every other column
+    keeps the folded side flip with threshold 0 and cancels in the replica
+    average.  Padding colors hold no edges.
+    """
     graph = color_graph(decomp, sched, m, overlaps)
     table = overlaps.pair_for_step(m)
     values, _, tau = _factor_eigendata(decomp, sched, m)
     eigenphase = np.exp(-1j * values * tau)
-    return [
-        [
-            _class_action(graph, table.overlap, eigenphase, c1, c2, bits)
-            for c2 in range(colors)
-        ]
-        for c1 in range(colors)
-    ]
+    dim = decomp.dim
+    colors = _pad_colors(overlaps.d)
+    perm = lcu.folded_flip(colors * colors, dim)
+    phase = np.ones(perm.shape, dtype=complex)
+    thr = np.zeros(perm.shape, dtype=np.int64)
+    for (c1, c2), pool in graph.classes.items():
+        k = c1 * colors + c2
+        for j, q in pool:
+            amp = table.overlap[q, j]
+            arg = amp / abs(amp) if abs(amp) > 0 else 1.0
+            perm[k, j] = q
+            phase[k, j] = arg * eigenphase[j]
+            thr[k, j] = round_to_bits(abs(amp), bits)
+            perm[k, dim + q] = dim + j
+    return lcu.SignedPermutationCells(perm, phase, thr, bits, colors * colors)
 
 
 def signed_permutation(
@@ -276,17 +254,19 @@ def signed_permutation(
     overlaps = ScheduleOverlaps(decomp, sched)
     if not 0 <= c1 < overlaps.d or not 0 <= c2 < overlaps.d:
         raise SpecError("color index out of range")
-    actions = _step_actions(decomp, sched, m, bits, overlaps, overlaps.d)
-    action = actions[c1][c2]
-    dim = decomp.dim
-    sign = 1.0 if b % 2 == 0 else -1.0
-    val = action.phase * np.where(b < action.thr, 1.0, sign)
-    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    for col in range(2 * dim):
-        after_flip = int(action.perm[col])
-        row = after_flip + dim if after_flip < dim else after_flip - dim
-        u[row, col] = val[col]
+    cells = _step_cells(decomp, sched, m, bits, overlaps)
+    k = c1 * _pad_colors(overlaps.d) + c2
+    two_n = 2 * decomp.dim
+    u = np.zeros((two_n, two_n), dtype=complex)
+    rows = (cells.perm[k] + decomp.dim) % two_n  # undo the folded side flip
+    u[rows, np.arange(two_n)] = cells.phase[k] * lcu.replica_weight(b, cells.thr[k])
     return u
+
+
+def _check_replica_sum_cap(d: int, bits: int) -> None:
+    size = d * d * (1 << bits)
+    if size > ALT_SUM_CAP:
+        raise CapExceeded(f"replica sum size {size} exceeds cap")
 
 
 def alternating_sum(
@@ -301,22 +281,8 @@ def alternating_sum(
     leave the forward sector carrying B-bit synthesized magnitudes.
     """
     overlaps = ScheduleOverlaps(decomp, sched)
-    d = overlaps.d
-    width = 1 << bits
-    if d * d * width > ALT_SUM_CAP:
-        raise CapExceeded(f"replica sum size {d * d * width} exceeds cap")
-    actions = _step_actions(decomp, sched, m, bits, overlaps, d)
-    dim = decomp.dim
-    b_arr = np.arange(width)
-    sign = np.where(b_arr % 2 == 0, 1.0, -1.0)
-    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    for c1 in range(d):
-        for c2 in range(d):
-            action = actions[c1][c2]
-            weights = np.where(b_arr[:, None] < action.thr[None, :], 1.0, sign[:, None])
-            summed = weights.sum(axis=0) * action.phase / width
-            out[action.perm, np.arange(2 * dim)] += summed
-    return out
+    _check_replica_sum_cap(overlaps.d, bits)
+    return _step_cells(decomp, sched, m, bits, overlaps).average()
 
 
 def projected_step(
@@ -334,32 +300,6 @@ def synthesis_defect_bound(d: int, bits: int) -> float:
 
 # ---------------------------------------------------------------------------
 # block encoding
-
-
-def _hadamard_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Tensor-Hadamard transform along one power-of-two axis (normalized)."""
-    n = arr.shape[axis]
-    if n == 1:
-        return arr
-    a = np.moveaxis(arr, axis, 0)
-    lead_shape = a.shape
-    a = a.reshape(n, -1)
-    h = 1
-    while h < n:
-        a = a.reshape(n // (2 * h), 2, -1)
-        top = a[:, 0] + a[:, 1]
-        bot = a[:, 0] - a[:, 1]
-        a = np.stack([top, bot], axis=1).reshape(n, -1)
-        h *= 2
-    a = a / np.sqrt(n)
-    return np.moveaxis(a.reshape(lead_shape), 0, axis)
-
-
-def _pad_colors(d: int) -> int:
-    p = 1
-    while p < d:
-        p *= 2
-    return p
 
 
 class BlockEncoding:
@@ -381,33 +321,18 @@ class BlockEncoding:
     ):
         if bits < 1:
             raise SpecError("magnitude precision must be at least one bit")
-        self.decomp = decomp
-        self.sched = sched
-        self.m = m
         self.bits = bits
         self.counter = counter if counter is not None else QueryCounter()
-        self.overlaps = overlaps if overlaps is not None else ScheduleOverlaps(decomp, sched)
-        self.d = self.overlaps.d
+        if overlaps is None:
+            overlaps = ScheduleOverlaps(decomp, sched)
+        self.d = overlaps.d
         self.d_pad = _pad_colors(self.d)
         self.dim = decomp.dim
         self.width = 1 << bits
         self.subnormalization = float(self.d_pad**2)
         self.shape = (self.width, self.d_pad, self.d_pad, 2, self.dim)
         self.size = int(np.prod(self.shape))
-        self.ancilla_width = 1 + bits + 2 * int(np.log2(self.d_pad))
-        actions = _step_actions(decomp, sched, m, bits, self.overlaps, self.d_pad)
-        b_arr = np.arange(self.width)
-        sign = np.where(b_arr % 2 == 0, 1.0, -1.0)
-        self._class_values: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        for c1 in range(self.d_pad):
-            row = []
-            for c2 in range(self.d_pad):
-                action = actions[c1][c2]
-                vals = action.phase[None, :] * np.where(
-                    b_arr[:, None] < action.thr[None, :], 1.0, sign[:, None]
-                )
-                row.append((action.perm, vals))
-            self._class_values.append(row)
+        self.cells = _step_cells(decomp, sched, m, bits, overlaps)
 
     # -- structured applications --------------------------------------------
 
@@ -417,52 +342,24 @@ class BlockEncoding:
         Self-inverse, so it serves as both the forward and adjoint stage.
         """
         v = vec.reshape(self.shape)
-        v = _hadamard_axis(v, 0)
-        v = _hadamard_axis(v, 1)
-        v = _hadamard_axis(v, 2)
+        v = lcu.hadamard_axis(v, 0)
+        v = lcu.hadamard_axis(v, 1)
+        v = lcu.hadamard_axis(v, 2)
         return v.reshape(vec.shape)
 
     def apply_select(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         for name, cost in SELECT_BUDGET.items():
             self.counter.tick(name, cost)
-        v = vec.reshape(self.shape)
-        out = np.empty_like(v)
-        two_n = 2 * self.dim
-        for c1 in range(self.d_pad):
-            for c2 in range(self.d_pad):
-                perm, vals = self._class_values[c1][c2]
-                block = v[:, c1, c2].reshape(self.width, two_n)
-                res = np.empty_like(block)
-                if adjoint:
-                    res[:, :] = np.conj(vals) * block[:, perm]
-                else:
-                    res[:, perm] = vals * block
-                out[:, c1, c2] = res.reshape(self.width, 2, self.dim)
-        return out.reshape(vec.shape)
+        return self.cells.apply(vec, adjoint)
 
     def apply_w(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         v = self.prep(vec)
         v = self.apply_select(v, adjoint=adjoint)
         return self.prep(v)
 
-    def apply_pi(self, vec: np.ndarray) -> np.ndarray:
-        v = vec.reshape(self.shape)
-        out = np.zeros_like(v)
-        out[0, 0, 0, 0] = v[0, 0, 0, 0]
-        return out.reshape(vec.shape)
-
-    def zero_column(self, j: int) -> np.ndarray:
-        vec = np.zeros(self.shape, dtype=complex)
-        vec[0, 0, 0, 0, j] = 1.0
-        return vec
-
     def block(self) -> np.ndarray:
         """System block of Pi W Pi, extracted column by column."""
-        out = np.empty((self.dim, self.dim), dtype=complex)
-        for j in range(self.dim):
-            w = self.apply_w(self.zero_column(j))
-            out[:, j] = w.reshape(self.shape)[0, 0, 0, 0]
-        return out
+        return lcu.system_block(self.apply_w, self.size, self.dim)
 
     def w_matrix(self) -> np.ndarray:
         if self.size > DENSE_ENCODING_CAP:
@@ -473,16 +370,6 @@ class BlockEncoding:
             e[idx] = 1.0
             cols.append(self.apply_w(e))
         return np.stack(cols, axis=1)
-
-
-def block_encode(
-    decomp: Decomposition,
-    sched: TrotterSchedule,
-    m: int,
-    bits: int,
-    counter: QueryCounter | None = None,
-) -> BlockEncoding:
-    return BlockEncoding(decomp, sched, m, bits, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -562,29 +449,24 @@ class AmplifiedStep:
         u = self.apply_w(u)
         return 2.0 * u - v
 
-    def zero_column(self, j: int) -> np.ndarray:
-        vec = np.zeros(self.shape, dtype=complex)
-        vec[0, 0, 0, 0, 0, j] = 1.0
-        return vec
-
     def flagged_block(self) -> np.ndarray:
         """System block of the flag-padded encoding before amplification.
 
         Equal to the replica-averaged transition divided by a', without
         touching the high-dimensional registers.
         """
-        s = alternating_sum(self.encoding.decomp, self.encoding.sched, self.encoding.m, self.encoding.bits)
+        _check_replica_sum_cap(self.encoding.d, self.encoding.bits)
+        s = self.encoding.cells.average()
         return s[: self.encoding.dim, : self.encoding.dim] / self.a_prime
 
     def _amplified_iterate(self) -> np.ndarray:
-        dim = self.encoding.dim
-        out = np.empty((dim, dim), dtype=complex)
-        for j in range(dim):
-            v = self.apply_w(self.zero_column(j))
+        def amplify(v: np.ndarray) -> np.ndarray:
+            v = self.apply_w(v)
             for _ in range(self.p):
                 v = self.apply_reflection(v)
-            out[:, j] = v.reshape(self.shape)[0, 0, 0, 0, 0]
-        return out
+            return v
+
+        return lcu.system_block(amplify, self.size, self.encoding.dim)
 
     def _amplified_svd(self) -> np.ndarray:
         """Closed form of the reflection product on the encoded block.
@@ -620,18 +502,6 @@ class AmplifiedStep:
             raise SpecError(f"unknown amplification method {method!r}")
         weights = np.sum(np.abs(out) ** 2, axis=0)
         return out, float(weights.min())
-
-
-def amplified_transition(
-    decomp: Decomposition,
-    sched: TrotterSchedule,
-    m: int,
-    bits: int,
-) -> tuple[np.ndarray, float, int]:
-    """Convenience wrapper: amplified block, success weight, round count."""
-    step = AmplifiedStep(block_encode(decomp, sched, m, bits))
-    block, weight = step.amplified()
-    return block, weight, step.p
 
 
 def amplified_defect_bound(d: int, bits: int) -> float:

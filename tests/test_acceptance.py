@@ -141,7 +141,7 @@ def test_criterion_04_projected_encoding_reproduces_the_step():
         sched = schedule(decomp.term_count, 0, 1, 1.0)
         dim = decomp.dim
         for bits in BITS_GRID:
-            enc = sh.block_encode(decomp, sched, 0, bits)
+            enc = sh.BlockEncoding(decomp, sched, 0, bits)
             synth = sh.alternating_sum(decomp, sched, 0, bits)[:dim, :dim]
             got = enc.block()
             assert np.max(np.abs(got - synth / enc.subnormalization)) <= 1e-10
@@ -154,7 +154,7 @@ def test_criterion_05_amplified_block_and_success_weight():
         d = dc.sparsity(decomp, sched)
         exact = sh.transition_operator(decomp, sched, 0)
         for bits in BITS_GRID:
-            step = sh.AmplifiedStep(sh.block_encode(decomp, sched, 0, bits))
+            step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, 0, bits))
             block, weight = step.amplified()
             assert spectral_norm(block - exact) <= 16.0 * d * d / (1 << bits)
             assert weight >= 1.0 - 64.0 * d**4 / float(1 << (2 * bits))

@@ -228,7 +228,6 @@ def test_malformed_inline_flags(tmp_path):
     out = str(tmp_path / "x.csv")
     bad_invocations = [
         ["gauss-check", "--count", "3", "--max-coeff", "4"],
-        ["gauss-check", "--count", "3", "--max-coeff", "4", "--out", out, "--jobs", "0"],
         ["trotter-error", "--decomp", ZX_DECOMP, "--k", "1", "--r-list", "2,x",
          "--t", "0.5", "--out", out],
         ["short-sim", "--decomp", ZX_DECOMP, "--k", "1", "--r", "2", "--t", "0.3",

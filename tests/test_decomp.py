@@ -148,7 +148,7 @@ def test_rounding_halves_to_even_and_clamps():
 
 def test_oracle_suite_values_and_counting():
     d = dc.build(tilted_example_pair())
-    suite = dc.oracle_suite(d, two_term_schedule(), bits=8)
+    suite = dc.OracleSuite(d, two_term_schedule(), bits=8)
     assert suite.magnitude(0, 2, 2) == 181
     assert suite.magnitude(0, 2, 0) == 0
     ph = suite.phase(0, 2, 3)
@@ -167,7 +167,7 @@ def test_oracle_suite_values_and_counting():
 
 def test_eigenphase_minus_one_example():
     d = dc.build([np.diag([1.0, -1.0]).astype(complex)])
-    suite = dc.oracle_suite(d, trotter.schedule(1, 0, 1, np.pi), bits=4)
+    suite = dc.OracleSuite(d, trotter.schedule(1, 0, 1, np.pi), bits=4)
     # state 1 carries eigenvalue +1; weight * t / r = pi
     npt.assert_allclose(suite.eigenphase(0, 1), -1.0, atol=1e-12)
 
@@ -183,7 +183,7 @@ def test_overlap_tables_are_unitary():
 
 def test_oracle_matrices_match_callables():
     d = dc.build(tilted_example_pair())
-    suite = dc.oracle_suite(d, two_term_schedule(), bits=4)
+    suite = dc.OracleSuite(d, two_term_schedule(), bits=4)
     perm = suite.index_permutation(0)
     assert np.allclose(perm @ perm, np.eye(perm.shape[0]))  # XOR is an involution
     assert np.allclose(perm.sum(axis=0), 1.0)

@@ -288,9 +288,14 @@ def test_jump_term_validation():
 # the block encoding
 
 
+def cell_thresholds(enc):
+    """Select-cell thresholds indexed [step, branch, color1, color2, column]."""
+    return enc.cells.thr.reshape(enc.r + 1, 4, enc.d, enc.d, 2 * enc.dim)
+
+
 def test_encoding_block_identity():
     for ham in (sine_family(), random_smooth_system(np.random.default_rng(21), grid=32)):
-        enc = lt.encode_propagator(ham, 20.0, r=8, bits=6)
+        enc = lt.PropagatorEncoding(ham, 20.0, r=8, bits=6)
         got = enc.block() * enc.subnormalization
         want = enc.rounded_target()
         assert spectral_norm(got - want) < 1e-9
@@ -301,7 +306,7 @@ def test_encoding_bit_convergence():
     ham = sine_family()
     defects = {}
     for bits in (12, 16):
-        enc = lt.encode_propagator(ham, 20.0, r=8, bits=bits)
+        enc = lt.PropagatorEncoding(ham, 20.0, r=8, bits=bits)
         defect = spectral_norm(enc.block() * enc.subnormalization - enc.exact_target())
         bound = 6.0 * (enc.r + 3) * enc.d**2 * 2.0 ** (-bits)
         assert defect <= bound
@@ -311,41 +316,40 @@ def test_encoding_bit_convergence():
 
 def test_encoding_constant_system():
     ham = constant_system()
-    enc = lt.encode_propagator(ham, 17.0, r=8, bits=6)
+    enc = lt.PropagatorEncoding(ham, 17.0, r=8, bits=6)
     assert enc.d == 1
     got = enc.block() * enc.subnormalization
     want = np.diag(np.exp(-1j * 17.0 * np.array([-1.0, 1.0])))
     assert spectral_norm(got - want) < 1e-12
     # nothing but the zero-transition branch carries weight
+    thr = cell_thresholds(enc)
     for ell in range(enc.r + 1):
         for p in (1, 2):
-            _, _, thr = enc._actions[ell][p][0][0]
-            assert int(np.sum(thr)) == 0
+            assert int(np.sum(thr[ell, p, 0, 0])) == 0
 
 
 def test_encoding_interior_one_jump_is_zero():
-    enc = lt.encode_propagator(sine_family(), 20.0, r=8, bits=8)
+    enc = lt.PropagatorEncoding(sine_family(), 20.0, r=8, bits=8)
+    thr = cell_thresholds(enc)
     for ell in range(1, enc.r):
         for c1 in range(enc.d):
             for c2 in range(enc.d):
-                _, _, thr = enc._actions[ell][1][c1][c2]
-                assert int(np.sum(thr)) == 0
+                assert int(np.sum(thr[ell, 1, c1, c2])) == 0
     # the boundaries do carry one-jump weight at this precision
     edge_weight = 0
     for ell in (0, enc.r):
         for c1 in range(enc.d):
             for c2 in range(enc.d):
-                _, _, thr = enc._actions[ell][1][c1][c2]
-                edge_weight += int(np.sum(thr))
+                edge_weight += int(np.sum(thr[ell, 1, c1, c2]))
     assert edge_weight > 0
 
 
 def test_encoding_subnormalization_scaling():
     ham = sine_family()
     for r in (8, 16, 32):
-        enc = lt.encode_propagator(ham, 20.0, r=r, bits=4)
+        enc = lt.PropagatorEncoding(ham, 20.0, r=r, bits=4)
         assert enc.subnormalization == 1 + 2 * (r + 1) * enc.d**2
-    three = lt.encode_propagator(
+    three = lt.PropagatorEncoding(
         random_smooth_system(np.random.default_rng(21), grid=32), 20.0, r=8, bits=4
     )
     assert three.d == 2
@@ -354,7 +358,7 @@ def test_encoding_subnormalization_scaling():
 
 def test_encoding_counts_queries():
     counter = QueryCounter()
-    enc = lt.encode_propagator(sine_family(), 20.0, r=8, bits=4, counter=counter)
+    enc = lt.PropagatorEncoding(sine_family(), 20.0, r=8, bits=4, counter=counter)
     assert counter.counts == {}
     enc.block()
     want = {name: cost * enc.dim for name, cost in lt.LONGTIME_SELECT_BUDGET.items()}
@@ -362,7 +366,7 @@ def test_encoding_counts_queries():
 
 
 def test_encoding_walk_is_unitary():
-    enc = lt.encode_propagator(sine_family(), 20.0, r=8, bits=5)
+    enc = lt.PropagatorEncoding(sine_family(), 20.0, r=8, bits=5)
     rng = np.random.default_rng(3)
     vec = rng.normal(size=enc.shape) + 1j * rng.normal(size=enc.shape)
     vec = vec / np.linalg.norm(vec)
@@ -375,10 +379,10 @@ def test_encoding_walk_is_unitary():
 def test_encoding_validation_and_cap():
     ham = sine_family()
     with pytest.raises(CapExceeded):
-        lt.encode_propagator(ham, 20.0, r=8, bits=24)
+        lt.PropagatorEncoding(ham, 20.0, r=8, bits=24)
     with pytest.raises(SpecError):
-        lt.encode_propagator(ham, 20.0, r=3, bits=6)
+        lt.PropagatorEncoding(ham, 20.0, r=3, bits=6)
     with pytest.raises(SpecError):
-        lt.encode_propagator(ham, 20.0, r=8, bits=0)
+        lt.PropagatorEncoding(ham, 20.0, r=8, bits=0)
     with pytest.raises(SpecError):
-        lt.encode_propagator(ham, 0.0, r=8, bits=6)
+        lt.PropagatorEncoding(ham, 0.0, r=8, bits=6)

@@ -231,6 +231,28 @@ def test_alternating_sum_matches_definitional_average():
     assert np.max(np.abs(acc - got)) <= 1e-12
 
 
+def test_select_applies_the_signed_permutations():
+    decomp = three_sparse_pair()
+    sched = schedule(2, 0, 1, 0.9)
+    bits = 3
+    enc = sh.BlockEncoding(decomp, sched, 0, bits)
+    dim = decomp.dim
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=enc.shape) + 1j * rng.normal(size=enc.shape)
+    got = enc.apply_select(x)
+    assert np.max(np.abs(enc.apply_select(got, adjoint=True) - x)) <= 1e-12
+    for b in range(1 << bits):
+        for c1 in range(enc.d_pad):
+            for c2 in range(enc.d_pad):
+                col = x[b, c1, c2].reshape(2 * dim)
+                if c1 < enc.d and c2 < enc.d:
+                    u = sh.signed_permutation(decomp, sched, 0, b, c1, c2, bits)
+                    want = np.vstack([u[dim:], u[:dim]]) @ col
+                else:  # padding colors: the signed side flip
+                    want = (-1.0) ** b * np.concatenate([col[dim:], col[:dim]])
+                assert np.max(np.abs(got[b, c1, c2].reshape(2 * dim) - want)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # alternating sum and Claim-1 style defects
 
@@ -286,7 +308,7 @@ def test_block_identity_examples():
         (dc.build(tilted_example_pair()), schedule(2, 0, 1, 0.5), 0, 5),
     ]
     for decomp, sched, m, bits in cases:
-        enc = sh.block_encode(decomp, sched, m, bits)
+        enc = sh.BlockEncoding(decomp, sched, m, bits)
         dim = decomp.dim
         synth = sh.alternating_sum(decomp, sched, m, bits)[:dim, :dim]
         got = enc.block() * enc.subnormalization
@@ -297,7 +319,7 @@ def test_block_identity_with_padded_colors():
     decomp = three_sparse_pair()
     sched = schedule(2, 0, 1, 0.9)
     assert dc.sparsity(decomp, sched) == 3
-    enc = sh.block_encode(decomp, sched, 0, 5)
+    enc = sh.BlockEncoding(decomp, sched, 0, 5)
     assert enc.d_pad == 4
     assert enc.subnormalization == 16.0
     dim = decomp.dim
@@ -309,7 +331,7 @@ def test_block_identity_with_padded_colors():
 def test_block_encoding_w_unitary_small():
     decomp = z_x()
     sched = schedule(2, 0, 1, 1.0)
-    enc = sh.block_encode(decomp, sched, 0, 3)
+    enc = sh.BlockEncoding(decomp, sched, 0, 3)
     w = enc.w_matrix()
     assert spectral_norm(w @ w.conj().T - np.eye(enc.size)) <= 1e-10
 
@@ -317,7 +339,7 @@ def test_block_encoding_w_unitary_small():
 def test_block_encoding_dense_cap():
     decomp = z_x()
     sched = schedule(2, 0, 1, 1.0)
-    enc = sh.block_encode(decomp, sched, 0, 12)
+    enc = sh.BlockEncoding(decomp, sched, 0, 12)
     with pytest.raises(CapExceeded):
         enc.w_matrix()
 
@@ -325,7 +347,7 @@ def test_block_encoding_dense_cap():
 def test_block_encoding_apply_is_isometric():
     decomp = zz_zx()
     sched = schedule(2, 0, 1, 1.0)
-    enc = sh.block_encode(decomp, sched, 0, 8)
+    enc = sh.BlockEncoding(decomp, sched, 0, 8)
     rng = np.random.default_rng(5)
     x = rng.normal(size=enc.size) + 1j * rng.normal(size=enc.size)
     wx = enc.apply_w(x)
@@ -338,7 +360,7 @@ def test_select_budget_is_constant():
     for decomp in (z_x(), zz_zx()):
         sched = schedule(2, 0, 1, 1.0)
         counter = dc.QueryCounter()
-        enc = sh.block_encode(decomp, sched, 0, 4, counter)
+        enc = sh.BlockEncoding(decomp, sched, 0, 4, counter)
         enc.apply_select(np.zeros(enc.shape, dtype=complex))
         assert counter.snapshot() == sh.SELECT_BUDGET
         enc.apply_w(np.zeros(enc.shape, dtype=complex))
@@ -358,7 +380,7 @@ def test_rounds_for_pinned_values():
 def test_amplified_single_color_is_block_itself():
     decomp = dc.build([np.diag([0.7, -0.3]).astype(complex)])
     sched = schedule(1, 0, 1, 1.1)
-    step = sh.AmplifiedStep(sh.block_encode(decomp, sched, 0, 6))
+    step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, 0, 6))
     assert step.p == 0
     assert step.a_prime == pytest.approx(1.0)
     block, weight = step.amplified(method="iterate")
@@ -376,7 +398,7 @@ def test_amplified_svd_matches_applied_reflections():
         (three_sparse_pair(), schedule(2, 0, 1, 0.9), 0, 4),
     ]
     for decomp, sched, m, bits in cases:
-        step = sh.AmplifiedStep(sh.block_encode(decomp, sched, m, bits))
+        step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, m, bits))
         by_iter, w_iter = step.amplified(method="iterate")
         by_svd, w_svd = step.amplified(method="svd")
         assert np.max(np.abs(by_iter - by_svd)) <= 1e-11
@@ -385,7 +407,7 @@ def test_amplified_svd_matches_applied_reflections():
 
 def test_reflection_preserves_norm():
     decomp = zz_zx()
-    step = sh.AmplifiedStep(sh.block_encode(decomp, schedule(2, 0, 1, 1.0), 0, 4))
+    step = sh.AmplifiedStep(sh.BlockEncoding(decomp, schedule(2, 0, 1, 1.0), 0, 4))
     rng = np.random.default_rng(9)
     x = rng.normal(size=step.shape) + 1j * rng.normal(size=step.shape)
     rx = step.apply_reflection(x)
@@ -402,7 +424,7 @@ def test_amplified_accuracy_and_success_weight():
     exact = sh.transition_operator(decomp, sched, 0)
     d = dc.sparsity(decomp, sched)
     for bits in (6, 8, 10):
-        step = sh.AmplifiedStep(sh.block_encode(decomp, sched, 0, bits))
+        step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, 0, bits))
         assert step.p == 3
         block, weight = step.amplified()
         assert spectral_norm(block - exact) <= sh.amplified_defect_bound(d, bits)
@@ -451,6 +473,6 @@ def test_simulate_error_envelope_point():
 
 def test_simulate_rejects_unknown_method():
     decomp = z_x()
-    step = sh.AmplifiedStep(sh.block_encode(decomp, schedule(2, 0, 1, 1.0), 0, 4))
+    step = sh.AmplifiedStep(sh.BlockEncoding(decomp, schedule(2, 0, 1, 1.0), 0, 4))
     with pytest.raises(SpecError):
         step.amplified(method="qr")
