@@ -42,7 +42,6 @@ from .lattice import (
 )
 from .long_time import (
     TimeDependentHamiltonian,
-    adiabatic_bounds,
     interaction_frame,
     jump_bounds,
     longtime_error,
@@ -376,7 +375,7 @@ def _run_long_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[li
             raise SpecError("T_sweep entries must be positive numbers")
         total_time = float(raw)
         ham = builder(total_time)
-        bounds = adiabatic_bounds(ham)
+        bounds = ham.bounds
         # first omitted orders: the odd three-transition term, then the
         # full next even/odd pair
         _, odd1 = jump_bounds(bounds, total_time, 1)

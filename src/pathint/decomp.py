@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, InvariantViolation, SpecError
+from .errors import InvariantViolation, SpecError
 from .linalg import EigenSystem, check_hermitian, hermitian_eig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -33,8 +33,6 @@ _PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-MATRIX_EXPOSURE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -365,9 +363,7 @@ def round_to_bits(value: float, bits: int) -> int:
 class OracleSuite:
     """Classical stand-ins for the quantum data-access oracles.
 
-    Each callable increments the shared query counter.  The ``*_matrix``
-    helpers expose the induced register-space permutation/diagonal for tests
-    and do not count as queries.
+    Each callable increments the shared query counter.
     """
 
     def __init__(
@@ -413,60 +409,3 @@ class OracleSuite:
         factor = sched.factors[m]
         lam = self.decomp.eigensystems[factor.term].values[j]
         return complex(np.exp(-1j * lam * factor.weight * sched.t / sched.r))
-
-    # -- induced register-space matrices ------------------------------------
-
-    def index_permutation(self, m: int) -> np.ndarray:
-        """Permutation on |b>|j>|p>|c>: XORs the partner index into c."""
-        dim = self.decomp.dim
-        d = self.d
-        size = 2 * dim * d * dim
-        if size > MATRIX_EXPOSURE_CAP:
-            raise CapExceeded(f"index register space {size} exceeds exposure cap")
-        perm = np.zeros((size, size))
-        for b in range(2):
-            for j in range(dim):
-                for p in range(d):
-                    f = self.overlaps.partner(m, b, j, p)
-                    for c in range(dim):
-                        src = ((b * dim + j) * d + p) * dim + c
-                        dst = ((b * dim + j) * d + p) * dim + (c ^ f)
-                        perm[dst, src] = 1.0
-        return perm
-
-    def magnitude_permutation(self, m: int) -> np.ndarray:
-        """Permutation on |j>|q>|z>: XORs the rounded magnitude into z."""
-        dim = self.decomp.dim
-        width = 1 << self.bits
-        size = dim * dim * width
-        if size > MATRIX_EXPOSURE_CAP:
-            raise CapExceeded(f"magnitude register space {size} exceeds exposure cap")
-        table = self.overlaps.pair_for_step(m).overlap
-        perm = np.zeros((size, size))
-        for j in range(dim):
-            for q in range(dim):
-                mag = round_to_bits(abs(table[q, j]), self.bits)
-                for z in range(width):
-                    src = (j * dim + q) * width + z
-                    dst = (j * dim + q) * width + (z ^ mag)
-                    perm[dst, src] = 1.0
-        return perm
-
-    def phase_diagonal(self, m: int) -> np.ndarray:
-        """Diagonal on |j>|q> applying the overlap phase."""
-        table = self.overlaps.pair_for_step(m).overlap
-        dim = self.decomp.dim
-        entries = np.ones(dim * dim, dtype=complex)
-        for j in range(dim):
-            for q in range(dim):
-                amp = table[q, j]
-                if abs(amp) > self.decomp.zero_tol:
-                    entries[j * dim + q] = amp / abs(amp)
-        return np.diag(entries)
-
-    def eigenphase_diagonal(self, m: int) -> np.ndarray:
-        factor = self.schedule.factors[m]
-        lam = self.decomp.eigensystems[factor.term].values
-        sched = self.schedule
-        return np.diag(np.exp(-1j * lam * factor.weight * sched.t / sched.r))
-

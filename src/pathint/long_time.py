@@ -38,7 +38,8 @@ survive, mirroring the analytic structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -113,11 +114,10 @@ class TimeDependentHamiltonian:
             hams[i] = mat
         values = np.linalg.eigvalsh(hams)
         scale = max(1.0, float(np.max(np.abs(values))))
-        gaps = np.diff(values, axis=1)
-        self.gap_min = float(np.min(gaps))
-        if self.gap_min <= GAP_FLOOR * scale:
+        gap_min = float(np.min(np.diff(values, axis=1)))
+        if gap_min <= GAP_FLOOR * scale:
             raise SpecError(
-                f"spectral gap {self.gap_min:.3e} is below the tolerance floor; "
+                f"spectral gap {gap_min:.3e} is below the tolerance floor; "
                 "the transition-rate picture needs a non-degenerate sweep"
             )
         rng = np.random.default_rng(_VALIDATION_SEED)
@@ -141,6 +141,11 @@ class TimeDependentHamiltonian:
                     f"analytic derivative disagrees with finite differences "
                     f"(defect {defect:.3e} at s={s:.4f})"
                 )
+
+    @cached_property
+    def bounds(self) -> AdiabaticBounds:
+        """The sweep's derivative-norm bounds, computed on first use."""
+        return adiabatic_bounds(self)
 
 
 _SWEEP_SHAPES: dict[str, tuple[Callable[[float], float], Callable[[float], float]]] = {
@@ -227,6 +232,13 @@ class SmoothEigensystem:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def gap_min(self) -> float:
+        """Smallest distance between two curves at any grid point."""
+        pair_gaps = np.abs(self.values[:, :, None] - self.values[:, None, :])
+        big = 10.0 * max(1.0, float(np.max(np.abs(self.values))))
+        return float(np.min(pair_gaps + np.eye(self.dim)[None] * big))
+
     def step_overlaps(self) -> np.ndarray:
         """Same-curve overlaps <chi_j(s_i)|chi_j(s_{i+1})>, shape (steps, dim)."""
         return np.einsum(
@@ -254,9 +266,7 @@ def smooth_eigensystem(
     if s_grid.ndim != 1 or len(s_grid) < 2:
         raise SpecError("need at least two grid points to transport a gauge")
     count, dim = len(s_grid), ham.dim
-    hams = np.empty((count, dim, dim), dtype=complex)
-    for i, s in enumerate(s_grid):
-        hams[i] = check_hermitian(ham.h(float(s)))
+    hams = _sample(ham.h, s_grid)
     raw_vals, raw_vecs = np.linalg.eigh(hams)
 
     values = np.empty((count, dim))
@@ -292,12 +302,10 @@ def smooth_eigensystem(
             vectors[i][:, cj] = raw_vecs[i][:, nq] * (np.conj(o) / abs(o))
             values[i, cj] = raw_vals[i, nq]
 
-    scale = max(1.0, float(np.max(np.abs(values))))
-    pair_gaps = np.abs(values[:, :, None] - values[:, None, :])
-    pair_gaps = pair_gaps + np.eye(dim)[None] * (10.0 * scale)
-    if float(np.min(pair_gaps)) <= GAP_FLOOR * scale:
+    eigsys = SmoothEigensystem(s_grid=s_grid, values=values, vectors=vectors)
+    if eigsys.gap_min <= GAP_FLOOR * max(1.0, float(np.max(np.abs(values)))):
         raise InvariantViolation("spectral gap collapsed below tolerance mid-grid")
-    return SmoothEigensystem(s_grid=s_grid, values=values, vectors=vectors)
+    return eigsys
 
 
 def transition_rate(ham: TimeDependentHamiltonian, s: float, j: int, k: int) -> complex:
@@ -323,13 +331,9 @@ def transition_rate(ham: TimeDependentHamiltonian, s: float, j: int, k: int) -> 
     return complex(eig.vectors[:, j].conj() @ deriv @ eig.vectors[:, k] / gap)
 
 
-def _sample_derivatives(
-    ham: TimeDependentHamiltonian, s_grid: np.ndarray
-) -> np.ndarray:
-    out = np.empty((len(s_grid), ham.dim, ham.dim), dtype=complex)
-    for i, s in enumerate(s_grid):
-        out[i] = check_hermitian(ham.dh(float(s)))
-    return out
+def _sample(fn: Callable[[float], np.ndarray], s_grid: np.ndarray) -> np.ndarray:
+    """fn(s) at every grid point, each checked Hermitian."""
+    return np.stack([check_hermitian(fn(float(s))) for s in s_grid])
 
 
 def _rate_matrices(eigsys: SmoothEigensystem, derivs: np.ndarray) -> np.ndarray:
@@ -369,21 +373,17 @@ class AdiabaticBounds:
                 raise InvariantViolation(f"{name} must be nonnegative")
 
 
-def adiabatic_bounds(
-    ham: TimeDependentHamiltonian, samples: int = 129
-) -> AdiabaticBounds:
-    """Estimate the derivative-norm bounds on a fixed sampling grid.
+def adiabatic_bounds(ham: TimeDependentHamiltonian) -> AdiabaticBounds:
+    """Estimate the derivative-norm bounds on a fixed 129-point grid.
 
     Higher derivatives of h come from central differences of the analytic
     dh, which keeps the noise floor at the level of the second difference
-    of an exact quantity rather than of a doubly-differenced h.
+    of an exact quantity rather than of a doubly-differenced h.  Callers
+    read ``ham.bounds``, which computes this once per Hamiltonian.
     """
-    pts = np.linspace(0.0, 1.0, samples)
+    pts = np.linspace(0.0, 1.0, 129)
     eigsys = smooth_eigensystem(ham, pts)
-    dim = ham.dim
-    pair_gaps = np.abs(eigsys.values[:, :, None] - eigsys.values[:, None, :])
-    big = 10.0 * max(1.0, float(np.max(np.abs(eigsys.values))))
-    gap_min = float(np.min(pair_gaps + np.eye(dim)[None] * big))
+    gap_min = eigsys.gap_min
 
     delta = 1e-3
     inner = np.clip(pts, delta, 1.0 - delta)
@@ -439,57 +439,83 @@ def _trapezoid_weights(r: int) -> np.ndarray:
     return w
 
 
-def _assemble_label(
-    eigsys: SmoothEigensystem, rates: np.ndarray, total_time: float
-) -> np.ndarray:
-    """Eigenframe matrix of the two-transition truncation.
+def _unit(z: complex) -> complex:
+    mag = abs(z)
+    return z / mag if mag > 0 else 1.0
 
-    Entry [j1, j0] maps curve j0 at s=0 to curve j1 at s=1.  The s=1
-    boundary term keeps the departed level's accumulated phase, the s=0
-    term the arrival level's; the returning two-transition paths correct
-    the diagonal through the non-oscillatory 1/(i T gamma) piece.
+
+@dataclass(frozen=True)
+class Truncation:
+    """The two-transition truncation of one sweep on an r-panel grid.
+
+    phase[j] = exp(-i theta_j) carries curve j's accumulated eigenvalue
+    integral.  The one-transition boundary amplitudes eta_start and eta_end
+    are indexed [to, from]; the s=0 term enters with +i, the s=1 term with
+    -i.  The returning-path amplitudes zeta are indexed [step, stay, via],
+    and correction is their unrounded sum over steps and via levels.
     """
-    r = len(eigsys.s_grid) - 1
-    weights = _trapezoid_weights(r)
-    dim = eigsys.dim
-    theta = total_time * (weights @ eigsys.values)
-    phase = np.exp(-1j * theta)
 
-    diag = np.eye(dim, dtype=bool)
-    gap_start = np.where(
-        diag, 1.0, eigsys.values[0][:, None] - eigsys.values[0][None, :]
-    )
-    gap_end = np.where(
-        diag, 1.0, eigsys.values[-1][:, None] - eigsys.values[-1][None, :]
-    )
-    amp_end = np.where(diag, 0.0, rates[-1] / (total_time * gap_end))
-    amp_start = np.where(diag, 0.0, rates[0] / (total_time * gap_start))
-    one_jump = (-1j) * amp_end * phase[None, :] + 1j * amp_start * phase[:, None]
+    eigsys: SmoothEigensystem
+    rates: np.ndarray
+    phase: np.ndarray
+    eta_start: np.ndarray
+    eta_end: np.ndarray
+    zeta: np.ndarray
+    correction: np.ndarray
 
-    gaps = eigsys.values[:, :, None] - eigsys.values[:, None, :]
-    gaps = np.where(diag[None], 1.0, gaps)
-    loops = np.where(
-        diag[None], 0.0, rates * np.swapaxes(rates, 1, 2) / np.swapaxes(gaps, 1, 2)
-    )
-    correction = np.einsum("s,sjk->j", weights, loops) / (1j * total_time)
+    def label(self, mag: Callable[[float], float] | None = None) -> np.ndarray:
+        """Eigenframe matrix; entry [j1, j0] maps curve j0 at s=0 to j1 at s=1.
 
-    label = np.diag(phase * (1.0 + correction)).astype(complex)
-    label += one_jump
-    return label
+        The s=1 boundary term keeps the departed level's accumulated phase,
+        the s=0 term the arrival level's; the returning paths correct the
+        diagonal.  With ``mag`` every transition amplitude a enters as
+        mag(|a|) a/|a|, the magnitudes an encoding realizes after rounding.
+        """
+        eta_start, eta_end, correction = self.eta_start, self.eta_end, self.correction
+        if mag is not None:
+            rescale = np.vectorize(lambda a: mag(abs(a)) * _unit(a), otypes=[complex])
+            eta_start, eta_end = rescale(eta_start), rescale(eta_end)
+            correction = rescale(self.zeta).sum(axis=(0, 2))
+        out = np.diag(self.phase * (1.0 + correction)).astype(complex)
+        out += eta_end * self.phase[None, :] + eta_start * self.phase[:, None]
+        return out
 
 
-def eigenframe_propagator(
+def truncation(
     ham: TimeDependentHamiltonian, total_time: float, r: int | None = None
-) -> tuple[np.ndarray, SmoothEigensystem]:
-    """Label-space truncated propagator plus the frames that define it."""
+) -> Truncation:
+    """Frames, rates and transition amplitudes on the trapezoid grid."""
     if r is None:
         r = ham.grid
     if r < 4:
         raise SpecError("the trapezoid grid needs at least 4 panels")
     s_grid = np.linspace(0.0, 1.0, r + 1)
     eigsys = smooth_eigensystem(ham, s_grid)
-    rates = _rate_matrices(eigsys, _sample_derivatives(ham, s_grid))
-    return _assemble_label(eigsys, rates, total_time), eigsys
+    rates = _rate_matrices(eigsys, _sample(ham.dh, s_grid))
+    weights = _trapezoid_weights(r)
+    diag = np.eye(ham.dim, dtype=bool)
+    gaps = eigsys.values[:, :, None] - eigsys.values[:, None, :]
+    gaps = np.where(diag[None], 1.0, gaps)
+    loops = np.where(
+        diag[None], 0.0, rates * np.swapaxes(rates, 1, 2) / np.swapaxes(gaps, 1, 2)
+    )
+    return Truncation(
+        eigsys=eigsys,
+        rates=rates,
+        phase=np.exp(-1j * (total_time * (weights @ eigsys.values))),
+        eta_start=np.where(diag, 0.0, 1j * rates[0] / (total_time * gaps[0])),
+        eta_end=np.where(diag, 0.0, -1j * rates[-1] / (total_time * gaps[-1])),
+        zeta=weights[:, None, None] * loops / (1j * total_time),
+        correction=np.einsum("s,sjk->j", weights, loops) / (1j * total_time),
+    )
+
+
+def eigenframe_propagator(
+    ham: TimeDependentHamiltonian, total_time: float, r: int | None = None
+) -> tuple[np.ndarray, SmoothEigensystem]:
+    """Label-space truncated propagator plus the frames that define it."""
+    trunc = truncation(ham, total_time, r)
+    return trunc.label(), trunc.eigsys
 
 
 def truncated_propagator(
@@ -508,7 +534,7 @@ def longtime_error(
     Refuses to run where the truncation has no business converging: the
     expansion is controlled only once drive_ratio^4 / (gap^2 T^2) < 1/2.
     """
-    bounds = adiabatic_bounds(ham)
+    bounds = ham.bounds
     control = bounds.drive_ratio**4 / (bounds.gap_min**2 * total_time**2)
     if control >= 0.5:
         raise SpecError(
@@ -538,7 +564,7 @@ def jump_term(
         raise SpecError("nested quadrature needs a meaningful panel count")
     s_grid = np.linspace(0.0, 1.0, panels + 1)
     eigsys = smooth_eigensystem(ham, s_grid)
-    rates = _rate_matrices(eigsys, _sample_derivatives(ham, s_grid))
+    rates = _rate_matrices(eigsys, _sample(ham.dh, s_grid))
     ds = 1.0 / panels
     theta = np.zeros_like(eigsys.values)
     theta[1:] = np.cumsum(
@@ -562,11 +588,6 @@ def jump_term(
 
 # ---------------------------------------------------------------------------
 # signed-permutation encoding of the whole-evolution operator
-
-
-def _unit(z: complex) -> complex:
-    mag = abs(z)
-    return z / mag if mag > 0 else 1.0
 
 
 def _dft(n: int) -> np.ndarray:
@@ -623,8 +644,6 @@ class PropagatorEncoding:
         bits: int,
         counter: QueryCounter | None = None,
     ):
-        if r < 4:
-            raise SpecError("the trapezoid grid needs at least 4 panels")
         if bits < 1:
             raise SpecError("magnitude precision must be at least one bit")
         if total_time <= 0:
@@ -636,43 +655,14 @@ class PropagatorEncoding:
         self.counter = counter if counter is not None else QueryCounter()
         self.dim = ham.dim
 
-        s_grid = np.linspace(0.0, 1.0, r + 1)
-        self.eigsys = smooth_eigensystem(ham, s_grid)
-        rates = _rate_matrices(self.eigsys, _sample_derivatives(ham, s_grid))
-        self._rates = rates
-        scale = max(1.0, float(np.max(np.abs(rates))))
-        present = np.abs(rates) > RATE_PRUNE * scale
-        self._lists = [
-            [np.flatnonzero(present[i, j]) for j in range(self.dim)]
-            for i in range(r + 1)
-        ]
-        self.d = max(
-            1, max((len(lst) for row in self._lists for lst in row), default=0)
-        )
-
-        weights = _trapezoid_weights(r)
-        self.theta = self.total_time * (weights @ self.eigsys.values)
-        self._phase = np.exp(-1j * self.theta)
-        diag = np.eye(self.dim, dtype=bool)
-        gaps = self.eigsys.values[:, :, None] - self.eigsys.values[:, None, :]
-        gaps = np.where(diag[None], 1.0, gaps)
-        # Boundary one-transition amplitudes, indexed [to, from]; the s=0
-        # boundary enters with +i, the s=1 boundary with -i.
-        self._eta_start = np.where(
-            diag, 0.0, 1j * rates[0] / (self.total_time * gaps[0])
-        )
-        self._eta_end = np.where(
-            diag, 0.0, -1j * rates[-1] / (self.total_time * gaps[-1])
-        )
-        # Returning-path amplitudes, indexed [stay, via], one per grid step.
-        loops = rates * np.swapaxes(rates, 1, 2) / np.swapaxes(gaps, 1, 2)
-        self._zeta = np.where(
-            diag[None], 0.0, weights[:, None, None] * loops / (1j * self.total_time)
-        )
+        self.truncation = trunc = truncation(ham, self.total_time, self.r)
+        scale = max(1.0, float(np.max(np.abs(trunc.rates))))
+        present = np.abs(trunc.rates) > RATE_PRUNE * scale
+        self.d = max(1, int(np.max(np.sum(present, axis=2))))
         top = max(
-            float(np.max(np.abs(self._eta_start))),
-            float(np.max(np.abs(self._eta_end))),
-            float(np.max(np.abs(self._zeta))),
+            float(np.max(np.abs(trunc.eta_start))),
+            float(np.max(np.abs(trunc.eta_end))),
+            float(np.max(np.abs(trunc.zeta))),
         )
         if top > 1.0:
             raise InvariantViolation(
@@ -694,57 +684,45 @@ class PropagatorEncoding:
         self._branch = _branch_unitary(first / np.linalg.norm(first))
         self._step_prep = _dft(r + 1)
         self._color_prep = _dft(self.d)
-        self.cells = self._build_cells()
+        self.cells = self._build_cells(present)
 
     # -- construction helpers -----------------------------------------------
 
-    def _edge_for(self, ell: int, c1: int, c2: int, j: int) -> int | None:
-        lst = self._lists[ell][j]
-        if c1 >= len(lst):
-            return None
-        f = int(lst[c1])
-        back = self._lists[ell][f]
-        pos = np.flatnonzero(back == j)
-        if len(pos) != 1 or int(pos[0]) != c2:
-            return None
-        return f
-
-    def _build_cells(self) -> lcu.SignedPermutationCells:
+    def _build_cells(self, present: np.ndarray) -> lcu.SignedPermutationCells:
         """Select cells in (step, branch, color1, color2) order.
 
         The zero-transition branch applies the accumulated eigenphases with
         threshold 2^B, so every replica keeps it; branch 3 keeps the folded
-        side flip and cancels.
+        side flip and cancels.  At each step the edge j -> f, present both
+        ways, takes color (slot of f in j's list, slot of j in f's list).
         """
-        dim = self.dim
-        colors = self.d * self.d
-        perm = lcu.folded_flip((self.r + 1) * 4 * colors, dim)
+        dim, trunc = self.dim, self.truncation
+        cell = np.arange((self.r + 1) * 4 * self.d * self.d).reshape(
+            self.r + 1, 4, self.d, self.d
+        )
+        perm = lcu.folded_flip(cell.size, dim)
         phase = np.ones(perm.shape, dtype=complex)
         thr = np.zeros(perm.shape, dtype=np.int64)
-        for k, (ell, p, c1, c2) in enumerate(np.ndindex(self.r + 1, 4, self.d, self.d)):
-            if p == 0:
-                perm[k] = np.arange(2 * dim)
-                phase[k, :dim] = self._phase
-                thr[k, :dim] = self.width
-            if p in (0, 3):
-                continue
-            for j in range(dim):
-                f = self._edge_for(ell, c1, c2, j)
-                if f is None:
-                    continue
-                if p == 2:  # returning path: diagonal correction
-                    to, amp, carried = j, self._zeta[ell, j, f], self._phase[j]
-                elif ell == 0:
-                    to, amp, carried = f, self._eta_start[f, j], self._phase[f]
-                elif ell == self.r:
-                    to, amp, carried = f, self._eta_end[f, j], self._phase[j]
-                else:  # interior one-transition steps carry zero
-                    to, amp, carried = f, 0.0, self._phase[j]
+        stay = cell[:, 0].ravel()
+        perm[stay] = np.arange(2 * dim)
+        phase[stay, :dim] = trunc.phase
+        thr[stay, :dim] = self.width
+        slot = np.cumsum(present, axis=2) - 1
+        for ell, j, f in zip(*np.nonzero(present & np.swapaxes(present, 1, 2))):
+            if ell == 0:
+                hop = (trunc.eta_start[f, j], trunc.phase[f])
+            elif ell == self.r:
+                hop = (trunc.eta_end[f, j], trunc.phase[j])
+            else:  # interior one-transition steps carry zero
+                hop = (0.0, trunc.phase[j])
+            back = (trunc.zeta[ell, j, f], trunc.phase[j])  # returning path
+            cells = cell[ell, 1:3, slot[ell, j, f], slot[ell, f, j]]
+            for k, to, (amp, carried) in zip(cells, (f, j), (hop, back)):
                 perm[k, j] = to
                 phase[k, j] = carried * _unit(amp)
                 thr[k, j] = round_to_bits(abs(amp), self.bits)
                 perm[k, dim + to] = dim + j
-        return lcu.SignedPermutationCells(perm, phase, thr, self.bits, colors)
+        return lcu.SignedPermutationCells(perm, phase, thr, self.bits, self.d * self.d)
 
     # -- structured applications --------------------------------------------
 
@@ -774,32 +752,16 @@ class PropagatorEncoding:
 
     # -- reference targets ---------------------------------------------------
 
-    def _rounded_mag(self, value: complex) -> float:
-        return lcu.replica_average(round_to_bits(abs(value), self.bits), self.bits)
-
     def rounded_target(self) -> np.ndarray:
         """The eigenframe matrix the encoding realizes exactly.
 
-        Same assembly as the truncated propagator, but with every
-        transition magnitude pushed through the replica rounding rule.
+        Same truncation as the propagator, but with every transition
+        magnitude pushed through the replica rounding rule.
         """
-        dim = self.dim
-        out = np.diag(self._phase).astype(complex)
-        for ell, table in ((0, self._eta_start), (self.r, self._eta_end)):
-            for j in range(dim):
-                for f in self._lists[ell][j]:
-                    amp = table[f, j]
-                    mag = self._rounded_mag(amp)
-                    base = self._phase[j] if ell == self.r else self._phase[f]
-                    out[f, j] += mag * _unit(amp) * base
-        for ell in range(self.r + 1):
-            for j in range(dim):
-                for f in self._lists[ell][j]:
-                    amp = self._zeta[ell, j, f]
-                    out[j, j] += self._rounded_mag(amp) * _unit(amp) * self._phase[j]
-        return out
+        return self.truncation.label(
+            lambda mag: lcu.replica_average(round_to_bits(mag, self.bits), self.bits)
+        )
 
     def exact_target(self) -> np.ndarray:
         """The unrounded eigenframe truncation, for precision-scaling tests."""
-        return _assemble_label(self.eigsys, self._rates, self.total_time)
-
+        return self.truncation.label()

@@ -154,6 +154,27 @@ def test_long_sim_builtin_sweep(tmp_path):
         assert row[2] <= row[3]
 
 
+def test_long_sim_computes_bounds_once_per_system(tmp_path, monkeypatch):
+    from pathint import long_time
+
+    calls = []
+    original = long_time.adiabatic_bounds
+
+    def counting(ham):
+        calls.append(ham)
+        return original(ham)
+
+    monkeypatch.setattr(long_time, "adiabatic_bounds", counting)
+    code = cli.main([
+        "long-sim", "--system", "sweep:sine:1.0,0.2", "--T-sweep", "20,30",
+        "--r", "64", "--out", str(tmp_path / "l.csv"),
+    ])
+    assert code == 0
+    # the builtin sweep is one Hamiltonian for every T, so one call serves
+    # both the bound column and longtime_error's precondition at each T
+    assert len(calls) == 1
+
+
 def test_lagrangian_sim_trajectory(tmp_path):
     out = tmp_path / "traj.csv"
     code = cli.main([

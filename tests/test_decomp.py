@@ -181,20 +181,6 @@ def test_overlap_tables_are_unitary():
         npt.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-10)
 
 
-def test_oracle_matrices_match_callables():
-    d = dc.build(tilted_example_pair())
-    suite = dc.OracleSuite(d, two_term_schedule(), bits=4)
-    perm = suite.index_permutation(0)
-    assert np.allclose(perm @ perm, np.eye(perm.shape[0]))  # XOR is an involution
-    assert np.allclose(perm.sum(axis=0), 1.0)
-    mag = suite.magnitude_permutation(0)
-    assert np.allclose(mag @ mag, np.eye(mag.shape[0]))
-    diag = suite.phase_diagonal(0)
-    npt.assert_allclose(np.abs(np.diag(diag)), 1.0)
-    eig = suite.eigenphase_diagonal(0)
-    npt.assert_allclose(eig[2, 2], suite.eigenphase(0, 2))
-
-
 def test_json_loading_with_pauli_shorthand(tmp_path):
     doc = {
         "n": 2,

@@ -302,6 +302,13 @@ def test_encoding_block_identity():
         assert spectral_norm(got - want) < 1e-12
 
 
+def test_encoding_exact_target_is_the_propagator():
+    for ham in (sine_family(), random_smooth_system(np.random.default_rng(21), grid=32)):
+        enc = lt.PropagatorEncoding(ham, 20.0, r=8, bits=6)
+        label, _ = lt.eigenframe_propagator(ham, 20.0, r=8)
+        assert np.array_equal(enc.exact_target(), label)
+
+
 def test_encoding_bit_convergence():
     ham = sine_family()
     defects = {}
