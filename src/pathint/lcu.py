@@ -17,8 +17,9 @@ color axes together index the cells.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,23 +47,33 @@ def folded_flip(cells: int, dim: int) -> np.ndarray:
     return np.tile(row, (cells, 1))
 
 
-def hadamard_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Tensor-Hadamard transform along one power-of-two axis (normalized)."""
-    n = arr.shape[axis]
-    if n == 1:
-        return arr
-    a = np.moveaxis(arr, axis, 0)
-    lead_shape = a.shape
-    a = a.reshape(n, -1)
-    h = 1
-    while h < n:
-        a = a.reshape(n // (2 * h), 2, -1)
-        top = a[:, 0] + a[:, 1]
-        bot = a[:, 0] - a[:, 1]
-        a = np.stack([top, bot], axis=1).reshape(n, -1)
-        h *= 2
-    a = a / np.sqrt(n)
-    return np.moveaxis(a.reshape(lead_shape), 0, axis)
+def hadamard_axes(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Tensor-Hadamard transform along each power-of-two axis in turn (normalized).
+
+    The butterflies run in place on one C-ordered working copy, so the input
+    is never modified.  Level h pairs index i with i + h within blocks of 2h
+    as (top + bot, top - bot), and each axis ends with a division by the
+    square root of its length.
+    """
+    out = arr.astype(np.result_type(arr, np.float64), order="C")
+    for axis in axes:
+        n = out.shape[axis]
+        if n == 1:
+            continue
+        lead = math.prod(out.shape[:axis])
+        v = out.reshape(lead, n, -1)
+        spare = np.empty(v.size // 2, dtype=out.dtype)
+        h = 1
+        while h < n:
+            pairs = v.reshape(lead, n // (2 * h), 2, -1)
+            top, bot = pairs[:, :, 0], pairs[:, :, 1]
+            diff = spare.reshape(top.shape)
+            np.subtract(top, bot, out=diff)
+            top += bot
+            bot[...] = diff
+            h *= 2
+        out /= np.sqrt(n)
+    return out
 
 
 def system_block(walk: Callable[[np.ndarray], np.ndarray], size: int, dim: int) -> np.ndarray:

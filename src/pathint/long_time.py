@@ -50,7 +50,6 @@ from .errors import CapExceeded, InvariantViolation, SpecError
 from .linalg import (
     check_hermitian,
     converged_propagator,
-    exp_unitary,
     hermitian_eig,
     spectral_norm,
 )
@@ -196,9 +195,11 @@ def interaction_frame(
     if float(np.min(np.diff(bvals))) <= GAP_FLOOR * scale:
         raise SpecError("coupling operator is degenerate; the rotated sweep has no gap")
     comm = a @ bop - bop @ a
+    frame = hermitian_eig(a)
 
-    def rot(s: float) -> np.ndarray:
-        return exp_unitary(a, -s * total_time)
+    def rot(s: float) -> np.ndarray:  # exp_unitary(a, -s T), one eigensystem for every s
+        phases = np.exp(-1j * frame.values * (-s * total_time))
+        return (frame.vectors * phases) @ frame.vectors.conj().T
 
     def h(s: float) -> np.ndarray:
         u = rot(s)
@@ -733,7 +734,7 @@ class PropagatorEncoding:
         for mat, axis in zip(mats, axes):
             use = mat.conj().T if adjoint else mat
             v = _apply_axis(v, use, axis)
-        v = lcu.hadamard_axis(v, 2)
+        v = lcu.hadamard_axes(v, (2,))
         return v.reshape(vec.shape)
 
     def apply_select(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:

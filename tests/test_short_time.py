@@ -426,7 +426,7 @@ def test_amplified_accuracy_and_success_weight():
     for bits in (6, 8, 10):
         step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, 0, bits))
         assert step.p == 3
-        block, weight = step.amplified()
+        block, weight = step.amplified(method="iterate")
         assert spectral_norm(block - exact) <= sh.amplified_defect_bound(d, bits)
         assert weight >= sh.success_weight_bound(d, bits)
 
@@ -469,6 +469,30 @@ def test_simulate_error_envelope_point():
     res = sh.simulate(decomp, k=1, r=4, t=0.9, bits=10)
     envelope = 4 * (res.rounding_bound + res.trotter_bound)
     assert res.measured_error <= envelope
+
+
+def zz_xx_yz():
+    return dc.build([pauli_string("ZZ"), pauli_string("XX"), pauli_string("YZ")])
+
+
+def test_simulate_matches_applied_reflections(monkeypatch):
+    cases = [(z_x(), 1, 2, 6), (zz_xx_yz(), 0, 2, 3)]
+    closed = [sh.simulate(decomp, k=k, r=r, t=0.7, bits=bits) for decomp, k, r, bits in cases]
+    monkeypatch.setattr(sh.AmplifiedStep, "_amplified_svd", sh.AmplifiedStep._amplified_iterate)
+    for (decomp, k, r, bits), want in zip(cases, closed):
+        got = sh.simulate(decomp, k=k, r=r, t=0.7, bits=bits)
+        assert np.max(np.abs(got.unitary - want.unitary)) <= 1e-11
+        assert got.measured_error == pytest.approx(want.measured_error, abs=1e-11)
+        assert got.queries == want.queries
+
+
+def test_simulate_does_not_walk_the_register(monkeypatch):
+    def refuse(self):
+        raise AssertionError("simulate applied the reflections")
+
+    monkeypatch.setattr(sh.AmplifiedStep, "_amplified_iterate", refuse)
+    res = sh.simulate(z_x(), k=1, r=2, t=0.7, bits=6)
+    assert res.measured_error <= 4 * (res.rounding_bound + res.trotter_bound)
 
 
 def test_simulate_rejects_unknown_method():
