@@ -1,10 +1,10 @@
 """Signed-permutation linear combination of unitaries.
 
-Both path-sum encodings synthesize their target as a uniform average of
-signed permutations on a folded ``(side, state)`` register of 2N
-amplitudes.  A cell is one such permutation: ``perm[col]`` is the output
-index of input column ``col`` (columns 0..N-1 are side 0, N..2N-1 side 1),
-``phase[col]`` its unit phase, and ``thr[col]`` its rounded B-bit magnitude.
+Both path-sum encodings synthesize their target as an average of signed
+permutations on a folded ``(side, state)`` register of 2N amplitudes.  A
+cell is one such permutation: ``perm[col]`` is the output index of input
+column ``col`` (columns 0..N-1 are side 0, N..2N-1 side 1), ``phase[col]``
+its unit phase, and ``thr[col]`` its rounded B-bit magnitude.
 Replica ``b`` weights a column by 1 while ``b < thr`` and by (-1)^b from
 ``thr`` upward, so the average over the 2^B replicas keeps the magnitude
 ``(thr - (thr & 1)) / 2^B``: a column with ``thr = 0`` cancels exactly and
@@ -12,7 +12,10 @@ Replica ``b`` weights a column by 1 while ``b < thr`` and by (-1)^b from
 
 The select register is viewed as ``(lead, 2^B, colors, 2N)`` with the
 cells stacked in ``(lead, colors)`` order, so the leading axes and the
-color axes together index the cells.
+color axes together index the cells.  By the LCU lemma an encoding's
+zero-ancilla block is the cell sum weighted by |PREP[k, 0]|^2 and averaged
+over replicas (``SignedPermutationCells.average``); walking the register
+(``system_block``) is the oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import CapExceeded, InvariantViolation
+
+# Bytes of the complex register a walk may allocate (2^24 amplitudes).  A
+# walk's peak RSS grew 4.1-4.6x its register bytes (long-time sine sweep,
+# r=8, bits 16 and 14), so about 1.2 GiB at the cap; the select's boolean
+# replica table is 1/16 of the register, so this bounds it too.
+WALK_REGISTER_CAP = 256 << 20
 
 
 def replica_flip(b: np.ndarray | int, thr: np.ndarray | int) -> np.ndarray:
@@ -81,7 +90,10 @@ def system_block(walk: Callable[[np.ndarray], np.ndarray], size: int, dim: int) 
 
     The register is flat with every ancilla index slower than the system
     index, so its first ``dim`` amplitudes are the zero-ancilla subspace.
+    Refuses a register above ``WALK_REGISTER_CAP`` bytes before allocating.
     """
+    if size * np.dtype(complex).itemsize > WALK_REGISTER_CAP:
+        raise CapExceeded(f"walk register of {size} amplitudes exceeds the byte cap")
     out = np.empty((dim, dim), dtype=complex)
     for j in range(dim):
         column = np.zeros(size, dtype=complex)
@@ -140,11 +152,16 @@ class SignedPermutationCells:
                 out[lead, :, color][:, perm] = x
         return out.reshape(vec.shape)
 
-    def average(self) -> np.ndarray:
-        """Replica-averaged sum of every cell as a dense (2N x 2N) matrix."""
+    def average(self, weights: np.ndarray | float = 1.0) -> np.ndarray:
+        """Replica-averaged sum of the cells, cell k scaled by ``weights[k]``.
+
+        A dense (2N x 2N) matrix; with PREP's |PREP[k, 0]|^2 as the weights
+        its side-0 block is the encoding's zero-ancilla block.
+        """
         two_n = self.perm.shape[1]
         out = np.zeros((two_n, two_n), dtype=complex)
         cols = np.arange(two_n)
-        for perm, phase, thr in zip(self.perm, self.phase, self.thr):
-            out[perm, cols] += replica_average(thr, self.bits) * phase
+        weights = np.broadcast_to(weights, len(self.perm))
+        for perm, phase, thr, w in zip(self.perm, self.phase, self.thr, weights):
+            out[perm, cols] += w * replica_average(thr, self.bits) * phase
         return out

@@ -121,12 +121,6 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    u = np.asarray(u, dtype=complex)
-    eye = np.eye(u.shape[0])
-    return spectral_norm(u.conj().T @ u - eye) <= tol
-
-
 def _ordered_product(factors: np.ndarray) -> np.ndarray:
     """Product factors[-1] @ ... @ factors[0] by pairwise tree reduction."""
     mats = factors

@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
 
 from . import lcu
 from .decomp import QueryCounter, round_to_bits
-from .errors import CapExceeded, InvariantViolation, SpecError
+from .errors import InvariantViolation, SpecError
 from .linalg import (
     check_hermitian,
     converged_propagator,
@@ -61,9 +61,6 @@ RATE_PRUNE = 1e-9
 DERIV_CHECK_STEP = 1e-4
 DERIV_CHECK_TOL = 1e-4
 _VALIDATION_SEED = 1719
-
-# Total register amplitudes a propagator encoding may materialize.
-LONG_ENCODING_CAP = 1 << 24
 
 # Oracle applications charged per select stage: three color lookups, three
 # index lookups, magnitude and comparator queries for both transition
@@ -635,6 +632,11 @@ class PropagatorEncoding:
     branch applies returning-path corrections diagonally.  The projected
     block times the subnormalization 1 + 2 (r+1) d^2 reproduces the
     truncated eigenframe propagator with replica-rounded magnitudes.
+
+    That block is the replica-averaged cell sum with weight |step[l,0]|^2
+    |branch[beta,0]|^2 |color[c1,0]|^2 |color[c2,0]|^2 = |branch[beta,0]|^2
+    / ((r+1) d^2) on cell (l, beta, c1, c2), the probability PREP|0> puts
+    on that ancilla index.
     """
 
     def __init__(
@@ -674,10 +676,6 @@ class PropagatorEncoding:
         self.width = 1 << bits
         self.shape = (r + 1, 4, self.width, self.d, self.d, 2, self.dim)
         self.size = int(np.prod(self.shape))
-        if self.size > LONG_ENCODING_CAP:
-            raise CapExceeded(
-                f"propagator encoding with {self.size} amplitudes refused"
-            )
         self.subnormalization = float(1 + 2 * (r + 1) * self.d * self.d)
 
         w0 = 1.0 / (math.sqrt(r + 1.0) * self.d)
@@ -748,8 +746,10 @@ class PropagatorEncoding:
         return self.prep(v, adjoint=True)
 
     def block(self) -> np.ndarray:
-        """System block of Pi W Pi, column by column."""
-        return lcu.system_block(self.apply_w, self.size, self.dim)
+        """System block of Pi W Pi, with the cell weights the class docstring gives."""
+        preps = (self._step_prep, self._branch, self._color_prep, self._color_prep)
+        weights = reduce(np.multiply.outer, [np.abs(mat[:, 0]) ** 2 for mat in preps])
+        return self.cells.average(weights.ravel())[: self.dim, : self.dim]
 
     # -- reference targets ---------------------------------------------------
 

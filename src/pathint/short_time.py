@@ -33,7 +33,6 @@ from .linalg import exp_unitary, spectral_norm
 from .trotter import TrotterSchedule, error_bound, schedule
 
 PATH_SUM_CAP = 1 << 20
-ALT_SUM_CAP = 1 << 20
 DENSE_ENCODING_CAP = 1 << 12
 
 # Oracle queries consumed by one application of the select operation: the
@@ -263,12 +262,6 @@ def signed_permutation(
     return u
 
 
-def _check_replica_sum_cap(d: int, bits: int) -> None:
-    size = d * d * (1 << bits)
-    if size > ALT_SUM_CAP:
-        raise CapExceeded(f"replica sum size {size} exceeds cap")
-
-
 def alternating_sum(
     decomp: Decomposition,
     sched: TrotterSchedule,
@@ -281,7 +274,6 @@ def alternating_sum(
     leave the forward sector carrying B-bit synthesized magnitudes.
     """
     overlaps = ScheduleOverlaps(decomp, sched)
-    _check_replica_sum_cap(overlaps.d, bits)
     return _step_cells(decomp, sched, m, bits, overlaps).average()
 
 
@@ -357,18 +349,13 @@ class BlockEncoding:
         return self.prep(v)
 
     def block(self) -> np.ndarray:
-        """System block of Pi W Pi, extracted column by column."""
-        return lcu.system_block(self.apply_w, self.size, self.dim)
+        """System block of Pi W Pi; PREP|0> is uniform over the d_pad^2 cells."""
+        return self.cells.average()[: self.dim, : self.dim] / self.subnormalization
 
     def w_matrix(self) -> np.ndarray:
         if self.size > DENSE_ENCODING_CAP:
             raise CapExceeded(f"dense encoding of dimension {self.size} refused")
-        cols = []
-        for idx in range(self.size):
-            e = np.zeros(self.size, dtype=complex)
-            e[idx] = 1.0
-            cols.append(self.apply_w(e))
-        return np.stack(cols, axis=1)
+        return lcu.system_block(self.apply_w, self.size, self.size)
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +417,17 @@ class AmplifiedStep:
         v = self._rotate_flag(v, adjoint=True)
         return v.reshape(vec.shape)
 
-    def apply_pi(self, vec: np.ndarray) -> np.ndarray:
-        v = vec.reshape(self.shape)
-        out = np.zeros_like(v)
-        out[0, 0, 0, 0, 0] = v[0, 0, 0, 0, 0]
-        return out.reshape(vec.shape)
-
     def apply_reflection(self, vec: np.ndarray) -> np.ndarray:
-        """R = -(1 - 2 W' Pi W'+)(1 - 2 Pi)."""
-        v = vec - 2.0 * self.apply_pi(vec)
+        """R = -(1 - 2 W' Pi W'+)(1 - 2 Pi); Pi keeps the first dim amplitudes."""
+        dim = self.encoding.dim
+        v = vec.reshape(-1).copy()
+        v[:dim] -= 2.0 * v[:dim]
         u = self.apply_w(v, adjoint=True)
-        u = self.apply_pi(u)
+        u[dim:] = 0.0
         u = self.apply_w(u)
-        return 2.0 * u - v
+        u *= 2.0
+        u -= v
+        return u.reshape(vec.shape)
 
     def flagged_block(self) -> np.ndarray:
         """System block of the flag-padded encoding before amplification.
@@ -450,7 +435,6 @@ class AmplifiedStep:
         Equal to the replica-averaged transition divided by a', without
         touching the high-dimensional registers.
         """
-        _check_replica_sum_cap(self.encoding.d, self.encoding.bits)
         s = self.encoding.cells.average()
         return s[: self.encoding.dim, : self.encoding.dim] / self.a_prime
 

@@ -17,6 +17,7 @@ import numpy as np
 from pathint import cli
 from pathint import decomp as dc
 from pathint import lattice as lat
+from pathint import lcu
 from pathint import long_time as lt
 from pathint import short_time as sh
 from pathint import trotter
@@ -143,7 +144,7 @@ def test_criterion_04_projected_encoding_reproduces_the_step():
         for bits in BITS_GRID:
             enc = sh.BlockEncoding(decomp, sched, 0, bits)
             synth = sh.alternating_sum(decomp, sched, 0, bits)[:dim, :dim]
-            got = enc.block()
+            got = lcu.system_block(enc.apply_w, enc.size, dim)
             assert np.max(np.abs(got - synth / enc.subnormalization)) <= 1e-10
 
 

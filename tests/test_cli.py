@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pathint import cli
+from pathint import cli, trotter
 from pathint.errors import InvariantViolation
 
 ZX_DECOMP = '{"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "X", "coeff": 1.0}]}'
@@ -141,6 +141,18 @@ def test_short_sim_sweep_over_bits(tmp_path):
         assert row[5] <= row[6]
 
 
+def test_short_sim_at_twenty_bits(tmp_path):
+    out = tmp_path / "b20.csv"
+    code = cli.main([
+        "short-sim", "--decomp", ZX_DECOMP, "--k", "1", "--r", "2",
+        "--t", "0.3", "--bits", "20", "--out", str(out),
+    ])
+    assert code == 0
+    _, rows = read_rows(out)
+    assert [int(row[2]) for row in rows] == [20]
+    assert rows[0][5] <= rows[0][6]
+
+
 def test_long_sim_builtin_sweep(tmp_path):
     out = tmp_path / "l.csv"
     code = cli.main([
@@ -223,12 +235,13 @@ def test_exit_codes(tmp_path, capsys):
     assert doc["error"] == "spec" and "\n" not in err
 
     assert cli.main([
-        "short-sim", "--decomp", ZX_DECOMP, "--k", "1", "--r", "2",
-        "--t", "0.3", "--bits", "20", "--out", str(tmp_path / "x.csv"),
+        "short-sim", "--decomp", ZX_DECOMP, "--k", "4", "--r", "2",
+        "--t", "0.3", "--bits", "6", "--out", str(tmp_path / "x.csv"),
     ]) == 3
     doc = json.loads(capsys.readouterr().err.strip())
     assert doc["error"] == "cap"
-    assert doc["module"] == "pathint.short_time"
+    assert doc["module"] == "pathint.trotter"
+    assert doc["message"] == f"order index 4 above cap {trotter.SCHEDULE_ORDER_CAP}"
 
 
 def test_invariant_failures_exit_four(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathint import lcu
 from pathint import long_time as lt
 from pathint.decomp import QueryCounter
 from pathint.errors import CapExceeded, InvariantViolation, SpecError
@@ -288,6 +289,11 @@ def test_jump_term_validation():
 # the block encoding
 
 
+def walked_block(enc):
+    """The zero-ancilla block read off the register walk, the oracle for block()."""
+    return lcu.system_block(enc.apply_w, enc.size, enc.dim)
+
+
 def cell_thresholds(enc):
     """Select-cell thresholds indexed [step, branch, color1, color2, column]."""
     return enc.cells.thr.reshape(enc.r + 1, 4, enc.d, enc.d, 2 * enc.dim)
@@ -296,10 +302,17 @@ def cell_thresholds(enc):
 def test_encoding_block_identity():
     for ham in (sine_family(), random_smooth_system(np.random.default_rng(21), grid=32)):
         enc = lt.PropagatorEncoding(ham, 20.0, r=8, bits=6)
-        got = enc.block() * enc.subnormalization
+        got = walked_block(enc) * enc.subnormalization
         want = enc.rounded_target()
         assert spectral_norm(got - want) < 1e-9
         assert spectral_norm(got - want) < 1e-12
+
+
+def test_encoding_block_past_the_walk_cap():
+    enc = lt.PropagatorEncoding(sine_family(), 20.0, r=8, bits=24)
+    assert enc.size * 16 > lcu.WALK_REGISTER_CAP
+    got = enc.block() * enc.subnormalization
+    assert spectral_norm(got - enc.rounded_target()) < 1e-9
 
 
 def test_encoding_exact_target_is_the_propagator():
@@ -314,7 +327,7 @@ def test_encoding_bit_convergence():
     defects = {}
     for bits in (12, 16):
         enc = lt.PropagatorEncoding(ham, 20.0, r=8, bits=bits)
-        defect = spectral_norm(enc.block() * enc.subnormalization - enc.exact_target())
+        defect = spectral_norm(walked_block(enc) * enc.subnormalization - enc.exact_target())
         bound = 6.0 * (enc.r + 3) * enc.d**2 * 2.0 ** (-bits)
         assert defect <= bound
         defects[bits] = defect
@@ -325,7 +338,7 @@ def test_encoding_constant_system():
     ham = constant_system()
     enc = lt.PropagatorEncoding(ham, 17.0, r=8, bits=6)
     assert enc.d == 1
-    got = enc.block() * enc.subnormalization
+    got = walked_block(enc) * enc.subnormalization
     want = np.diag(np.exp(-1j * 17.0 * np.array([-1.0, 1.0])))
     assert spectral_norm(got - want) < 1e-12
     # nothing but the zero-transition branch carries weight
@@ -368,6 +381,8 @@ def test_encoding_counts_queries():
     enc = lt.PropagatorEncoding(sine_family(), 20.0, r=8, bits=4, counter=counter)
     assert counter.counts == {}
     enc.block()
+    assert counter.counts == {}
+    walked_block(enc)
     want = {name: cost * enc.dim for name, cost in lt.LONGTIME_SELECT_BUDGET.items()}
     assert counter.counts == want
 
@@ -386,7 +401,7 @@ def test_encoding_walk_is_unitary():
 def test_encoding_validation_and_cap():
     ham = sine_family()
     with pytest.raises(CapExceeded):
-        lt.PropagatorEncoding(ham, 20.0, r=8, bits=24)
+        walked_block(lt.PropagatorEncoding(ham, 20.0, r=8, bits=24))
     with pytest.raises(SpecError):
         lt.PropagatorEncoding(ham, 20.0, r=3, bits=6)
     with pytest.raises(SpecError):
