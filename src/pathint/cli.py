@@ -36,7 +36,7 @@ from .lattice import (
     harmonic_potential,
     lagrangian_steps,
     require_normalized,
-    split_step_reference,
+    split_steps,
     square_well_potential,
     zero_potential,
 )
@@ -396,19 +396,17 @@ def _run_lagrangian_sim(params: dict[str, Any], seed: int) -> tuple[list[str], l
         r=_require_int(params, "r", 1),
     )
     potential = _potential_from_param(params["potential"], cfg)
-    state = _initial_state(params["initial"], cfg)
-    reference = state.copy()
-    split = split_step_reference(cfg, potential)
+    state = reference = _initial_state(params["initial"], cfg)
     values = potential.grid_values(cfg)
+    walk = zip(lagrangian_steps(cfg, values, state, cfg.r), split_steps(cfg, values, state, cfg.r))
     positions = cfg.positions()
-    momenta = 2.0 * np.pi * np.arange(cfg.dim) / cfg.x_max
+    momenta = cfg.momenta()
     header = ["step", "norm", "fidelity", "position_mean", "momentum_mean"]
     rows = []
     for step in range(cfg.r + 1):
         if step > 0:
-            state = require_normalized(cfg, state, "lagrangian_step")
-            state = lagrangian_steps(cfg, values, state, 1)
-            reference = split @ reference
+            require_normalized(cfg, state, "lagrangian_step")
+            state, reference = next(walk)
         norm = float(np.linalg.norm(state))
         fidelity = float(abs(np.vdot(reference, state)))
         weights = np.abs(state) ** 2

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -83,6 +83,10 @@ class LatticeConfig:
     def positions(self) -> np.ndarray:
         """Grid positions q * delta_x for q = 0 .. 2**n - 1."""
         return np.arange(self.dim) * self.delta_x
+
+    def momenta(self) -> np.ndarray:
+        """Momentum eigenvalue 2*pi*q/x_max of Fourier mode q."""
+        return 2.0 * np.pi * np.arange(self.dim) / self.x_max
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,11 @@ def kinetic_op(cfg: LatticeConfig) -> np.ndarray:
 
 
 def split_step_reference(cfg: LatticeConfig, potential: Potential) -> np.ndarray:
-    """One split step exp(-i*tau*P^2/2m) @ exp(-i*tau*V)."""
+    """One split step exp(-i*tau*P^2/2m) @ exp(-i*tau*V), dense.
+
+    The test oracle for :func:`split_steps` and the circuit: its kinetic
+    factor is the dense exponential of ``kinetic_op``.
+    """
     v = potential.grid_values(cfg)
     kin = exp_unitary(kinetic_op(cfg), cfg.tau)
     return kin @ np.diag(np.exp(-1j * cfg.tau * v))
@@ -241,14 +249,14 @@ def lagrangian_steps(
     state: np.ndarray,
     steps: int,
     counter: QueryCounter | None = None,
-) -> np.ndarray:
-    """Apply ``steps`` circuit steps to a grid state or to every matrix column.
+) -> Iterator[np.ndarray]:
+    """Yield a grid state, or every matrix column, after each of ``steps`` circuit steps.
 
-    ``values`` is ``Potential.grid_values(cfg)``, so a caller that steps
-    repeatedly evaluates the potential once.  Each step applies the action
-    oracle against a zeroed second register, an inverse Fourier transform,
-    and the oracle again with the zeroed register first: two oracle queries
-    and one transform.
+    ``values`` is ``Potential.grid_values(cfg)`` and the step phases are
+    built once, so a trajectory evaluates both once.  Each step applies the
+    action oracle against a zeroed second register, an inverse Fourier
+    transform, and the oracle again with the zeroed register first: two
+    oracle queries and one transform.
     """
     first, second = _step_phases(cfg, values)
     if state.ndim == 2:
@@ -258,6 +266,34 @@ def lagrangian_steps(
         if counter is not None:
             counter.tick("action", 2)
             counter.tick("qft")
+        yield state
+
+
+def split_steps(
+    cfg: LatticeConfig, values: np.ndarray, state: np.ndarray, steps: int
+) -> Iterator[np.ndarray]:
+    """Yield a grid state, or every matrix column, after each of ``steps`` split steps.
+
+    Each step is ``split_step_reference`` without a dense matrix: the kinetic
+    factor is diagonal in the Fourier basis (Feit, Fleck and Steiger, J.
+    Comput. Phys. 47, 412 (1982)), with ``cfg.momenta()`` the eigenvalues of
+    ``momentum_op``, so a step is two phase vectors, built once, around a
+    forward and an inverse transform.
+    """
+    potential = np.exp(-1j * cfg.tau * values)
+    kinetic = np.exp(-1j * cfg.tau * cfg.momenta() ** 2 / (2.0 * cfg.mass))
+    if state.ndim == 2:
+        potential, kinetic = potential[:, None], kinetic[:, None]
+    for _ in range(steps):
+        modes = np.fft.fft(potential * state, axis=0, norm="ortho")
+        state = np.fft.ifft(kinetic * modes, axis=0, norm="ortho")
+        yield state
+
+
+def _last(states: Iterator[np.ndarray]) -> np.ndarray:
+    """The final state of a walk of at least one step."""
+    for state in states:
+        pass
     return state
 
 
@@ -269,7 +305,7 @@ def lagrangian_step(
 ) -> np.ndarray:
     """Advance a normalized grid state by one circuit step."""
     state = require_normalized(cfg, state, "lagrangian_step")
-    return lagrangian_steps(cfg, potential.grid_values(cfg), state, 1, counter)
+    return next(lagrangian_steps(cfg, potential.grid_values(cfg), state, 1, counter))
 
 
 def lagrangian_propagator(
@@ -287,7 +323,7 @@ def lagrangian_propagator(
     if cfg.r * cfg.dim > STEP_WORK_CAP:
         raise CapExceeded("propagator work r * 2^n exceeds the cap")
     u = np.eye(cfg.dim, dtype=complex)
-    return lagrangian_steps(cfg, potential.grid_values(cfg), u, cfg.r, counter)
+    return _last(lagrangian_steps(cfg, potential.grid_values(cfg), u, cfg.r, counter))
 
 
 def propagator_global_phase(cfg: LatticeConfig, potential: Potential) -> complex:
@@ -364,8 +400,7 @@ def gaussian_packet(
 
 def momentum_mode_mask(cfg: LatticeConfig, p_max: float) -> np.ndarray:
     """Boolean mask over Fourier modes with eigenvalue at most p_max."""
-    modes = 2.0 * np.pi * np.arange(cfg.dim) / cfg.x_max
-    return modes <= p_max
+    return cfg.momenta() <= p_max
 
 
 def feasible_error_bound(
@@ -414,7 +449,7 @@ def feasible_error_check(
     ham = kinetic_op(cfg) + np.diag(v)
     exact = exp_unitary(ham, cfg.total_time) @ psi
 
-    stepped = lagrangian_steps(cfg, v, psi, cfg.r, counter)
+    stepped = _last(lagrangian_steps(cfg, v, psi, cfg.r, counter))
 
     pos_gap = np.max(np.abs(np.abs(exact) ** 2 - np.abs(stepped) ** 2))
     exact_modes = np.fft.fft(exact, norm="ortho")

@@ -90,10 +90,11 @@ def system_block(walk: Callable[[np.ndarray], np.ndarray], size: int, dim: int) 
 
     The register is flat with every ancilla index slower than the system
     index, so its first ``dim`` amplitudes are the zero-ancilla subspace.
-    Refuses a register above ``WALK_REGISTER_CAP`` bytes before allocating.
+    Refuses before allocating when the register or the ``dim`` x ``dim``
+    output would exceed ``WALK_REGISTER_CAP`` bytes.
     """
-    if size * np.dtype(complex).itemsize > WALK_REGISTER_CAP:
-        raise CapExceeded(f"walk register of {size} amplitudes exceeds the byte cap")
+    if max(size, dim * dim) * np.dtype(complex).itemsize > WALK_REGISTER_CAP:
+        raise CapExceeded(f"walk of {size} amplitudes to a {dim}-column block exceeds the cap")
     out = np.empty((dim, dim), dtype=complex)
     for j in range(dim):
         column = np.zeros(size, dtype=complex)

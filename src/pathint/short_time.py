@@ -33,7 +33,6 @@ from .linalg import exp_unitary, spectral_norm
 from .trotter import TrotterSchedule, error_bound, schedule
 
 PATH_SUM_CAP = 1 << 20
-DENSE_ENCODING_CAP = 1 << 12
 
 # Oracle queries consumed by one application of the select operation: the
 # color check runs twice (eight index queries each), the partner index is
@@ -353,8 +352,6 @@ class BlockEncoding:
         return self.cells.average()[: self.dim, : self.dim] / self.subnormalization
 
     def w_matrix(self) -> np.ndarray:
-        if self.size > DENSE_ENCODING_CAP:
-            raise CapExceeded(f"dense encoding of dimension {self.size} refused")
         return lcu.system_block(self.apply_w, self.size, self.size)
 
 
@@ -530,10 +527,9 @@ def simulate(
         counter = QueryCounter()
     sched = schedule(decomp.term_count, k, r, t)
     overlaps = ScheduleOverlaps(decomp, sched)
-    cache: dict[tuple[int, int, float], tuple[np.ndarray, float, int]] = {}
+    cache: dict[tuple[int, int, float], tuple[np.ndarray, float]] = {}
     u = np.eye(decomp.dim, dtype=complex)
     min_weight = 1.0
-    p_used = 0
     for m in range(sched.M):
         factor = sched.factors[m]
         nxt = sched.factors[m + 1].term if m + 1 < sched.M else factor.term
@@ -545,11 +541,10 @@ def simulate(
                 decomp, sched, m, bits, QueryCounter(), overlaps
             )
             step = AmplifiedStep(encoding)
-            block, weight = step.amplified()
-            cache[key] = (block, weight, step.p)
-        block, weight, p = cache[key]
+            cache[key] = step.amplified()
+            p = step.p  # rounds_for(d_pad^2) of the schedule-wide d: one p for all
+        block, weight = cache[key]
         min_weight = min(min_weight, weight)
-        p_used = p
         for name, cost in SELECT_BUDGET.items():
             counter.tick(name, (2 * p + 1) * cost)
         u = block @ u
@@ -573,7 +568,7 @@ def simulate(
         t=float(t),
         bits=bits,
         d=d,
-        p=p_used,
+        p=p,
         M=sched.M,
         min_success_weight=min_weight,
     )

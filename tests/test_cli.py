@@ -209,6 +209,62 @@ def test_lagrangian_sim_trajectory(tmp_path):
     assert basis == 0
 
 
+LAGRANGIAN_ARGS = [
+    "lagrangian-sim", "--xmax", "12", "--mass", "1", "--potential", "harmonic:0.5,6.0",
+    "--initial", "gaussian:6.0,1.0,0.5",
+]
+
+
+def test_lagrangian_sim_forms_no_dense_operator(tmp_path, monkeypatch):
+    from pathint import lattice
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lagrangian-sim formed a dense operator")
+
+    for name in ("exp_unitary", "kinetic_op", "split_step_reference"):
+        monkeypatch.setattr(lattice, name, refuse)
+    out = tmp_path / "big.csv"
+    assert cli.main(LAGRANGIAN_ARGS + ["--n", "10", "--r", "8", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 9
+    assert all(abs(row[2] - 1.0) < 1e-9 for row in rows)
+
+
+def test_lagrangian_sim_builds_step_phases_once(tmp_path, monkeypatch):
+    from pathint import lattice
+
+    calls = []
+    original = lattice._step_phases
+
+    def counting(cfg, values):
+        calls.append(cfg)
+        return original(cfg, values)
+
+    monkeypatch.setattr(lattice, "_step_phases", counting)
+    out = tmp_path / "long.csv"
+    assert cli.main(LAGRANGIAN_ARGS + ["--n", "5", "--r", "50", "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
+def test_lagrangian_sim_refuses_a_step_that_loses_norm(tmp_path, monkeypatch, capsys):
+    from pathint import lattice
+
+    original = lattice._step_phases
+
+    def lossy(cfg, values):
+        first, second = original(cfg, values)
+        return 0.99 * first, second
+
+    monkeypatch.setattr(lattice, "_step_phases", lossy)
+    out = tmp_path / "lossy.csv"
+    assert cli.main(LAGRANGIAN_ARGS + ["--n", "5", "--r", "3", "--out", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().err.strip())
+    assert doc["error"] == "spec"
+    assert doc["module"] == "pathint.lattice"
+    assert doc["message"] == "lagrangian_step expects a normalized state"
+    assert not out.exists()
+
+
 def test_spec_file_with_overrides(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({

@@ -31,6 +31,7 @@ from pathint.lattice import (
     position_op,
     propagator_global_phase,
     split_step_reference,
+    split_steps,
     square_well_potential,
     step_global_phase,
     zero_potential,
@@ -166,6 +167,37 @@ def test_step_identity_property(n, omega, mass):
     u = lagrangian_propagator(cfg, pot)
     g = step_global_phase(cfg, pot)
     assert spectral_norm(u * g - split_step_reference(cfg, pot)) < 1e-10
+
+
+def test_split_steps_match_the_dense_split_step():
+    # split_step_reference exponentiates tau*P^2/2m by eigh.  Its rounding
+    # scales as 2^n * eps * tau*p_max^2/2m, and that largest kinetic phase is
+    # pi*(2^n - 1)^2/2^n for any geometry, so past n = 6 the oracle itself is
+    # off by more than 1e-12 (6.9e-12 at n = 8).  The product F diag F^dag,
+    # with F from qft_matrix, holds split_steps to 1e-12 at every n.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        cfg = LatticeConfig(n=n, x_max=8.0, mass=1.0, r=1)
+        f = qft_matrix(n)
+        kinetic = cfg.tau * cfg.momenta() ** 2 / (2.0 * cfg.mass)
+        tol = max(1e-12, cfg.dim * eps * kinetic[-1])
+        for pot in (
+            zero_potential(),
+            constant_potential(-0.9),
+            harmonic_mid(cfg),
+            square_well_potential(1.5, 2.0, 6.0),
+        ):
+            values = pot.grid_values(cfg)
+            (got,) = split_steps(cfg, values, np.eye(cfg.dim, dtype=complex), 1)
+            assert spectral_norm(got - split_step_reference(cfg, pot)) < tol
+            explicit = (f * np.exp(-1j * kinetic)) @ f.conj().T * np.exp(-1j * cfg.tau * values)
+            assert spectral_norm(got - explicit) < 1e-12
+            psi = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
+            psi /= np.linalg.norm(psi)
+            want = np.linalg.matrix_power(explicit, 3) @ psi
+            *_, last = split_steps(cfg, values, psi, 3)
+            assert np.linalg.norm(last - want) < 1e-12
 
 
 def test_step_rejects_bad_states():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,13 @@ def test_system_block_refuses_a_register_above_the_cap():
     amplitudes = lcu.WALK_REGISTER_CAP // np.dtype(complex).itemsize
     with pytest.raises(CapExceeded):
         lcu.system_block(walk, amplitudes + 1, 2)
+
+
+def test_system_block_refuses_an_output_above_the_cap():
+    def walk(vec):
+        raise AssertionError("walked into a block above the cap")
+
+    amplitudes = lcu.WALK_REGISTER_CAP // np.dtype(complex).itemsize
+    side = math.isqrt(amplitudes) + 1
+    with pytest.raises(CapExceeded):
+        lcu.system_block(walk, side, side)

@@ -489,6 +489,16 @@ def test_simulate_does_not_walk_the_register(monkeypatch):
     assert res.measured_error <= 4 * (res.rounding_bound + res.trotter_bound)
 
 
+def test_simulate_reports_the_one_p_of_its_schedule():
+    decomp = zz_xx_yz()
+    sched = schedule(decomp.term_count, 1, 2, 0.7)
+    overlaps = dc.ScheduleOverlaps(decomp, sched)
+    res = sh.simulate(decomp, k=1, r=2, t=0.7, bits=4)
+    for m in range(sched.M):
+        step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, m, 4, overlaps=overlaps))
+        assert step.p == res.p
+
+
 def test_simulate_rejects_unknown_method():
     decomp = z_x()
     step = sh.AmplifiedStep(sh.BlockEncoding(decomp, schedule(2, 0, 1, 1.0), 0, 4))
