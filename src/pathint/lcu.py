@@ -15,17 +15,19 @@ cells stacked in ``(lead, colors)`` order, so the leading axes and the
 color axes together index the cells.  By the LCU lemma an encoding's
 zero-ancilla block is the cell sum weighted by |PREP[k, 0]|^2 and averaged
 over replicas (``SignedPermutationCells.average``); walking the register
-(``system_block``) is the oracle the tests check it against.
+(``system_block``) is the oracle the tests check it against.  ``route`` is
+the one rule that writes a colored edge of either encoding into a cell.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .decomp import round_to_bits
 from .errors import CapExceeded, InvariantViolation
 
 # Bytes of the complex register a walk may allocate (2^24 amplitudes).  A
@@ -50,10 +52,42 @@ def replica_average(thr: np.ndarray | int, bits: int) -> np.ndarray:
     return (thr - (thr & 1)) / float(1 << bits)
 
 
-def folded_flip(cells: int, dim: int) -> np.ndarray:
-    """Default permutation table: every column moves to the other side."""
-    row = np.concatenate([np.arange(dim) + dim, np.arange(dim)])
-    return np.tile(row, (cells, 1))
+def blank_cells(cells: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blank ``(perm, phase, thr)`` tables for ``cells`` cells on 2N columns.
+
+    Every column moves to the other side with phase 1 and threshold 0, so
+    it cancels in the replica average until an edge is routed through it.
+    """
+    perm = np.tile(np.concatenate([np.arange(dim) + dim, np.arange(dim)]), (cells, 1))
+    return perm, np.ones(perm.shape, dtype=complex), np.zeros(perm.shape, dtype=np.int64)
+
+
+def unit_phase(z: complex) -> complex:
+    """z/|z|, or 1 when z is zero."""
+    mag = abs(z)
+    return z / mag if mag > 0 else 1.0
+
+
+def route(
+    perm: np.ndarray, phase: np.ndarray, thr: np.ndarray, bits: int, edges: Iterable[tuple]
+) -> None:
+    """Write colored edges into the select columns of ``(perm, phase, thr)``.
+
+    The one edge rule of both encodings: edge ``(k, j, to, amp, carried)``
+    maps column j of cell k to row ``to`` and the mirrored column N + ``to``
+    to row N + j, with phase ``carried`` times amp/|amp| and threshold
+    ``round_to_bits(|amp|, bits)`` on column j.  Two edges of one cell that
+    share a target leave a row that is not a permutation, which
+    ``SignedPermutationCells`` refuses.  The arithmetic is scalar, one edge
+    at a time: numpy's vectorized complex abs and product can differ from
+    it in the last bit.
+    """
+    dim = perm.shape[1] // 2
+    for k, j, to, amp, carried in edges:
+        perm[k, j] = to
+        perm[k, dim + to] = dim + j
+        phase[k, j] = carried * unit_phase(amp)
+        thr[k, j] = round_to_bits(abs(amp), bits)
 
 
 def hadamard_axes(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:

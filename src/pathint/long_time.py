@@ -437,11 +437,6 @@ def _trapezoid_weights(r: int) -> np.ndarray:
     return w
 
 
-def _unit(z: complex) -> complex:
-    mag = abs(z)
-    return z / mag if mag > 0 else 1.0
-
-
 @dataclass(frozen=True)
 class Truncation:
     """The two-transition truncation of one sweep on an r-panel grid.
@@ -471,7 +466,7 @@ class Truncation:
         """
         eta_start, eta_end, correction = self.eta_start, self.eta_end, self.correction
         if mag is not None:
-            rescale = np.vectorize(lambda a: mag(abs(a)) * _unit(a), otypes=[complex])
+            rescale = np.vectorize(lambda a: mag(abs(a)) * lcu.unit_phase(a), otypes=[complex])
             eta_start, eta_end = rescale(eta_start), rescale(eta_end)
             correction = rescale(self.zeta).sum(axis=(0, 2))
         out = np.diag(self.phase * (1.0 + correction)).astype(complex)
@@ -694,33 +689,28 @@ class PropagatorEncoding:
         threshold 2^B, so every replica keeps it; branch 3 keeps the folded
         side flip and cancels.  At each step the edge j -> f, present both
         ways, takes color (slot of f in j's list, slot of j in f's list).
+        The one-transition branch routes it to f with its boundary amplitude
+        (interior steps carry zero and cancel); the two-transition branch
+        returns it to j with the returning-path amplitude.
         """
         dim, trunc = self.dim, self.truncation
         cell = np.arange((self.r + 1) * 4 * self.d * self.d).reshape(
             self.r + 1, 4, self.d, self.d
         )
-        perm = lcu.folded_flip(cell.size, dim)
-        phase = np.ones(perm.shape, dtype=complex)
-        thr = np.zeros(perm.shape, dtype=np.int64)
+        perm, phase, thr = lcu.blank_cells(cell.size, dim)
         stay = cell[:, 0].ravel()
         perm[stay] = np.arange(2 * dim)
         phase[stay, :dim] = trunc.phase
         thr[stay, :dim] = self.width
         slot = np.cumsum(present, axis=2) - 1
-        for ell, j, f in zip(*np.nonzero(present & np.swapaxes(present, 1, 2))):
-            if ell == 0:
-                hop = (trunc.eta_start[f, j], trunc.phase[f])
-            elif ell == self.r:
-                hop = (trunc.eta_end[f, j], trunc.phase[j])
-            else:  # interior one-transition steps carry zero
-                hop = (0.0, trunc.phase[j])
-            back = (trunc.zeta[ell, j, f], trunc.phase[j])  # returning path
-            cells = cell[ell, 1:3, slot[ell, j, f], slot[ell, f, j]]
-            for k, to, (amp, carried) in zip(cells, (f, j), (hop, back)):
-                perm[k, j] = to
-                phase[k, j] = carried * _unit(amp)
-                thr[k, j] = round_to_bits(abs(amp), self.bits)
-                perm[k, dim + to] = dim + j
+        ell, j, f = np.nonzero(present & np.swapaxes(present, 1, 2))
+        hop, back = cell[ell, 1:3, slot[ell, j, f], slot[ell, f, j]].T
+        end = np.where(ell == self.r, trunc.eta_end[f, j], 0.0)
+        eta = np.where(ell == 0, trunc.eta_start[f, j], end)
+        carried = np.where(ell == 0, trunc.phase[f], trunc.phase[j])
+        lcu.route(perm, phase, thr, self.bits, zip(hop, j, f, eta, carried))
+        returning = zip(back, j, j, trunc.zeta[ell, j, f], trunc.phase[j])
+        lcu.route(perm, phase, thr, self.bits, returning)
         return lcu.SignedPermutationCells(perm, phase, thr, self.bits, self.d * self.d)
 
     # -- structured applications --------------------------------------------

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lcu
-from .decomp import (
-    Decomposition,
-    QueryCounter,
-    ScheduleOverlaps,
-    round_to_bits,
-)
+from .decomp import Decomposition, QueryCounter, ScheduleOverlaps
 from .errors import CapExceeded, InvariantViolation, SpecError
 from .linalg import exp_unitary, spectral_norm
 from .trotter import TrotterSchedule, error_bound, schedule
@@ -81,22 +76,15 @@ def path_sum_propagator(decomp: Decomposition, sched: TrotterSchedule) -> np.nda
     return vecs[M - 1] @ coeff @ vecs[0].conj().T
 
 
-def transition_operator(
-    decomp: Decomposition,
-    sched: TrotterSchedule,
-    m: int,
-    overlaps: ScheduleOverlaps | None = None,
-) -> np.ndarray:
+def transition_operator(overlaps: ScheduleOverlaps, m: int) -> np.ndarray:
     """One factor's unitary on the eigenstate index register.
 
     For a factor with a successor this is the overlap change of basis after
     the eigenvalue phase; the final factor reduces to the phase alone via the
     identity overlap pair.
     """
-    if overlaps is None:
-        overlaps = ScheduleOverlaps(decomp, sched)
     table = overlaps.pair_for_step(m)
-    values, _, tau = _factor_eigendata(decomp, sched, m)
+    values, _, tau = _factor_eigendata(overlaps.decomp, overlaps.schedule, m)
     return table.overlap @ np.diag(np.exp(-1j * values * tau))
 
 
@@ -105,94 +93,14 @@ def transition_product(decomp: Decomposition, sched: TrotterSchedule) -> np.ndar
     overlaps = ScheduleOverlaps(decomp, sched)
     u = np.eye(decomp.dim, dtype=complex)
     for m in range(sched.M):
-        u = transition_operator(decomp, sched, m, overlaps) @ u
+        u = transition_operator(overlaps, m) @ u
     v_first = decomp.eigensystems[sched.factors[0].term].vectors
     v_last = decomp.eigensystems[sched.factors[-1].term].vectors
     return v_last @ u @ v_first.conj().T
 
 
 # ---------------------------------------------------------------------------
-# edge coloring
-
-
-@dataclass(frozen=True)
-class ColoredTransitionGraph:
-    """The d-regular transition graph of one step with its d^2-coloring.
-
-    Vertices are (side, state); edges pair side-0 source j with side-1
-    target q.  The color of an edge is (c1, c2) where q sits at forward slot
-    c1 of j and j sits at backward slot c2 of q.
-    """
-
-    m: int
-    d: int
-    dim: int
-    edges: tuple[tuple[int, int], ...]
-    genuine: tuple[bool, ...]
-    color_of_edge: dict[tuple[int, int], tuple[int, int]]
-    classes: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-
-    def covered(self, side: int, state: int, c1: int, c2: int) -> bool:
-        """Is vertex (side, state) matched by color class (c1, c2)?"""
-        pool = self.classes.get((c1, c2), ())
-        at = 0 if side == 0 else 1
-        return any(edge[at] == state for edge in pool)
-
-    def validate(self) -> None:
-        seen = []
-        for color, pool in self.classes.items():
-            sources = [j for j, _ in pool]
-            targets = [q for _, q in pool]
-            if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
-                raise InvariantViolation(f"color class {color} is not a matching")
-            seen.extend(pool)
-        if len(seen) != len(self.edges) or set(seen) != set(self.edges):
-            raise InvariantViolation("color classes do not partition the edge set")
-
-
-def color_graph(
-    decomp: Decomposition,
-    sched: TrotterSchedule,
-    m: int,
-    overlaps: ScheduleOverlaps | None = None,
-) -> ColoredTransitionGraph:
-    if overlaps is None:
-        overlaps = ScheduleOverlaps(decomp, sched)
-    table = overlaps.pair_for_step(m)
-    d = overlaps.d
-    dim = decomp.dim
-    edges = []
-    genuine = []
-    color_of_edge = {}
-    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for j in range(dim):
-        for c1 in range(d):
-            q = int(table.fwd[j, c1])
-            back = np.flatnonzero(table.bwd[q] == j)
-            if back.size != 1:
-                raise InvariantViolation(
-                    f"partner tables disagree on edge ({j}, {q}) of step {m}"
-                )
-            c2 = int(back[0])
-            edges.append((j, q))
-            genuine.append(bool(table.fwd_genuine[j, c1]))
-            color_of_edge[(j, q)] = (c1, c2)
-            classes.setdefault((c1, c2), []).append((j, q))
-    graph = ColoredTransitionGraph(
-        m=m,
-        d=d,
-        dim=dim,
-        edges=tuple(edges),
-        genuine=tuple(genuine),
-        color_of_edge=color_of_edge,
-        classes={color: tuple(pool) for color, pool in classes.items()},
-    )
-    graph.validate()
-    return graph
-
-
-# ---------------------------------------------------------------------------
-# signed permutations and the alternating-sign synthesis
+# the colored select cells and the alternating-sign synthesis
 
 
 def _pad_colors(d: int) -> int:
@@ -202,86 +110,64 @@ def _pad_colors(d: int) -> int:
     return p
 
 
-def _step_cells(
-    decomp: Decomposition,
-    sched: TrotterSchedule,
-    m: int,
-    bits: int,
-    overlaps: ScheduleOverlaps,
-) -> lcu.SignedPermutationCells:
-    """Select cells of one step, one per padded color class (c1, c2).
+def _step_cells(overlaps: ScheduleOverlaps, m: int, bits: int) -> lcu.SignedPermutationCells:
+    """Select cells of one step: the d^2-coloring of its transition graph.
 
-    An edge j -> q of class (c1, c2) carries the overlap phase times the
-    eigenphase of j and the rounded overlap magnitude; every other column
+    The edge j -> q at forward slot c1 of j, where j sits at backward slot
+    c2 of q, goes to cell (c1, c2) and carries the overlap phase times the
+    eigenphase of j and the rounded overlap magnitude.  Every other column
     keeps the folded side flip with threshold 0 and cancels in the replica
-    average.  Padding colors hold no edges.
+    average; padding colors hold no edges.  A class that is not a matching
+    leaves a cell that is not a permutation.
     """
-    graph = color_graph(decomp, sched, m, overlaps)
     table = overlaps.pair_for_step(m)
-    values, _, tau = _factor_eigendata(decomp, sched, m)
+    values, _, tau = _factor_eigendata(overlaps.decomp, overlaps.schedule, m)
+    dim, d = overlaps.decomp.dim, overlaps.d
+    j, c1 = np.divmod(np.arange(dim * d), d)
+    q = table.fwd[j, c1]
+    back = table.bwd[q] == j[:, None]
+    bad = np.flatnonzero(back.sum(axis=1) != 1)
+    if bad.size:
+        e = bad[0]
+        raise InvariantViolation(f"partner tables disagree on edge ({j[e]}, {q[e]}) of step {m}")
+    colors = _pad_colors(d)
+    perm, phase, thr = lcu.blank_cells(colors * colors, dim)
+    k = c1 * colors + np.argmax(back, axis=1)
     eigenphase = np.exp(-1j * values * tau)
-    dim = decomp.dim
-    colors = _pad_colors(overlaps.d)
-    perm = lcu.folded_flip(colors * colors, dim)
-    phase = np.ones(perm.shape, dtype=complex)
-    thr = np.zeros(perm.shape, dtype=np.int64)
-    for (c1, c2), pool in graph.classes.items():
-        k = c1 * colors + c2
-        for j, q in pool:
-            amp = table.overlap[q, j]
-            arg = amp / abs(amp) if abs(amp) > 0 else 1.0
-            perm[k, j] = q
-            phase[k, j] = arg * eigenphase[j]
-            thr[k, j] = round_to_bits(abs(amp), bits)
-            perm[k, dim + q] = dim + j
+    lcu.route(perm, phase, thr, bits, zip(k, j, q, table.overlap[q, j], eigenphase[j]))
     return lcu.SignedPermutationCells(perm, phase, thr, bits, colors * colors)
 
 
 def signed_permutation(
-    decomp: Decomposition,
-    sched: TrotterSchedule,
-    m: int,
-    b: int,
-    c1: int,
-    c2: int,
-    bits: int,
+    overlaps: ScheduleOverlaps, m: int, b: int, c1: int, c2: int, bits: int
 ) -> np.ndarray:
     """Dense signed permutation for one (b, c1, c2), before the side flip."""
     if not 0 <= b < (1 << bits):
         raise SpecError(f"replica index {b} outside B={bits} range")
-    overlaps = ScheduleOverlaps(decomp, sched)
     if not 0 <= c1 < overlaps.d or not 0 <= c2 < overlaps.d:
         raise SpecError("color index out of range")
-    cells = _step_cells(decomp, sched, m, bits, overlaps)
+    cells = _step_cells(overlaps, m, bits)
     k = c1 * _pad_colors(overlaps.d) + c2
-    two_n = 2 * decomp.dim
-    u = np.zeros((two_n, two_n), dtype=complex)
-    rows = (cells.perm[k] + decomp.dim) % two_n  # undo the folded side flip
-    u[rows, np.arange(two_n)] = cells.phase[k] * lcu.replica_weight(b, cells.thr[k])
+    dim = overlaps.decomp.dim
+    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    rows = (cells.perm[k] + dim) % (2 * dim)  # undo the folded side flip
+    u[rows, np.arange(2 * dim)] = cells.phase[k] * lcu.replica_weight(b, cells.thr[k])
     return u
 
 
-def alternating_sum(
-    decomp: Decomposition,
-    sched: TrotterSchedule,
-    m: int,
-    bits: int,
-) -> np.ndarray:
+def alternating_sum(overlaps: ScheduleOverlaps, m: int, bits: int) -> np.ndarray:
     """Replica-averaged sum of the flipped signed permutations (2N x 2N).
 
     The replica signs cancel the backward and fixed-point sectors exactly and
     leave the forward sector carrying B-bit synthesized magnitudes.
     """
-    overlaps = ScheduleOverlaps(decomp, sched)
-    return _step_cells(decomp, sched, m, bits, overlaps).average()
+    return _step_cells(overlaps, m, bits).average()
 
 
-def projected_step(
-    decomp: Decomposition, sched: TrotterSchedule, m: int, bits: int
-) -> np.ndarray:
+def projected_step(overlaps: ScheduleOverlaps, m: int, bits: int) -> np.ndarray:
     """Side-0 block of the alternating sum (the synthesized transition)."""
-    full = alternating_sum(decomp, sched, m, bits)
-    return full[: decomp.dim, : decomp.dim]
+    dim = overlaps.decomp.dim
+    return alternating_sum(overlaps, m, bits)[:dim, :dim]
 
 
 def synthesis_defect_bound(d: int, bits: int) -> float:
@@ -296,34 +182,32 @@ def synthesis_defect_bound(d: int, bits: int) -> float:
 class BlockEncoding:
     """Uniform-PREP block encoding of one synthesized transition step.
 
-    The unitary is applied as structured tensor operations; the dense matrix
-    is only materialized under the exposure cap.  Applying the select stage
-    charges the per-application oracle budget to the counter.
+    The unitary is applied as structured tensor operations; ``block()`` is
+    its closed-form zero-ancilla block, and ``w_matrix`` walks the register
+    through ``lcu.system_block``, which refuses a register above
+    ``lcu.WALK_REGISTER_CAP``.  Applying the select stage charges the
+    per-application oracle budget to the counter.
     """
 
     def __init__(
         self,
-        decomp: Decomposition,
-        sched: TrotterSchedule,
+        overlaps: ScheduleOverlaps,
         m: int,
         bits: int,
         counter: QueryCounter | None = None,
-        overlaps: ScheduleOverlaps | None = None,
     ):
         if bits < 1:
             raise SpecError("magnitude precision must be at least one bit")
         self.bits = bits
         self.counter = counter if counter is not None else QueryCounter()
-        if overlaps is None:
-            overlaps = ScheduleOverlaps(decomp, sched)
         self.d = overlaps.d
         self.d_pad = _pad_colors(self.d)
-        self.dim = decomp.dim
+        self.dim = overlaps.decomp.dim
         self.width = 1 << bits
         self.subnormalization = float(self.d_pad**2)
         self.shape = (self.width, self.d_pad, self.d_pad, 2, self.dim)
         self.size = int(np.prod(self.shape))
-        self.cells = _step_cells(decomp, sched, m, bits, overlaps)
+        self.cells = _step_cells(overlaps, m, bits)
 
     # -- structured applications --------------------------------------------
 
@@ -537,9 +421,7 @@ def simulate(
         if key not in cache:
             # builders use a scratch counter: matrix reconstruction is not
             # part of the algorithm's query account
-            encoding = BlockEncoding(
-                decomp, sched, m, bits, QueryCounter(), overlaps
-            )
+            encoding = BlockEncoding(overlaps, m, bits, QueryCounter())
             step = AmplifiedStep(encoding)
             cache[key] = step.amplified()
             p = step.p  # rounds_for(d_pad^2) of the schedule-wide d: one p for all

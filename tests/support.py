@@ -94,3 +94,9 @@ def random_smooth_system(rng, dim=3, terms=3, grid=64, max_freq=3):
         return out
 
     return TimeDependentHamiltonian(dim=dim, h=h, dh=dh, grid=grid)
+
+
+def class_edges(cells, k: int) -> set[tuple[int, int]]:
+    """Edges (j, q) of select cell k: the side-0 columns it routes to q < N."""
+    dim = cells.perm.shape[1] // 2
+    return {(j, int(q)) for j, q in enumerate(cells.perm[k, :dim]) if q < dim}

@@ -24,7 +24,7 @@ from pathint import trotter
 from pathint.linalg import exp_unitary, spectral_norm
 from pathint.trotter import schedule, trotter_unitary
 
-from support import pauli_string, random_decomposition_terms, random_smooth_system
+from support import class_edges, pauli_string, random_decomposition_terms, random_smooth_system
 
 
 def criterion(number: int, label: str, budget_s: float):
@@ -100,20 +100,23 @@ def test_criterion_02_coloring_is_a_covering_matching():
         decomp = dc.build(random_decomposition_terms(rng, n, terms))
         sched = schedule(terms, k, r, 1.0)
         m = int(rng.integers(0, sched.M))
-        graph = sh.color_graph(decomp, sched, m)
+        overlaps = dc.ScheduleOverlaps(decomp, sched)
+        cells = sh.BlockEncoding(overlaps, m, 4).cells
+        classes = [class_edges(cells, c) for c in range(len(cells.perm))]
         # within one color class no two edges may touch the same row or
         # the same column of the overlap table
-        for edges in graph.classes.values():
+        for edges in classes:
             lefts = [j for j, q in edges]
             rights = [q for j, q in edges]
             assert len(set(lefts)) == len(edges)
             assert len(set(rights)) == len(edges)
         # and every genuine overlap must carry a color
-        table = dc.ScheduleOverlaps(decomp, sched).pair_for_step(m)
+        colored = set().union(*classes)
+        table = overlaps.pair_for_step(m)
         for j in range(decomp.dim):
             for q in range(decomp.dim):
                 if abs(table.overlap[q, j]) > decomp.zero_tol:
-                    assert (j, q) in graph.color_of_edge
+                    assert (j, q) in colored
 
 
 @criterion(3, "rounded step defect", 30.0)
@@ -122,11 +125,12 @@ def test_criterion_03_rounding_defect_bound_and_halving():
         sched = schedule(decomp.term_count, 0, 1, 1.0)
         d = dc.sparsity(decomp, sched)
         assert d <= 4
-        exact = sh.transition_operator(decomp, sched, 0)
+        overlaps = dc.ScheduleOverlaps(decomp, sched)
+        exact = sh.transition_operator(overlaps, 0)
         defects = []
         for bits in BITS_GRID:
-            defect = spectral_norm(sh.projected_step(decomp, sched, 0, bits) - exact)
-            assert defect <= 2.0 * d * d / (1 << bits)
+            defect = spectral_norm(sh.projected_step(overlaps, 0, bits) - exact)
+            assert defect <= sh.synthesis_defect_bound(d, bits)
             defects.append(defect)
         assert defects[-1] > 0
         # average halving rate per extra bit across the whole grid; single
@@ -139,11 +143,11 @@ def test_criterion_03_rounding_defect_bound_and_halving():
 @criterion(4, "encoded block identity", 30.0)
 def test_criterion_04_projected_encoding_reproduces_the_step():
     for decomp in rounding_instances():
-        sched = schedule(decomp.term_count, 0, 1, 1.0)
+        overlaps = dc.ScheduleOverlaps(decomp, schedule(decomp.term_count, 0, 1, 1.0))
         dim = decomp.dim
         for bits in BITS_GRID:
-            enc = sh.BlockEncoding(decomp, sched, 0, bits)
-            synth = sh.alternating_sum(decomp, sched, 0, bits)[:dim, :dim]
+            enc = sh.BlockEncoding(overlaps, 0, bits)
+            synth = sh.alternating_sum(overlaps, 0, bits)[:dim, :dim]
             got = lcu.system_block(enc.apply_w, enc.size, dim)
             assert np.max(np.abs(got - synth / enc.subnormalization)) <= 1e-10
 
@@ -153,16 +157,17 @@ def test_criterion_05_amplified_block_and_success_weight():
     for decomp in rounding_instances():
         sched = schedule(decomp.term_count, 0, 1, 1.0)
         d = dc.sparsity(decomp, sched)
-        exact = sh.transition_operator(decomp, sched, 0)
+        overlaps = dc.ScheduleOverlaps(decomp, sched)
+        exact = sh.transition_operator(overlaps, 0)
         for bits in BITS_GRID:
-            step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, 0, bits))
+            step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, 0, bits))
             # the applied reflections on registers of up to 2^17 amplitudes;
             # one larger walk takes about 25 s, so those check the
             # singular-value form
             method = "iterate" if step.size <= 1 << 17 else "svd"
             block, weight = step.amplified(method=method)
-            assert spectral_norm(block - exact) <= 16.0 * d * d / (1 << bits)
-            assert weight >= 1.0 - 64.0 * d**4 / float(1 << (2 * bits))
+            assert spectral_norm(block - exact) <= sh.amplified_defect_bound(d, bits)
+            assert weight >= sh.success_weight_bound(d, bits)
 
 
 @criterion(6, "short time envelope", 120.0)

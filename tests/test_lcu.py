@@ -25,12 +25,38 @@ def test_replica_average_is_the_mean_of_the_weight_rule():
 
 
 def test_cells_must_be_permutations():
-    perm = lcu.folded_flip(2, 2)
+    perm, phase, thr = lcu.blank_cells(2, 2)
     perm[1, 0] = perm[1, 1]
-    phase = np.ones(perm.shape, dtype=complex)
-    thr = np.zeros(perm.shape, dtype=np.int64)
     with pytest.raises(InvariantViolation):
         lcu.SignedPermutationCells(perm, phase, thr, 2, 1)
+
+
+def test_route_writes_the_edge_rule():
+    dim, carried = 3, np.exp(-1.1j)
+    for bits in (3, 6):
+        edges = [
+            (0, j, (j + 1) % dim, mag * np.exp(0.4j * (j + 1)), carried)
+            for j, mag in enumerate((0.0, 0.3, 1.0))
+        ]
+        perm, phase, thr = lcu.blank_cells(1, dim)
+        lcu.route(perm, phase, thr, bits, edges)
+        avg = lcu.SignedPermutationCells(perm, phase, thr, bits, 1).average()
+        want = np.zeros((2 * dim, 2 * dim), dtype=complex)
+        for _, j, to, amp, _ in edges[1:]:
+            kept = lcu.replica_average(dc.round_to_bits(abs(amp), bits), bits)
+            want[to, j] = kept * carried * amp / abs(amp)
+        for _, j, to, _, _ in edges:
+            assert perm[0, j] == to and perm[0, dim + to] == dim + j
+        # the zero-amplitude edge (column 0) and the mirrored side-1 columns cancel
+        assert not avg[:, 0].any() and not avg[:, dim:].any()
+        assert np.max(np.abs(avg - want)) <= 1e-15
+
+
+def test_route_refuses_a_shared_target():
+    perm, phase, thr = lcu.blank_cells(1, 3)
+    lcu.route(perm, phase, thr, 4, [(0, 0, 1, 0.5, 1.0), (0, 2, 1, 0.5, 1.0)])
+    with pytest.raises(InvariantViolation):
+        lcu.SignedPermutationCells(perm, phase, thr, 4, 1)
 
 
 def sylvester(n):
@@ -72,8 +98,8 @@ def short_encodings(bits):
     ]
     out = []
     for decomp in decomps:
-        sched = schedule(decomp.term_count, 1, 1, 0.7)
-        out += [sh.BlockEncoding(decomp, sched, m, bits) for m in range(sched.M)]
+        overlaps = dc.ScheduleOverlaps(decomp, schedule(decomp.term_count, 1, 1, 0.7))
+        out += [sh.BlockEncoding(overlaps, m, bits) for m in range(overlaps.schedule.M)]
     return out
 
 

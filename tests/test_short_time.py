@@ -11,7 +11,7 @@ from pathint.errors import CapExceeded, SpecError
 from pathint.linalg import exp_unitary, spectral_norm
 from pathint.trotter import schedule, trotter_unitary
 
-from support import pauli_string, random_decomposition_terms, tilted_example_pair
+from support import class_edges, pauli_string, random_decomposition_terms, tilted_example_pair
 
 
 def zz_zx():
@@ -99,27 +99,24 @@ def test_path_sum_cap():
 
 def test_transition_diagonal_step_is_phase_matrix():
     decomp = dc.build([np.diag([0.2, -1.1, 0.5, 2.0]).astype(complex)])
-    sched = schedule(1, 0, 2, 1.0)
-    a = sh.transition_operator(decomp, sched, 0)
+    a = sh.transition_operator(dc.ScheduleOverlaps(decomp, schedule(1, 0, 2, 1.0)), 0)
     lam = decomp.eigensystems[0].values
     assert np.allclose(a, np.diag(np.exp(-0.5j * lam)), atol=1e-12)
 
 
 def test_transition_zero_time_is_overlap():
-    decomp = zz_zx()
-    sched = schedule(2, 0, 1, 0.0)
-    table = dc.ScheduleOverlaps(decomp, sched).pair_for_step(0)
-    a = sh.transition_operator(decomp, sched, 0)
-    assert np.allclose(a, table.overlap, atol=1e-12)
+    overlaps = dc.ScheduleOverlaps(zz_zx(), schedule(2, 0, 1, 0.0))
+    a = sh.transition_operator(overlaps, 0)
+    assert np.allclose(a, overlaps.pair_for_step(0).overlap, atol=1e-12)
 
 
 def test_transition_unitary_random_steps():
     rng = np.random.default_rng(7)
     for _ in range(6):
         decomp = dc.build(random_decomposition_terms(rng, 2, 2))
-        sched = schedule(2, 1, 2, 1.1)
-        for m in range(sched.M):
-            a = sh.transition_operator(decomp, sched, m)
+        overlaps = dc.ScheduleOverlaps(decomp, schedule(2, 1, 2, 1.1))
+        for m in range(overlaps.schedule.M):
+            a = sh.transition_operator(overlaps, m)
             assert spectral_norm(a @ a.conj().T - np.eye(4)) <= 1e-10
 
 
@@ -136,7 +133,7 @@ def test_transition_product_matches_trotter():
 
 
 # ---------------------------------------------------------------------------
-# coloring
+# coloring: select cell (c1, c2) holds the edges of color class (c1, c2)
 
 
 def test_color_graph_validity_examples():
@@ -150,31 +147,40 @@ def test_color_graph_validity_examples():
     rng = np.random.default_rng(3)
     cases.append((dc.build(random_decomposition_terms(rng, 3, 2)), schedule(2, 0, 1, 1.0), 0))
     for decomp, sched, m in cases:
-        graph = sh.color_graph(decomp, sched, m)
-        graph.validate()
-        assert len(graph.classes) <= graph.d * graph.d
-        # every genuine overlap is an edge of the graph
         overlaps = dc.ScheduleOverlaps(decomp, sched)
+        d = overlaps.d
+        enc = sh.BlockEncoding(overlaps, m, 4)
+        classes = {k: class_edges(enc.cells, k) for k in range(len(enc.cells.perm))}
+        edges = set().union(*classes.values())
+        # every class is a matching, and the classes partition the d-regular edge set
+        for k, pool in classes.items():
+            assert len({q for _, q in pool}) == len(pool)
+            if pool:
+                assert k // enc.d_pad < d and k % enc.d_pad < d
+        assert sum(len(pool) for pool in classes.values()) == len(edges) == decomp.dim * d
+        # every genuine overlap is an edge of the graph
         table = overlaps.pair_for_step(m)
         for j in range(decomp.dim):
             for q in range(decomp.dim):
                 if abs(table.overlap[q, j]) > decomp.zero_tol:
-                    assert (j, q) in graph.color_of_edge
+                    assert (j, q) in edges
 
 
 def test_color_graph_membership():
-    decomp = zz_zx()
-    graph = sh.color_graph(decomp, schedule(2, 0, 1, 1.0), 0)
-    for (j, q), (c1, c2) in graph.color_of_edge.items():
-        assert graph.covered(0, j, c1, c2)
-        assert graph.covered(1, q, c1, c2)
+    # an edge j -> q of cell k covers source j on side 0 (it is routed within
+    # side 0) and target q on side 1 (its column is mirrored back to N + j)
+    cells = sh.BlockEncoding(dc.ScheduleOverlaps(zz_zx(), schedule(2, 0, 1, 1.0)), 0, 4).cells
+    dim = cells.perm.shape[1] // 2
+    for k in range(len(cells.perm)):
+        for j, q in class_edges(cells, k):
+            assert cells.perm[k, dim + q] == dim + j
 
 
 def test_color_graph_single_color_for_diagonal():
     decomp = dc.build([np.diag([0.5, -0.5]).astype(complex), np.diag([0.3, -0.2]).astype(complex)])
-    graph = sh.color_graph(decomp, schedule(2, 0, 1, 1.0), 0)
-    assert set(graph.classes) == {(0, 0)}
-    assert sorted(graph.classes[(0, 0)]) == [(0, 0), (1, 1)]
+    cells = sh.BlockEncoding(dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 1.0)), 0, 4).cells
+    assert len(cells.perm) == 1
+    assert sorted(class_edges(cells, 0)) == [(0, 0), (1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,29 +189,27 @@ def test_color_graph_single_color_for_diagonal():
 
 def test_signed_permutation_unitary_and_fixed_points():
     decomp = zz_zx()
-    sched = schedule(2, 0, 1, 0.8)
+    overlaps = dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 0.8))
     dim = decomp.dim
     for b in (0, 1, 5):
-        u = sh.signed_permutation(decomp, sched, 0, b, 0, 1, bits=3)
+        u = sh.signed_permutation(overlaps, 0, b, 0, 1, bits=3)
         assert spectral_norm(u @ u.conj().T - np.eye(2 * dim)) <= 1e-10
-    graph = sh.color_graph(decomp, sched, 0)
+    sources = {j for j, _ in class_edges(sh.BlockEncoding(overlaps, 0, 3).cells, 0)}
     sign = -1.0
-    u = sh.signed_permutation(decomp, sched, 0, 1, 0, 0, bits=3)
+    u = sh.signed_permutation(overlaps, 0, 1, 0, 0, bits=3)
     for j in range(dim):
-        if not graph.covered(0, j, 0, 0):
+        if j not in sources:
             assert u[j, j] == sign
 
 
 def test_signed_permutation_forward_phase():
     decomp = zz_zx()
-    sched = schedule(2, 0, 1, 0.8)
-    overlaps = dc.ScheduleOverlaps(decomp, sched)
+    overlaps = dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 0.8))
     table = overlaps.pair_for_step(0)
     lam = decomp.eigensystems[0].values
-    graph = sh.color_graph(decomp, sched, 0)
-    u = sh.signed_permutation(decomp, sched, 0, 0, 0, 0, bits=6)
+    u = sh.signed_permutation(overlaps, 0, 0, 0, 0, bits=6)
     dim = decomp.dim
-    for j, q in graph.classes[(0, 0)]:
+    for j, q in class_edges(sh.BlockEncoding(overlaps, 0, 6).cells, 0):
         got = u[dim + q, j]
         amp = table.overlap[q, j]
         want = (amp / abs(amp)) * np.exp(-1j * lam[j] * 0.8)
@@ -215,28 +219,27 @@ def test_signed_permutation_forward_phase():
 
 def test_alternating_sum_matches_definitional_average():
     decomp = z_x()
-    sched = schedule(2, 0, 1, 1.2)
+    overlaps = dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 1.2))
     bits = 3
     dim = decomp.dim
-    overlaps = dc.ScheduleOverlaps(decomp, sched)
     d = overlaps.d
     acc = np.zeros((2 * dim, 2 * dim), dtype=complex)
     for b in range(1 << bits):
         for c1 in range(d):
             for c2 in range(d):
-                u = sh.signed_permutation(decomp, sched, 0, b, c1, c2, bits)
+                u = sh.signed_permutation(overlaps, 0, b, c1, c2, bits)
                 flipped = np.vstack([u[dim:], u[:dim]])
                 acc += flipped
     acc /= 1 << bits
-    got = sh.alternating_sum(decomp, sched, 0, bits)
+    got = sh.alternating_sum(overlaps, 0, bits)
     assert np.max(np.abs(acc - got)) <= 1e-12
 
 
 def test_select_applies_the_signed_permutations():
     decomp = three_sparse_pair()
-    sched = schedule(2, 0, 1, 0.9)
+    overlaps = dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 0.9))
     bits = 3
-    enc = sh.BlockEncoding(decomp, sched, 0, bits)
+    enc = sh.BlockEncoding(overlaps, 0, bits)
     dim = decomp.dim
     rng = np.random.default_rng(7)
     x = rng.normal(size=enc.shape) + 1j * rng.normal(size=enc.shape)
@@ -247,7 +250,7 @@ def test_select_applies_the_signed_permutations():
             for c2 in range(enc.d_pad):
                 col = x[b, c1, c2].reshape(2 * dim)
                 if c1 < enc.d and c2 < enc.d:
-                    u = sh.signed_permutation(decomp, sched, 0, b, c1, c2, bits)
+                    u = sh.signed_permutation(overlaps, 0, b, c1, c2, bits)
                     want = np.vstack([u[dim:], u[:dim]]) @ col
                 else:  # padding colors: the signed side flip
                     want = (-1.0) ** b * np.concatenate([col[dim:], col[:dim]])
@@ -261,19 +264,19 @@ def test_select_applies_the_signed_permutations():
 def test_alternating_sum_defect_bound():
     decomp = zz_zx()
     sched = schedule(2, 0, 1, 1.0)
-    exact = sh.transition_operator(decomp, sched, 0)
+    overlaps = dc.ScheduleOverlaps(decomp, sched)
+    exact = sh.transition_operator(overlaps, 0)
     d = dc.sparsity(decomp, sched)
     for bits in (4, 6, 8, 10):
-        approx = sh.projected_step(decomp, sched, 0, bits)
+        approx = sh.projected_step(overlaps, 0, bits)
         defect = spectral_norm(approx - exact)
         assert 0 < defect <= sh.synthesis_defect_bound(d, bits)
 
 
 def test_alternating_sum_block_structure():
     decomp = zz_zx()
-    sched = schedule(2, 0, 1, 1.0)
     dim = decomp.dim
-    full = sh.alternating_sum(decomp, sched, 0, 5)
+    full = sh.alternating_sum(dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 1.0)), 0, 5)
     assert np.all(full[:, dim:] == 0)
     assert np.all(full[dim:, :dim] == 0)
 
@@ -282,10 +285,10 @@ def test_alternating_sum_identity_step_defect_is_exact():
     # magnitude-one entries round to 2^B - 1, so an identity-overlap step
     # lands exactly on the worst-case defect
     decomp = dc.build([np.diag([0.4, -0.9]).astype(complex)])
-    sched = schedule(1, 0, 1, 1.0)
-    exact = sh.transition_operator(decomp, sched, 0)
+    overlaps = dc.ScheduleOverlaps(decomp, schedule(1, 0, 1, 1.0))
+    exact = sh.transition_operator(overlaps, 0)
     for bits in (2, 5, 9):
-        approx = sh.projected_step(decomp, sched, 0, bits)
+        approx = sh.projected_step(overlaps, 0, bits)
         defect = spectral_norm(approx - exact)
         assert defect == pytest.approx(2.0 / (1 << bits), abs=1e-13)
 
@@ -302,9 +305,10 @@ def test_block_identity_examples():
         (dc.build(tilted_example_pair()), schedule(2, 0, 1, 0.5), 0, 5),
     ]
     for decomp, sched, m, bits in cases:
-        enc = sh.BlockEncoding(decomp, sched, m, bits)
+        overlaps = dc.ScheduleOverlaps(decomp, sched)
+        enc = sh.BlockEncoding(overlaps, m, bits)
         dim = decomp.dim
-        synth = sh.alternating_sum(decomp, sched, m, bits)[:dim, :dim]
+        synth = sh.alternating_sum(overlaps, m, bits)[:dim, :dim]
         got = lcu.system_block(enc.apply_w, enc.size, dim) * enc.subnormalization
         assert np.max(np.abs(got - synth)) <= 1e-10
 
@@ -313,11 +317,12 @@ def test_block_identity_with_padded_colors():
     decomp = three_sparse_pair()
     sched = schedule(2, 0, 1, 0.9)
     assert dc.sparsity(decomp, sched) == 3
-    enc = sh.BlockEncoding(decomp, sched, 0, 5)
+    overlaps = dc.ScheduleOverlaps(decomp, sched)
+    enc = sh.BlockEncoding(overlaps, 0, 5)
     assert enc.d_pad == 4
     assert enc.subnormalization == 16.0
     dim = decomp.dim
-    synth = sh.alternating_sum(decomp, sched, 0, 5)[:dim, :dim]
+    synth = sh.alternating_sum(overlaps, 0, 5)[:dim, :dim]
     got = lcu.system_block(enc.apply_w, enc.size, dim) * enc.subnormalization
     assert np.max(np.abs(got - synth)) <= 1e-10
 
@@ -325,7 +330,7 @@ def test_block_identity_with_padded_colors():
 def test_block_encoding_w_unitary_small():
     decomp = z_x()
     sched = schedule(2, 0, 1, 1.0)
-    enc = sh.BlockEncoding(decomp, sched, 0, 3)
+    enc = sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), 0, 3)
     w = enc.w_matrix()
     assert spectral_norm(w @ w.conj().T - np.eye(enc.size)) <= 1e-10
 
@@ -333,7 +338,7 @@ def test_block_encoding_w_unitary_small():
 def test_block_encoding_dense_cap():
     decomp = z_x()
     sched = schedule(2, 0, 1, 1.0)
-    enc = sh.BlockEncoding(decomp, sched, 0, 12)
+    enc = sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), 0, 12)
     with pytest.raises(CapExceeded):
         enc.w_matrix()
 
@@ -341,7 +346,7 @@ def test_block_encoding_dense_cap():
 def test_block_encoding_apply_is_isometric():
     decomp = zz_zx()
     sched = schedule(2, 0, 1, 1.0)
-    enc = sh.BlockEncoding(decomp, sched, 0, 8)
+    enc = sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), 0, 8)
     rng = np.random.default_rng(5)
     x = rng.normal(size=enc.size) + 1j * rng.normal(size=enc.size)
     wx = enc.apply_w(x)
@@ -354,7 +359,7 @@ def test_select_budget_is_constant():
     for decomp in (z_x(), zz_zx()):
         sched = schedule(2, 0, 1, 1.0)
         counter = dc.QueryCounter()
-        enc = sh.BlockEncoding(decomp, sched, 0, 4, counter)
+        enc = sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), 0, 4, counter)
         enc.apply_select(np.zeros(enc.shape, dtype=complex))
         assert counter.snapshot() == sh.SELECT_BUDGET
         enc.apply_w(np.zeros(enc.shape, dtype=complex))
@@ -373,14 +378,14 @@ def test_rounds_for_pinned_values():
 
 def test_amplified_single_color_is_block_itself():
     decomp = dc.build([np.diag([0.7, -0.3]).astype(complex)])
-    sched = schedule(1, 0, 1, 1.1)
-    step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, 0, 6))
+    overlaps = dc.ScheduleOverlaps(decomp, schedule(1, 0, 1, 1.1))
+    step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, 0, 6))
     assert step.p == 0
     assert step.a_prime == pytest.approx(1.0)
     block, weight = step.amplified(method="iterate")
     flat = step.flagged_block()
     assert np.max(np.abs(block - flat)) <= 1e-12
-    exact = sh.transition_operator(decomp, sched, 0)
+    exact = sh.transition_operator(overlaps, 0)
     assert spectral_norm(block - exact) == pytest.approx(2.0 / 64, abs=1e-13)
     assert weight == pytest.approx((1 - 2.0 / 64) ** 2, abs=1e-12)
 
@@ -392,7 +397,7 @@ def test_amplified_svd_matches_applied_reflections():
         (three_sparse_pair(), schedule(2, 0, 1, 0.9), 0, 4),
     ]
     for decomp, sched, m, bits in cases:
-        step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, m, bits))
+        step = sh.AmplifiedStep(sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), m, bits))
         by_iter, w_iter = step.amplified(method="iterate")
         by_svd, w_svd = step.amplified(method="svd")
         assert np.max(np.abs(by_iter - by_svd)) <= 1e-11
@@ -401,7 +406,8 @@ def test_amplified_svd_matches_applied_reflections():
 
 def test_reflection_preserves_norm():
     decomp = zz_zx()
-    step = sh.AmplifiedStep(sh.BlockEncoding(decomp, schedule(2, 0, 1, 1.0), 0, 4))
+    overlaps = dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 1.0))
+    step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, 0, 4))
     rng = np.random.default_rng(9)
     x = rng.normal(size=step.shape) + 1j * rng.normal(size=step.shape)
     rx = step.apply_reflection(x)
@@ -415,10 +421,11 @@ def test_reflection_preserves_norm():
 def test_amplified_accuracy_and_success_weight():
     decomp = zz_zx()
     sched = schedule(2, 0, 1, 1.0)
-    exact = sh.transition_operator(decomp, sched, 0)
+    overlaps = dc.ScheduleOverlaps(decomp, sched)
+    exact = sh.transition_operator(overlaps, 0)
     d = dc.sparsity(decomp, sched)
     for bits in (6, 8, 10):
-        step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, 0, bits))
+        step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, 0, bits))
         assert step.p == 3
         block, weight = step.amplified(method="iterate")
         assert spectral_norm(block - exact) <= sh.amplified_defect_bound(d, bits)
@@ -495,12 +502,25 @@ def test_simulate_reports_the_one_p_of_its_schedule():
     overlaps = dc.ScheduleOverlaps(decomp, sched)
     res = sh.simulate(decomp, k=1, r=2, t=0.7, bits=4)
     for m in range(sched.M):
-        step = sh.AmplifiedStep(sh.BlockEncoding(decomp, sched, m, 4, overlaps=overlaps))
+        step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, m, 4))
         assert step.p == res.p
 
 
+def test_simulate_builds_one_overlap_table(monkeypatch):
+    built = []
+    init = dc.ScheduleOverlaps.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dc.ScheduleOverlaps, "__init__", counting)
+    sh.simulate(zz_xx_yz(), k=1, r=2, t=0.7, bits=4)
+    assert len(built) == 1
+
+
 def test_simulate_rejects_unknown_method():
-    decomp = z_x()
-    step = sh.AmplifiedStep(sh.BlockEncoding(decomp, schedule(2, 0, 1, 1.0), 0, 4))
+    overlaps = dc.ScheduleOverlaps(z_x(), schedule(2, 0, 1, 1.0))
+    step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, 0, 4))
     with pytest.raises(SpecError):
         step.amplified(method="qr")
