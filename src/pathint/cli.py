@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -50,25 +50,7 @@ from .long_time import (
 from .short_time import simulate
 from .trotter import error_bound, measured_error, schedule
 
-KINDS = ("trotter-error", "short-sim", "long-sim", "lagrangian-sim", "gauss-check")
-
 _SPEC_FIELDS = {"kind", "params", "seed", "output"}
-
-_PARAM_FIELDS: dict[str, set[str]] = {
-    "trotter-error": {"decomp", "k", "r_list", "t"},
-    "short-sim": {"decomp", "k", "r", "t", "bits", "sweep"},
-    "long-sim": {"system", "T_sweep", "r"},
-    "lagrangian-sim": {"n", "xmax", "mass", "r", "potential", "initial"},
-    "gauss-check": {"count", "max_coeff"},
-}
-
-_OPTIONAL_FIELDS: dict[str, set[str]] = {
-    "trotter-error": set(),
-    "short-sim": {"sweep"},
-    "long-sim": {"r"},
-    "lagrangian-sim": set(),
-    "gauss-check": set(),
-}
 
 _QUERY_COLUMNS = (
     ("queries_O_ind", "index"),
@@ -114,12 +96,7 @@ def spec_from_dict(doc: object) -> ExperimentSpec:
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict[str, Any]:
-    return {
-        "kind": spec.kind,
-        "params": spec.params,
-        "seed": spec.seed,
-        "output": spec.output,
-    }
+    return asdict(spec)
 
 
 def spec_hash(spec: ExperimentSpec) -> str:
@@ -128,11 +105,11 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 
 def _validate_params(kind: str, params: dict[str, Any]) -> None:
-    allowed = _PARAM_FIELDS[kind]
-    unknown = set(params) - allowed
+    fields = _KIND_TABLE[kind].params
+    unknown = set(params) - {p.name for p in fields}
     if unknown:
         raise SpecError(f"unknown params for {kind}: {sorted(unknown)}")
-    missing = allowed - _OPTIONAL_FIELDS[kind] - set(params)
+    missing = {p.name for p in fields if not p.optional} - set(params)
     if missing:
         raise SpecError(f"missing params for {kind}: {sorted(missing)}")
 
@@ -191,22 +168,22 @@ def _decomposition_from_param(value: Any) -> Decomposition:
 def _system_builder(value: Any) -> Callable[[float], TimeDependentHamiltonian]:
     """Turn a system description into a total-time -> Hamiltonian builder.
 
-    Builtin string form: sweep:<linear|sine>:<a>,<b>.  JSON form: a document
-    with family 'sweep' or 'interaction-frame'; the latter rebuilds per
-    total time because its drift scales with it.
+    Builtin string form: sweep:<linear|sine>:<a>,<b>, read as the sweep
+    document it names.  JSON form: a document with family 'sweep' or
+    'interaction-frame'; the latter rebuilds per total time because its
+    drift scales with it.
     """
     if isinstance(value, str) and value.startswith("sweep:"):
         pieces = value.split(":")
         if len(pieces) != 3 or "," not in pieces[2]:
             raise SpecError("builtin system must look like sweep:<shape>:<a>,<b>")
-        shape = pieces[1]
         try:
             a, b = (float(v) for v in pieces[2].split(","))
         except ValueError:
             raise SpecError("builtin system coefficients must be numbers") from None
-        ham = two_level_sweep(a, b, shape=shape)
-        return lambda total_time: ham
-    doc = _json_or_path(value, "system")
+        doc = {"family": "sweep", "shape": pieces[1], "a": a, "b": b}
+    else:
+        doc = _json_or_path(value, "system")
     family = doc.get("family")
     if family == "sweep":
         allowed = {"family", "shape", "a", "b", "grid"}
@@ -320,9 +297,6 @@ def _run_trotter_error(params: dict[str, Any], seed: int) -> tuple[list[str], li
         meas = measured_error(decomp, sched)
         rows.append([_fmt(k), _fmt(r), _fmt(bound), _fmt(meas)])
     return ["k", "r", "bound", "measured"], rows
-
-
-_SHORT_SWEEPABLE = {"k": int, "r": int, "t": float, "bits": int}
 
 
 def _run_short_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
@@ -448,13 +422,105 @@ def _run_gauss_check(params: dict[str, Any], seed: int) -> tuple[list[str], list
     return header, rows
 
 
-_RUNNERS: dict[str, Callable[[dict[str, Any], int], tuple[list[str], list[list[str]]]]] = {
-    "trotter-error": _run_trotter_error,
-    "short-sim": _run_short_sim,
-    "long-sim": _run_long_sim,
-    "lagrangian-sim": _run_lagrangian_sim,
-    "gauss-check": _run_gauss_check,
+# ---------------------------------------------------------------------------
+# experiment kinds: one table drives the parser, inline flags and spec check
+
+
+def _csv_values(text: str, caster: type, what: str) -> list[Any]:
+    try:
+        return [caster(v) for v in text.split(",")]
+    except ValueError:
+        noun = "integers" if caster is int else "numbers"
+        raise SpecError(f"{what} must be comma-separated {noun}") from None
+
+
+def _sweep_flag(text: str) -> dict[str, Any]:
+    name, _, rest = text.partition(":")
+    if name not in _SHORT_SWEEPABLE or not rest:
+        raise SpecError("--sweep must look like param:v1,v2,...")
+    values = _csv_values(rest, _SHORT_SWEEPABLE[name], "--sweep values")
+    return {"param": name, "values": values}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One document parameter; its flag is --name with '_' written as '-'.
+
+    ``parse`` turns flag text into the document value (JSON documents are
+    read here, so the spec hash depends on their content, not their path).
+    """
+
+    name: str
+    type: type = str
+    parse: Callable[[str], Any] | None = None
+    optional: bool = False
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+Runner = Callable[[dict[str, Any], int], tuple[list[str], list[list[str]]]]
+
+
+@dataclass(frozen=True)
+class Kind:
+    help: str
+    runner: Runner
+    params: tuple[Param, ...]
+
+
+_DECOMP = Param(
+    "decomp", parse=lambda v: _json_or_path(v, "decomposition"),
+    help="decomposition JSON (inline or path)",
+)
+
+_KIND_TABLE: dict[str, Kind] = {
+    "trotter-error": Kind("product-formula error sweep over r", _run_trotter_error, (
+        _DECOMP,
+        Param("k", int),
+        Param("r_list", parse=lambda v: _csv_values(v, int, "--r-list"),
+              help="comma-separated step counts"),
+        Param("t", float),
+    )),
+    "short-sim": Kind("amplified path-sum simulation", _run_short_sim, (
+        _DECOMP,
+        Param("k", int),
+        Param("r", int),
+        Param("t", float),
+        Param("bits", int),
+        Param("sweep", parse=_sweep_flag, optional=True,
+              help="param:v1,v2,... over one of k,r,t,bits"),
+    )),
+    "long-sim": Kind("slow-sweep truncated propagator errors", _run_long_sim, (
+        Param("system",
+              parse=lambda v: v if v.startswith("sweep:") else _json_or_path(v, "system"),
+              help="sweep:<shape>:<a>,<b>, JSON, or a path"),
+        Param("T_sweep", parse=lambda v: _csv_values(v, float, "--T-sweep"),
+              help="comma-separated total times"),
+        Param("r", int, optional=True, help="quadrature panel count"),
+    )),
+    "lagrangian-sim": Kind("lattice action-phase trajectory", _run_lagrangian_sim, (
+        Param("n", int),
+        Param("xmax", float),
+        Param("mass", float),
+        Param("r", int),
+        Param("potential",
+              parse=lambda v: _json_or_path(v, "potential") if v.lstrip().startswith("{") else v,
+              help="zero|constant:c|harmonic:omega,x0|well:d,l,r"),
+        Param("initial", help="gaussian:x0,sigma,k0 or basis:q"),
+    )),
+    "gauss-check": Kind("reciprocity fuzz over random triples", _run_gauss_check, (
+        Param("count", int),
+        Param("max_coeff", int),
+    )),
 }
+
+KINDS = tuple(_KIND_TABLE)
+# short-sim's numeric parameters, each with the type a sweep casts to
+_SHORT_SWEEPABLE = {p.name: p.type for p in _KIND_TABLE["short-sim"].params if p.type is not str}
+_RUNNERS: dict[str, Runner] = {name: kind.runner for name, kind in _KIND_TABLE.items()}
 
 
 def run(spec: ExperimentSpec) -> None:
@@ -480,131 +546,32 @@ def run(spec: ExperimentSpec) -> None:
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--spec", help="path to a full experiment JSON document")
-    sub.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    sub.add_argument("--out", help="output CSV path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathint",
         description="Run reproducible simulation experiments; one CSV per run.",
     )
     subs = parser.add_subparsers(dest="kind", required=True)
-
-    sub = subs.add_parser("trotter-error", help="product-formula error sweep over r")
-    _add_common(sub)
-    sub.add_argument("--decomp", help="decomposition JSON (inline or path)")
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--r-list", help="comma-separated step counts")
-    sub.add_argument("--t", type=float)
-
-    sub = subs.add_parser("short-sim", help="amplified path-sum simulation")
-    _add_common(sub)
-    sub.add_argument("--decomp", help="decomposition JSON (inline or path)")
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--t", type=float)
-    sub.add_argument("--bits", type=int)
-    sub.add_argument("--sweep", help="param:v1,v2,... over one of k,r,t,bits")
-
-    sub = subs.add_parser("long-sim", help="slow-sweep truncated propagator errors")
-    _add_common(sub)
-    sub.add_argument("--system", help="sweep:<shape>:<a>,<b>, JSON, or a path")
-    sub.add_argument("--T-sweep", dest="T_sweep", help="comma-separated total times")
-    sub.add_argument("--r", type=int, help="quadrature panel count")
-
-    sub = subs.add_parser("lagrangian-sim", help="lattice action-phase trajectory")
-    _add_common(sub)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--xmax", type=float)
-    sub.add_argument("--mass", type=float)
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--potential", help="zero|constant:c|harmonic:omega,x0|well:d,l,r")
-    sub.add_argument("--initial", help="gaussian:x0,sigma,k0 or basis:q")
-
-    sub = subs.add_parser("gauss-check", help="reciprocity fuzz over random triples")
-    _add_common(sub)
-    sub.add_argument("--count", type=int)
-    sub.add_argument("--max-coeff", dest="max_coeff", type=int)
-
+    for name, kind in _KIND_TABLE.items():
+        sub = subs.add_parser(name, help=kind.help)
+        sub.add_argument("--spec", help="path to a full experiment JSON document")
+        sub.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+        sub.add_argument("--out", help="output CSV path")
+        for param in kind.params:
+            sub.add_argument(param.flag, dest=param.name, type=param.type, help=param.help)
     return parser
 
 
-def _int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise SpecError(f"{what} must be comma-separated integers") from None
-
-
-def _float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise SpecError(f"{what} must be comma-separated numbers") from None
-
-
 def _inline_params(args: argparse.Namespace) -> dict[str, Any]:
-    def need(name: str, flag: str) -> Any:
-        value = getattr(args, name)
+    params: dict[str, Any] = {}
+    for param in _KIND_TABLE[args.kind].params:
+        value = getattr(args, param.name)
         if value is None:
-            raise SpecError(f"missing required flag {flag} (or use --spec)")
-        return value
-
-    if args.kind == "trotter-error":
-        return {
-            "decomp": _json_or_path(need("decomp", "--decomp"), "decomposition"),
-            "k": need("k", "--k"),
-            "r_list": _int_list(need("r_list", "--r-list"), "--r-list"),
-            "t": need("t", "--t"),
-        }
-    if args.kind == "short-sim":
-        params: dict[str, Any] = {
-            "decomp": _json_or_path(need("decomp", "--decomp"), "decomposition"),
-            "k": need("k", "--k"),
-            "r": need("r", "--r"),
-            "t": need("t", "--t"),
-            "bits": need("bits", "--bits"),
-        }
-        if args.sweep is not None:
-            name, _, rest = args.sweep.partition(":")
-            if name not in _SHORT_SWEEPABLE or not rest:
-                raise SpecError("--sweep must look like param:v1,v2,...")
-            if _SHORT_SWEEPABLE[name] is int:
-                values: list[Any] = _int_list(rest, "--sweep values")
-            else:
-                values = _float_list(rest, "--sweep values")
-            params["sweep"] = {"param": name, "values": values}
-        return params
-    if args.kind == "long-sim":
-        system = need("system", "--system")
-        if isinstance(system, str) and not system.startswith("sweep:"):
-            system = _json_or_path(system, "system")
-        params = {
-            "system": system,
-            "T_sweep": _float_list(need("T_sweep", "--T-sweep"), "--T-sweep"),
-        }
-        if args.r is not None:
-            params["r"] = args.r
-        return params
-    if args.kind == "lagrangian-sim":
-        potential = need("potential", "--potential")
-        if isinstance(potential, str) and potential.lstrip().startswith("{"):
-            potential = _json_or_path(potential, "potential")
-        return {
-            "n": need("n", "--n"),
-            "xmax": need("xmax", "--xmax"),
-            "mass": need("mass", "--mass"),
-            "r": need("r", "--r"),
-            "potential": potential,
-            "initial": need("initial", "--initial"),
-        }
-    return {
-        "count": need("count", "--count"),
-        "max_coeff": need("max_coeff", "--max-coeff"),
-    }
+            if param.optional:
+                continue
+            raise SpecError(f"missing required flag {param.flag} (or use --spec)")
+        params[param.name] = value if param.parse is None else param.parse(value)
+    return params
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:

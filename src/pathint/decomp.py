@@ -15,7 +15,6 @@ phase, eigenvalue phase), each wired to a shared query counter.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -135,17 +134,6 @@ def decomposition_from_json(doc: dict) -> Decomposition:
     return build(terms, zero_tol=zero_tol)
 
 
-def load_decomposition(path: str) -> Decomposition:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SpecError(f"cannot read decomposition file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"decomposition file is not valid JSON: {exc}") from exc
-    return decomposition_from_json(doc)
-
-
 # ---------------------------------------------------------------------------
 # overlap tables
 
@@ -160,12 +148,10 @@ class PairOverlap:
     padding ascending.  The two tables enumerate the same d-regular edge set.
     """
 
-    pair: tuple[int, int]
     overlap: np.ndarray
     fwd: np.ndarray
     bwd: np.ndarray
     fwd_genuine: np.ndarray
-    bwd_genuine: np.ndarray
     d: int
 
 
@@ -244,14 +230,12 @@ def _pair_overlap(decomp: Decomposition, cur: int, nxt: int, d: int) -> PairOver
         return None
     adj = genuine.T | padded
     fwd, fwd_gen = _partner_table(adj, genuine.T, 0)
-    bwd, bwd_gen = _partner_table(adj, genuine.T, 1)
+    bwd, _ = _partner_table(adj, genuine.T, 1)
     return PairOverlap(
-        pair=(cur, nxt),
         overlap=overlap,
         fwd=fwd,
         bwd=bwd,
         fwd_genuine=fwd_gen,
-        bwd_genuine=bwd_gen,
         d=d,
     )
 

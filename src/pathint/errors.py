@@ -1,4 +1,4 @@
-# Shared exception types. The CLI maps each class to a distinct exit code.
+# Shared exception types. cli.main maps each class to its exit code: 2, 3, 4.
 
 from __future__ import annotations
 
@@ -6,16 +6,10 @@ from __future__ import annotations
 class SpecError(ValueError):
     """Malformed experiment spec, bad flag value, or rejected input file."""
 
-    exit_code = 2
-
 
 class CapExceeded(RuntimeError):
     """A request walked past a documented desk-scale size cap."""
 
-    exit_code = 3
-
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed on otherwise valid input."""
-
-    exit_code = 4

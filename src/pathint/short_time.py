@@ -419,9 +419,7 @@ def simulate(
         nxt = sched.factors[m + 1].term if m + 1 < sched.M else factor.term
         key = (factor.term, nxt, factor.weight)
         if key not in cache:
-            # builders use a scratch counter: matrix reconstruction is not
-            # part of the algorithm's query account
-            encoding = BlockEncoding(overlaps, m, bits, QueryCounter())
+            encoding = BlockEncoding(overlaps, m, bits)
             step = AmplifiedStep(encoding)
             cache[key] = step.amplified()
             p = step.p  # rounds_for(d_pad^2) of the schedule-wide d: one p for all

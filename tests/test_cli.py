@@ -351,3 +351,81 @@ def test_long_sim_interaction_frame_system(tmp_path):
     header, rows = read_rows(out)
     assert header == ["T", "r", "measured_error", "truncation_bound"]
     assert rows[0][2] <= rows[0][3]
+
+
+# The criterion-14 invocations, flag by flag, each beside the experiment
+# document written out by hand.  Lists from flags are floats where the flag
+# parser reads numbers, so T_sweep is [20.0], not [20].
+ZX_DOC = {"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "X", "coeff": 1.0}]}
+INVOCATIONS = {
+    "trotter-error": (
+        {"--decomp": ZX_DECOMP, "--k": "1", "--r-list": "2,4", "--t": "0.5"},
+        {"decomp": ZX_DOC, "k": 1, "r_list": [2, 4], "t": 0.5},
+    ),
+    "short-sim": (
+        {"--decomp": ZX_DECOMP, "--k": "1", "--r": "2", "--t": "0.3", "--bits": "6"},
+        {"decomp": ZX_DOC, "k": 1, "r": 2, "t": 0.3, "bits": 6},
+    ),
+    "long-sim": (
+        {"--system": "sweep:sine:1.0,0.2", "--T-sweep": "20", "--r": "64"},
+        {"system": "sweep:sine:1.0,0.2", "T_sweep": [20.0], "r": 64},
+    ),
+    "lagrangian-sim": (
+        {"--n": "5", "--xmax": "16.0", "--mass": "1.0", "--r": "6",
+         "--potential": "harmonic:0.4,8.0", "--initial": "gaussian:8.0,1.2,0.8"},
+        {"n": 5, "xmax": 16.0, "mass": 1.0, "r": 6,
+         "potential": "harmonic:0.4,8.0", "initial": "gaussian:8.0,1.2,0.8"},
+    ),
+    "gauss-check": (
+        {"--count": "20", "--max-coeff": "30"},
+        {"count": 20, "max_coeff": 30},
+    ),
+}
+OPTIONAL_FLAGS = {("long-sim", "--r")}
+REQUIRED_FLAGS = [
+    (kind, flag)
+    for kind, (flags, _) in INVOCATIONS.items()
+    for flag in flags
+    if (kind, flag) not in OPTIONAL_FLAGS
+]
+
+
+def flag_argv(kind: str, flags: dict[str, str]) -> list[str]:
+    return [kind] + [word for pair in flags.items() for word in pair]
+
+
+@pytest.mark.parametrize("kind", sorted(INVOCATIONS))
+def test_inline_flags_match_the_written_document(tmp_path, kind):
+    flags, params = INVOCATIONS[kind]
+    out = tmp_path / "x.csv"
+    manifest = tmp_path / "x.csv.manifest.json"
+    assert cli.main(flag_argv(kind, flags) + ["--seed", "11", "--out", str(out)]) == 0
+    from_flags = out.read_bytes(), json.loads(manifest.read_text())["spec_hash"]
+    out.unlink()
+    manifest.unlink()
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"kind": kind, "params": params, "seed": 11, "output": str(out)}
+    ))
+    assert cli.main([kind, "--spec", str(spec_path)]) == 0
+    assert (out.read_bytes(), json.loads(manifest.read_text())["spec_hash"]) == from_flags
+
+
+def test_required_flags_cover_every_document_parameter():
+    for kind, (flags, _) in INVOCATIONS.items():
+        required = {flag for k, flag in REQUIRED_FLAGS if k == kind}
+        assert set(flags) == {"--" + p.replace("_", "-") for p in INVOCATIONS[kind][1]}
+        assert required == {
+            p.flag for p in cli._KIND_TABLE[kind].params if not p.optional
+        }
+
+
+@pytest.mark.parametrize(("kind", "flag"), REQUIRED_FLAGS)
+def test_each_required_flag_is_checked(tmp_path, capsys, kind, flag):
+    flags = dict(INVOCATIONS[kind][0])
+    del flags[flag]
+    assert cli.main(flag_argv(kind, flags) + ["--out", str(tmp_path / "x.csv")]) == 2
+    doc = json.loads(capsys.readouterr().err.strip())
+    assert doc["error"] == "spec"
+    assert doc["message"] == f"missing required flag {flag} (or use --spec)"
+    assert not (tmp_path / "x.csv").exists()

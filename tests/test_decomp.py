@@ -199,8 +199,10 @@ def test_json_loading_with_pauli_shorthand(tmp_path):
     path = tmp_path / "decomp.json"
     import json
 
+    from pathint import cli
+
     path.write_text(json.dumps(doc))
-    d2 = dc.load_decomposition(str(path))
+    d2 = cli._decomposition_from_param(str(path))
     npt.assert_allclose(d2.terms[0], d.terms[0])
 
 
