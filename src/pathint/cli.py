@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .decomp import Decomposition, decomposition_from_json
+from .decomp import Decomposition, decomposition_from_json, require_number
 from .errors import CapExceeded, InvariantViolation, SpecError
 from .lattice import (
     LatticeConfig,
@@ -122,10 +122,7 @@ def _require_int(params: dict[str, Any], name: str, minimum: int) -> int:
 
 
 def _require_number(params: dict[str, Any], name: str) -> float:
-    value = params[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"param {name!r} must be a number")
-    return float(value)
+    return require_number(params[name], f"param {name!r}")
 
 
 def _fmt(value: Any) -> str:
@@ -193,8 +190,8 @@ def _system_builder(value: Any) -> Callable[[float], TimeDependentHamiltonian]:
         if not {"shape", "a", "b"} <= set(doc):
             raise SpecError("sweep system needs shape, a, b")
         ham = two_level_sweep(
-            float(doc["a"]), float(doc["b"]),
-            shape=doc["shape"], grid=int(doc.get("grid", 256)),
+            _require_number(doc, "a"), _require_number(doc, "b"),
+            shape=doc["shape"], grid=_require_int(doc, "grid", 1) if "grid" in doc else 256,
         )
         return lambda total_time: ham
     if family == "interaction-frame":
@@ -206,7 +203,7 @@ def _system_builder(value: Any) -> Callable[[float], TimeDependentHamiltonian]:
             raise SpecError("interaction-frame system needs generator and coupling")
         gen = decomposition_from_json(_json_or_path(doc["generator"], "generator"))
         coup = decomposition_from_json(_json_or_path(doc["coupling"], "coupling"))
-        grid = int(doc.get("grid", 64))
+        grid = _require_int(doc, "grid", 1) if "grid" in doc else 64
         return lambda total_time: interaction_frame(
             gen.total(), coup.total(), total_time, grid=grid
         )
@@ -242,14 +239,15 @@ def _potential_from_param(value: Any, cfg: LatticeConfig) -> Potential:
     if name == "zero" and not fields:
         return zero_potential()
     if name == "constant" and fields == {"level"}:
-        return constant_potential(float(doc["level"]))
+        return constant_potential(_require_number(doc, "level"))
     if name == "harmonic" and fields == {"omega", "center"}:
         return harmonic_potential(
-            cfg.mass, float(doc["omega"]), float(doc["center"]), cfg.x_max
+            cfg.mass, _require_number(doc, "omega"), _require_number(doc, "center"), cfg.x_max
         )
     if name == "well" and fields == {"depth", "left", "right"}:
         return square_well_potential(
-            float(doc["depth"]), float(doc["left"]), float(doc["right"])
+            _require_number(doc, "depth"), _require_number(doc, "left"),
+            _require_number(doc, "right"),
         )
     raise SpecError(f"unrecognized potential document: {doc}")
 
@@ -290,7 +288,7 @@ def _run_trotter_error(params: dict[str, Any], seed: int) -> tuple[list[str], li
         raise SpecError("param 'r_list' must be a non-empty list of integers")
     rows = []
     for r in r_list:
-        if not isinstance(r, int) or r < 1:
+        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
             raise SpecError("r_list entries must be positive integers")
         sched = schedule(decomp.term_count, k, r, t)
         bound = error_bound(decomp, k, t, r)
@@ -299,15 +297,18 @@ def _run_trotter_error(params: dict[str, Any], seed: int) -> tuple[list[str], li
     return ["k", "r", "bound", "measured"], rows
 
 
-def _run_short_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
-    decomp = _decomposition_from_param(params["decomp"])
-    base = {
+def _short_point(params: dict[str, Any]) -> dict[str, Any]:
+    return {
         "k": _require_int(params, "k", 0),
         "r": _require_int(params, "r", 1),
         "t": _require_number(params, "t"),
         "bits": _require_int(params, "bits", 1),
     }
-    points = [base]
+
+
+def _run_short_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
+    decomp = _decomposition_from_param(params["decomp"])
+    points = [_short_point(params)]
     sweep = params.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict) or set(sweep) != {"param", "values"}:
@@ -318,8 +319,7 @@ def _run_short_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[l
         values = sweep["values"]
         if not isinstance(values, list) or not values:
             raise SpecError("sweep values must be a non-empty list")
-        caster = _SHORT_SWEEPABLE[name]
-        points = [dict(base, **{name: caster(v)}) for v in values]
+        points = [_short_point(dict(params, **{name: v})) for v in values]
     header = ["k", "r", "B", "d", "M", "measured_error", "bound"]
     header += [col for col, _ in _QUERY_COLUMNS]
     rows = []

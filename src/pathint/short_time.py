@@ -111,30 +111,26 @@ def _pad_colors(d: int) -> int:
 
 
 def _step_cells(overlaps: ScheduleOverlaps, m: int, bits: int) -> lcu.SignedPermutationCells:
-    """Select cells of one step: the d^2-coloring of its transition graph.
+    """Select cells of one step: the d^2-coloring of its overlap graph.
 
-    The edge j -> q at forward slot c1 of j, where j sits at backward slot
-    c2 of q, goes to cell (c1, c2) and carries the overlap phase times the
-    eigenphase of j and the rounded overlap magnitude.  Every other column
-    keeps the folded side flip with threshold 0 and cancels in the replica
-    average; padding colors hold no edges.  A class that is not a matching
-    leaves a cell that is not a permutation.
+    The genuine edge j -> q, where q is the c1-th genuine partner of j and
+    j the c2-th genuine partner of q (both counted in ascending order), goes
+    to cell (c1, c2) and carries the overlap phase times the eigenphase of
+    j and the rounded overlap magnitude.  Every other column keeps the
+    folded side flip with threshold 0 and cancels in the replica average;
+    padding colors hold no edges.
     """
     table = overlaps.pair_for_step(m)
     values, _, tau = _factor_eigendata(overlaps.decomp, overlaps.schedule, m)
-    dim, d = overlaps.decomp.dim, overlaps.d
-    j, c1 = np.divmod(np.arange(dim * d), d)
-    q = table.fwd[j, c1]
-    back = table.bwd[q] == j[:, None]
-    bad = np.flatnonzero(back.sum(axis=1) != 1)
-    if bad.size:
-        e = bad[0]
-        raise InvariantViolation(f"partner tables disagree on edge ({j[e]}, {q[e]}) of step {m}")
-    colors = _pad_colors(d)
-    perm, phase, thr = lcu.blank_cells(colors * colors, dim)
-    k = c1 * colors + np.argmax(back, axis=1)
+    colors = _pad_colors(overlaps.d)
+    genuine = table.genuine
+    q, j = np.nonzero(genuine)
+    c1 = np.cumsum(genuine, axis=0)[q, j] - 1
+    c2 = np.cumsum(genuine, axis=1)[q, j] - 1
+    perm, phase, thr = lcu.blank_cells(colors * colors, overlaps.decomp.dim)
     eigenphase = np.exp(-1j * values * tau)
-    lcu.route(perm, phase, thr, bits, zip(k, j, q, table.overlap[q, j], eigenphase[j]))
+    edges = zip(c1 * colors + c2, j, q, table.overlap[q, j], eigenphase[j])
+    lcu.route(perm, phase, thr, bits, edges)
     return lcu.SignedPermutationCells(perm, phase, thr, bits, colors * colors)
 
 
@@ -316,8 +312,8 @@ class AmplifiedStep:
         Equal to the replica-averaged transition divided by a', without
         touching the high-dimensional registers.
         """
-        s = self.encoding.cells.average()
-        return s[: self.encoding.dim, : self.encoding.dim] / self.a_prime
+        enc = self.encoding
+        return enc.block() * enc.subnormalization / self.a_prime
 
     def _amplified_iterate(self) -> np.ndarray:
         def amplify(v: np.ndarray) -> np.ndarray:

@@ -429,3 +429,43 @@ def test_each_required_flag_is_checked(tmp_path, capsys, kind, flag):
     assert doc["error"] == "spec"
     assert doc["message"] == f"missing required flag {flag} (or use --spec)"
     assert not (tmp_path / "x.csv").exists()
+
+
+# Document numbers of the wrong type, each inside an otherwise valid
+# criterion-14 document: a string where a number belongs, a fraction where
+# an integer belongs, or a boolean where a step count belongs.
+SWEEP_SYSTEM = {"family": "sweep", "shape": "sine", "a": 1.0, "b": 0.2}
+FRAME_SYSTEM = {
+    "family": "interaction-frame",
+    "generator": {"n": 1, "terms": [{"pauli": "Z", "coeff": 0.02}]},
+    "coupling": {"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "X", "coeff": 0.45}]},
+}
+BAD_NUMBERS = {
+    "sweep-value": ("short-sim", {"sweep": {"param": "bits", "values": ["x"]}}),
+    "sweep-fractional-bits": ("short-sim", {"sweep": {"param": "bits", "values": [2.9]}}),
+    "system-a": ("long-sim", {"system": dict(SWEEP_SYSTEM, a="x")}),
+    "system-b": ("long-sim", {"system": dict(SWEEP_SYSTEM, b="x")}),
+    "system-grid": ("long-sim", {"system": dict(SWEEP_SYSTEM, grid="x")}),
+    "frame-grid": ("long-sim", {"system": dict(FRAME_SYSTEM, grid="x")}),
+    "potential-level": ("lagrangian-sim", {"potential": {"name": "constant", "level": "x"}}),
+    "decomp-n": ("short-sim", {"decomp": dict(ZX_DOC, n="x")}),
+    "decomp-fractional-n": ("short-sim", {"decomp": dict(ZX_DOC, n=1.7)}),
+    "decomp-coeff": ("short-sim", {"decomp": {"n": 1, "terms": [{"pauli": "Z", "coeff": "x"}]}}),
+    "decomp-zero-tol": ("short-sim", {"decomp": dict(ZX_DOC, zero_tol="x")}),
+    "r-list-boolean": ("trotter-error", {"r_list": [True]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_document_numbers_are_checked(tmp_path, capsys, case):
+    kind, change = BAD_NUMBERS[case]
+    out = tmp_path / "x.csv"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"kind": kind, "params": dict(INVOCATIONS[kind][1], **change), "seed": 0, "output": str(out)}
+    ))
+    assert cli.main([kind, "--spec", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "spec"
+    assert not out.exists()

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathint import decomp as dc
+from pathint import short_time as sh
 from pathint import trotter
 from pathint.errors import SpecError
 from support import (
+    class_edges,
     pauli_string,
     random_decomposition_terms,
     tilted_example_pair,
@@ -64,30 +66,39 @@ def test_sparsity_trivial_cases():
     diag_pair = dc.build([pauli_string("Z"), np.diag([0.3, -0.2]).astype(complex)])
     assert dc.sparsity(diag_pair, two_term_schedule()) == 1
     ov = dc.ScheduleOverlaps(diag_pair, two_term_schedule())
+    assert ov.d == 1
     for m in range(4):
-        for b in (0, 1):
-            for j in (0, 1):
-                assert ov.partner(m, b, j, 0) == j
+        npt.assert_array_equal(ov.pair_for_step(m).genuine, np.eye(2, dtype=bool))
+
+
+def cell_colors(overlaps: dc.ScheduleOverlaps, m: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """Edge (j, q) -> its color (c1, c2), read from the step's select cells."""
+    enc = sh.BlockEncoding(overlaps, m, 8)
+    return {
+        edge: divmod(k, enc.d_pad)
+        for k in range(len(enc.cells.perm))
+        for edge in class_edges(enc.cells, k)
+    }
 
 
 def test_partner_enumeration_pinned_values():
     # Worked two-qubit example in its pinned state enumeration: source state 2
-    # couples to targets 2 and 3 on the step from the diagonal to the mixed term.
+    # couples to targets 2 and 3 on the step from the diagonal to the mixed
+    # term.  Edge j -> q takes color (rank of q among j's partners, rank of j
+    # among q's partners).
     d = dc.build(tilted_example_pair())
     ov = dc.ScheduleOverlaps(d, two_term_schedule())
     assert ov.d == 2
-    assert ov.partner(0, 0, 2, 0) == 2
-    assert ov.partner(0, 0, 2, 1) == 3
-    assert ov.partner(0, 0, 0, 0) == 0
-    assert ov.partner(0, 0, 0, 1) == 1
-    # backward table agrees
-    assert ov.partner(0, 1, 2, 0) == 2
-    assert ov.partner(0, 1, 3, 0) == 2
+    assert cell_colors(ov, 0) == {
+        (0, 0): (0, 0), (0, 1): (1, 0), (1, 0): (0, 1), (1, 1): (1, 1),
+        (2, 2): (0, 0), (2, 3): (1, 0), (3, 2): (0, 1), (3, 3): (1, 1),
+    }
 
 
-def test_padding_completes_to_regular_structure():
+def test_missing_partners_are_not_padded():
     # Eigenbasis of the second term splits into an identity block and a mixed
-    # block, so two source states have one genuine partner and need padding.
+    # block, so two source states have one genuine partner.  Their missing
+    # second partner is left out: six edges, not a 2-regular eight.
     e = np.eye(4, dtype=complex)
     basis = [e[0], e[1], (e[2] + e[3]) / np.sqrt(2), (e[2] - e[3]) / np.sqrt(2)]
     h0 = np.diag(np.arange(4.0, dtype=complex))
@@ -95,46 +106,31 @@ def test_padding_completes_to_regular_structure():
     d = dc.build([h0, np.asarray(h1)])
     ov = dc.ScheduleOverlaps(d, two_term_schedule())
     assert ov.d == 2
-    table = ov.pair_for_step(0)
-    # every state lists exactly d partners on both sides
-    assert table.fwd.shape == (4, 2)
-    assert table.bwd.shape == (4, 2)
-    edges_fwd = {(j, int(q)) for j in range(4) for q in table.fwd[j]}
-    edges_bwd = {(int(j), q) for q in range(4) for j in table.bwd[q]}
-    assert edges_fwd == edges_bwd
-    assert len(edges_fwd) == 8
-    # padded entries carry zero amplitude
-    for j in range(4):
-        for slot in range(2):
-            if not table.fwd_genuine[j, slot]:
-                assert abs(table.overlap[table.fwd[j, slot], j]) <= d.zero_tol
+    assert cell_colors(ov, 0) == {
+        (0, 0): (0, 0), (1, 1): (0, 0),
+        (2, 2): (0, 0), (2, 3): (1, 0), (3, 2): (0, 1), (3, 3): (1, 1),
+    }
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 2), st.integers(2, 3))
-def test_partner_tables_well_formed_on_random_instances(seed, n, L):
+def test_cells_color_exactly_the_genuine_edges(seed, n, L):
     rng = np.random.default_rng(seed)
     d = dc.build(random_decomposition_terms(rng, n, L))
     sched = trotter.schedule(L, 1, 1, 1.0)
     ov = dc.ScheduleOverlaps(d, sched)
     for m in range(sched.M):
-        table = ov.pair_for_step(m)
-        dim = d.dim
-        fwd_edges = {(j, int(q)) for j in range(dim) for q in table.fwd[j]}
-        bwd_edges = {(int(j), q) for q in range(dim) for j in table.bwd[q]}
-        assert fwd_edges == bwd_edges
-        assert len(fwd_edges) == dim * ov.d
-        for j in range(dim):
-            row = table.fwd[j]
-            assert len(set(int(x) for x in row)) == ov.d
-            gen = row[table.fwd_genuine[j]]
-            pad = row[~table.fwd_genuine[j]]
-            assert list(gen) == sorted(gen)
-            assert list(pad) == sorted(pad)
-            for q in gen:
-                assert abs(table.overlap[q, j]) > d.zero_tol
-            for q in pad:
-                assert abs(table.overlap[q, j]) <= d.zero_tol
+        enc = sh.BlockEncoding(ov, m, 4)
+        classes = [class_edges(enc.cells, k) for k in range(len(enc.cells.perm))]
+        for k, edges in enumerate(classes):
+            # a matching: no two edges share a source or a target
+            assert len({j for j, _ in edges}) == len({q for _, q in edges}) == len(edges)
+            if edges:
+                assert k // enc.d_pad < ov.d and k % enc.d_pad < ov.d
+        routed = [edge for edges in classes for edge in edges]
+        q, j = np.nonzero(ov.pair_for_step(m).genuine)
+        assert len(routed) == len(set(routed))
+        assert set(routed) == set(zip(j.tolist(), q.tolist()))
 
 
 def test_rounding_halves_to_even_and_clamps():
@@ -144,32 +140,6 @@ def test_rounding_halves_to_even_and_clamps():
     assert dc.round_to_bits(0.0, 4) == 0
     # pinned magnitude: overlap 1/sqrt(2) at eight bits rounds to 181
     assert dc.round_to_bits(1 / np.sqrt(2), 8) == 181
-
-
-def test_oracle_suite_values_and_counting():
-    d = dc.build(tilted_example_pair())
-    suite = dc.OracleSuite(d, two_term_schedule(), bits=8)
-    assert suite.magnitude(0, 2, 2) == 181
-    assert suite.magnitude(0, 2, 0) == 0
-    ph = suite.phase(0, 2, 3)
-    assert abs(abs(ph) - 1.0) < 1e-12
-    # eigenphase of source state j on factor 0: weight 1/2, t/r = 1
-    lam = d.eigensystems[1].values[2]
-    npt.assert_allclose(suite.eigenphase(0, 2), np.exp(-0.5j * lam))
-    assert suite.counter.snapshot() == {
-        "magnitude": 2,
-        "phase": 1,
-        "eigenphase": 1,
-    }
-    suite.index(0, 0, 2, 0)
-    assert suite.counter.snapshot()["index"] == 1
-
-
-def test_eigenphase_minus_one_example():
-    d = dc.build([np.diag([1.0, -1.0]).astype(complex)])
-    suite = dc.OracleSuite(d, trotter.schedule(1, 0, 1, np.pi), bits=4)
-    # state 1 carries eigenvalue +1; weight * t / r = pi
-    npt.assert_allclose(suite.eigenphase(0, 1), -1.0, atol=1e-12)
 
 
 def test_overlap_tables_are_unitary():

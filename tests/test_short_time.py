@@ -152,14 +152,14 @@ def test_color_graph_validity_examples():
         enc = sh.BlockEncoding(overlaps, m, 4)
         classes = {k: class_edges(enc.cells, k) for k in range(len(enc.cells.perm))}
         edges = set().union(*classes.values())
-        # every class is a matching, and the classes partition the d-regular edge set
+        # every class is a matching, and the classes partition the genuine edges
         for k, pool in classes.items():
             assert len({q for _, q in pool}) == len(pool)
             if pool:
                 assert k // enc.d_pad < d and k % enc.d_pad < d
-        assert sum(len(pool) for pool in classes.values()) == len(edges) == decomp.dim * d
-        # every genuine overlap is an edge of the graph
         table = overlaps.pair_for_step(m)
+        assert sum(len(pool) for pool in classes.values()) == len(edges) == table.genuine.sum()
+        # every genuine overlap is an edge of the graph
         for j in range(decomp.dim):
             for q in range(decomp.dim):
                 if abs(table.overlap[q, j]) > decomp.zero_tol:
@@ -318,6 +318,7 @@ def test_block_identity_with_padded_colors():
     sched = schedule(2, 0, 1, 0.9)
     assert dc.sparsity(decomp, sched) == 3
     overlaps = dc.ScheduleOverlaps(decomp, sched)
+    assert overlaps.d == 3
     enc = sh.BlockEncoding(overlaps, 0, 5)
     assert enc.d_pad == 4
     assert enc.subnormalization == 16.0
