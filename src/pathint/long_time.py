@@ -87,11 +87,14 @@ class TimeDependentHamiltonian:
     would pollute the 1/T^2 fits this module exists to measure.  A
     finite-difference pass is still run at construction as a cross-check on
     the caller's algebra, and the sampled spectrum must stay non-degenerate.
+
+    ``h`` and ``dh`` are array-valued: an array of s of shape S gives the
+    stack of shape S + (dim, dim), a float s one matrix.
     """
 
     dim: int
-    h: Callable[[float], np.ndarray]
-    dh: Callable[[float], np.ndarray]
+    h: Callable[[float | np.ndarray], np.ndarray]
+    dh: Callable[[float | np.ndarray], np.ndarray]
     grid: int = 64
 
     def __post_init__(self) -> None:
@@ -99,15 +102,7 @@ class TimeDependentHamiltonian:
             raise SpecError("a driven system needs at least two levels")
         if self.grid < 1:
             raise SpecError("grid must be a positive sample count")
-        pts = np.linspace(0.0, 1.0, self.grid + 1)
-        hams = np.empty((self.grid + 1, self.dim, self.dim), dtype=complex)
-        for i, s in enumerate(pts):
-            mat = check_hermitian(self.h(float(s)))
-            if mat.shape != (self.dim, self.dim):
-                raise SpecError(
-                    f"h(s) returned shape {mat.shape}, expected {(self.dim, self.dim)}"
-                )
-            hams[i] = mat
+        hams = check_hermitian(self._stack("h", np.linspace(0.0, 1.0, self.grid + 1)))
         values = np.linalg.eigvalsh(hams)
         scale = max(1.0, float(np.max(np.abs(values))))
         gap_min = float(np.min(np.diff(values, axis=1)))
@@ -118,25 +113,30 @@ class TimeDependentHamiltonian:
             )
         rng = np.random.default_rng(_VALIDATION_SEED)
         step = DERIV_CHECK_STEP
-        for s in rng.uniform(step, 1.0 - step, size=5):
-            claimed = np.asarray(self.dh(s))
-            # Richardson-extrapolated central difference, so fast drives with
-            # large higher derivatives are not rejected spuriously
-            coarse = (np.asarray(self.h(s + step)) - np.asarray(self.h(s - step))) / (
-                2.0 * step
+        probe = rng.uniform(step, 1.0 - step, size=5)
+        claimed = self._stack("dh", probe)
+        # Richardson-extrapolated central difference, so fast drives with
+        # large higher derivatives are not rejected spuriously
+        coarse = (self._stack("h", probe + step) - self._stack("h", probe - step)) / (2.0 * step)
+        half = step / 2.0
+        fine = (self._stack("h", probe + half) - self._stack("h", probe - half)) / (2.0 * half)
+        fd = (4.0 * fine - coarse) / 3.0
+        defect = np.max(np.abs(fd - claimed), axis=(1, 2))
+        scale = np.maximum(1.0, np.max(np.abs(claimed), axis=(1, 2)))
+        i = int(np.argmax(defect > DERIV_CHECK_TOL * scale))  # the first failing point
+        if defect[i] > DERIV_CHECK_TOL * scale[i]:
+            raise SpecError(
+                f"analytic derivative disagrees with finite differences "
+                f"(defect {defect[i]:.3e} at s={probe[i]:.4f})"
             )
-            half = step / 2.0
-            fine = (np.asarray(self.h(s + half)) - np.asarray(self.h(s - half))) / (
-                2.0 * half
-            )
-            fd = (4.0 * fine - coarse) / 3.0
-            defect = float(np.max(np.abs(fd - claimed)))
-            scale = max(1.0, float(np.max(np.abs(claimed))))
-            if defect > DERIV_CHECK_TOL * scale:
-                raise SpecError(
-                    f"analytic derivative disagrees with finite differences "
-                    f"(defect {defect:.3e} at s={s:.4f})"
-                )
+
+    def _stack(self, name: str, s: np.ndarray) -> np.ndarray:
+        """h or dh on the points s, refused unless shaped s.shape + (dim, dim)."""
+        out = np.asarray(getattr(self, name)(s))
+        want = s.shape + (self.dim, self.dim)
+        if out.shape != want:
+            raise SpecError(f"{name}(s) returned shape {out.shape}, expected {want}")
+        return out
 
     @cached_property
     def bounds(self) -> AdiabaticBounds:
@@ -144,9 +144,9 @@ class TimeDependentHamiltonian:
         return adiabatic_bounds(self)
 
 
-_SWEEP_SHAPES: dict[str, tuple[Callable[[float], float], Callable[[float], float]]] = {
-    "linear": (lambda s: s, lambda s: 1.0),
-    "sine": (lambda s: math.sin(math.pi * s), lambda s: math.pi * math.cos(math.pi * s)),
+_SWEEP_SHAPES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], ...]] = {
+    "linear": (lambda s: s, np.ones_like),
+    "sine": (lambda s: np.sin(np.pi * s), lambda s: np.pi * np.cos(np.pi * s)),
 }
 
 
@@ -164,11 +164,11 @@ def two_level_sweep(
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-    def h(s: float) -> np.ndarray:
-        return a * sz + b * f(s) * sx
+    def h(s: float | np.ndarray) -> np.ndarray:
+        return a * sz + np.multiply.outer(b * f(s), sx)
 
-    def dh(s: float) -> np.ndarray:
-        return b * fdot(s) * sx
+    def dh(s: float | np.ndarray) -> np.ndarray:
+        return np.multiply.outer(b * fdot(s), sx)
 
     return TimeDependentHamiltonian(dim=2, h=h, dh=dh, grid=grid)
 
@@ -194,17 +194,17 @@ def interaction_frame(
     comm = a @ bop - bop @ a
     frame = hermitian_eig(a)
 
-    def rot(s: float) -> np.ndarray:  # exp_unitary(a, -s T), one eigensystem for every s
-        phases = np.exp(-1j * frame.values * (-s * total_time))
-        return (frame.vectors * phases) @ frame.vectors.conj().T
+    def conjugate(op: np.ndarray, s: float | np.ndarray) -> np.ndarray:
+        # exp_unitary(a, -s T) at every s from one eigensystem, applied to op
+        phases = np.exp(np.multiply.outer(-s * total_time, -1j * frame.values))
+        u = (frame.vectors * phases[..., None, :]) @ frame.vectors.conj().T
+        return u @ op @ np.swapaxes(u, -1, -2).conj()
 
-    def h(s: float) -> np.ndarray:
-        u = rot(s)
-        return u @ bop @ u.conj().T
+    def h(s: float | np.ndarray) -> np.ndarray:
+        return conjugate(bop, s)
 
-    def dh(s: float) -> np.ndarray:
-        u = rot(s)
-        return 1j * total_time * (u @ comm @ u.conj().T)
+    def dh(s: float | np.ndarray) -> np.ndarray:
+        return 1j * total_time * conjugate(comm, s)
 
     return TimeDependentHamiltonian(dim=a.shape[0], h=h, dh=dh, grid=grid)
 
@@ -329,9 +329,9 @@ def transition_rate(ham: TimeDependentHamiltonian, s: float, j: int, k: int) -> 
     return complex(eig.vectors[:, j].conj() @ deriv @ eig.vectors[:, k] / gap)
 
 
-def _sample(fn: Callable[[float], np.ndarray], s_grid: np.ndarray) -> np.ndarray:
-    """fn(s) at every grid point, each checked Hermitian."""
-    return np.stack([check_hermitian(fn(float(s))) for s in s_grid])
+def _sample(fn: Callable[[np.ndarray], np.ndarray], s_grid: np.ndarray) -> np.ndarray:
+    """fn on the whole grid in one call, each matrix checked Hermitian."""
+    return check_hermitian(fn(s_grid))
 
 
 def _rate_matrices(eigsys: SmoothEigensystem, derivs: np.ndarray) -> np.ndarray:
@@ -385,16 +385,16 @@ def adiabatic_bounds(ham: TimeDependentHamiltonian) -> AdiabaticBounds:
 
     delta = 1e-3
     inner = np.clip(pts, delta, 1.0 - delta)
-    m1 = 0.0
-    m2 = 0.0
-    m3 = 0.0
-    for s_raw, s in zip(pts, inner):
-        d_mid = np.asarray(ham.dh(float(s)))
-        d_plus = np.asarray(ham.dh(float(s + delta)))
-        d_minus = np.asarray(ham.dh(float(s - delta)))
-        m1 = max(m1, spectral_norm(np.asarray(ham.dh(float(s_raw)))))
-        m2 = max(m2, spectral_norm((d_plus - d_minus) / (2.0 * delta)))
-        m3 = max(m3, spectral_norm((d_plus - 2.0 * d_mid + d_minus) / delta**2))
+    d_mid, d_plus, d_minus = (
+        np.asarray(ham.dh(s), dtype=complex) for s in (inner, inner + delta, inner - delta)
+    )
+
+    def max_norm(stack: np.ndarray) -> float:
+        return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
+
+    m1 = max_norm(np.asarray(ham.dh(pts), dtype=complex))
+    m2 = max_norm((d_plus - d_minus) / (2.0 * delta))
+    m3 = max_norm((d_plus - 2.0 * d_mid + d_minus) / delta**2)
     steps = np.diff(pts)
     curv = (eigsys.values[2:] - 2.0 * eigsys.values[1:-1] + eigsys.values[:-2]) / (
         steps[0] ** 2

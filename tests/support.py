@@ -68,7 +68,7 @@ def random_smooth_system(rng, dim=3, terms=3, grid=64, max_freq=3):
 
     Base gaps sit in [1.8, 2.6] and the total drive stays below 0.4, so
     eigenvalue curves never approach each other.  The derivative callback
-    is analytic by construction.
+    is analytic by construction, and both callbacks take an array of s.
     """
     from pathint.long_time import TimeDependentHamiltonian
 
@@ -82,13 +82,15 @@ def random_smooth_system(rng, dim=3, terms=3, grid=64, max_freq=3):
         gens.append((g, freq, phase))
 
     def h(s):
-        out = base.astype(complex).copy()
+        s = np.asarray(s, dtype=float)[..., None, None]
+        out = np.zeros(s.shape[:-2] + (dim, dim), dtype=complex) + base
         for g, f, p in gens:
             out = out + np.sin(np.pi * f * s + p) * g
         return out
 
     def dh(s):
-        out = np.zeros((dim, dim), dtype=complex)
+        s = np.asarray(s, dtype=float)[..., None, None]
+        out = np.zeros(s.shape[:-2] + (dim, dim), dtype=complex)
         for g, f, p in gens:
             out = out + np.pi * f * np.cos(np.pi * f * s + p) * g
         return out

@@ -98,8 +98,8 @@ def test_spectral_norm_matches_svd():
 def test_time_ordered_constant_matches_exp():
     h = 0.3 * PAULI_X + 0.9 * PAULI_Z
 
-    def ham(s: float) -> np.ndarray:
-        return h
+    def ham(s: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(h, np.shape(s) + h.shape)
 
     u = linalg.time_ordered_propagator(ham, 1.0, 256)
     npt.assert_allclose(u, linalg.exp_unitary(h, 1.0), atol=1e-8)
@@ -107,26 +107,47 @@ def test_time_ordered_constant_matches_exp():
 
 def test_time_ordered_linear_drive_example():
     # H(s) = s Z integrates to Z/2 and commutes at all times
-    def ham(s: float) -> np.ndarray:
-        return s * PAULI_Z
+    def ham(s: np.ndarray) -> np.ndarray:
+        return np.multiply.outer(s, PAULI_Z)
 
     u = linalg.time_ordered_propagator(ham, 1.0, 512)
     npt.assert_allclose(u, linalg.exp_unitary(PAULI_Z, 0.5), atol=1e-7)
 
 
 def test_midpoint_richardson_ratio():
-    def ham(s: float) -> np.ndarray:
-        return np.cos(s) * PAULI_Z + np.sin(s) * PAULI_X
+    def ham(s: np.ndarray) -> np.ndarray:
+        return np.multiply.outer(np.cos(s), PAULI_Z) + np.multiply.outer(np.sin(s), PAULI_X)
 
     ratio = linalg.propagator_self_check(ham, 2.0, 64)
     assert ratio >= 3.0
 
 
 def test_converged_propagator_agrees_with_refined_midpoint():
-    def ham(s: float) -> np.ndarray:
-        return np.cos(s) * PAULI_Z + 0.7 * np.sin(2 * s) * PAULI_X
+    def ham(s: np.ndarray) -> np.ndarray:
+        return np.multiply.outer(np.cos(s), PAULI_Z) + np.multiply.outer(
+            0.7 * np.sin(2 * s), PAULI_X
+        )
 
     ref = linalg.converged_propagator(ham, 1.5, tol=1e-10)
     fine = linalg.time_ordered_propagator(ham, 1.5, 1 << 14)
     npt.assert_allclose(ref, fine, atol=1e-7)
     npt.assert_allclose(ref.conj().T @ ref, np.eye(2), atol=1e-10)
+
+
+def test_time_ordered_checks_each_slice_at_its_own_scale():
+    # a tiny skew part on a unit-scale slice, next to slices a hundred times larger
+    skew = PAULI_Z + 1e-9 * np.array([[0, 1], [0, 0]])
+
+    def ham(s: np.ndarray) -> np.ndarray:
+        s = np.asarray(s)[..., None, None]
+        return np.where(s > 0.5, 100.0 * PAULI_Z, np.where(s > 0.2, skew, PAULI_Z))
+
+    with pytest.raises(InvariantViolation):
+        linalg.check_hermitian(skew)
+    with pytest.raises(InvariantViolation, match="not Hermitian"):
+        linalg.time_ordered_propagator(ham, 1.0, 64)
+
+
+def test_time_ordered_rejects_drive_ignoring_the_array():
+    with pytest.raises(InvariantViolation, match=r"expected \(64, dim, dim\)"):
+        linalg.time_ordered_propagator(lambda s: PAULI_Z, 1.0, 64)

@@ -30,7 +30,10 @@ def linear_family(grid: int = 8) -> lt.TimeDependentHamiltonian:
 def constant_system() -> lt.TimeDependentHamiltonian:
     diag = np.diag([-1.0, 1.0]).astype(complex)
     return lt.TimeDependentHamiltonian(
-        dim=2, h=lambda s: diag, dh=lambda s: np.zeros((2, 2), dtype=complex), grid=8
+        dim=2,
+        h=lambda s: np.broadcast_to(diag, np.shape(s) + (2, 2)),
+        dh=lambda s: np.zeros(np.shape(s) + (2, 2), dtype=complex),
+        grid=8,
     )
 
 
@@ -51,8 +54,8 @@ def test_derivative_mismatch_rejected():
     with pytest.raises(SpecError):
         lt.TimeDependentHamiltonian(
             dim=2,
-            h=lambda s: (1.0 + s) * sz,
-            dh=lambda s: 1.02 * sz,
+            h=lambda s: np.multiply.outer(1.0 + s, sz),
+            dh=lambda s: np.broadcast_to(1.02 * sz, np.shape(s) + (2, 2)),
             grid=8,
         )
 
@@ -61,8 +64,47 @@ def test_degenerate_sweep_rejected():
     eye = np.eye(2, dtype=complex)
     with pytest.raises(SpecError):
         lt.TimeDependentHamiltonian(
-            dim=2, h=lambda s: eye, dh=lambda s: 0.0 * eye, grid=8
+            dim=2,
+            h=lambda s: np.broadcast_to(eye, np.shape(s) + (2, 2)),
+            dh=lambda s: np.zeros(np.shape(s) + (2, 2), dtype=complex),
+            grid=8,
         )
+
+
+@pytest.mark.parametrize("wrong", ["h", "dh"])
+def test_wrong_drive_shape_rejected(wrong):
+    # one callable ignores the array of s, the other has the wrong dimension
+    good = lt.two_level_sweep(1.0, 0.2, shape="linear")
+    bad = {"h": lambda s: good.h(0.5), "dh": lambda s: np.zeros((3, 3))}[wrong]
+    drives = {"h": good.h, "dh": good.dh, wrong: bad}
+    with pytest.raises(SpecError, match=r"expected \(\d+, 2, 2\)"):
+        lt.TimeDependentHamiltonian(dim=2, grid=8, **drives)
+
+
+def _frame(gen: str, coupling: dict[str, float]) -> lt.TimeDependentHamiltonian:
+    coup = sum(c * pauli_string(label) for label, c in coupling.items())
+    return lt.interaction_frame(0.02 * pauli_string(gen), coup, 40.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lt.two_level_sweep(1.0, 0.3, shape="sine"),
+        lambda: lt.two_level_sweep(1.0, 0.2, shape="linear"),
+        lambda: _frame("Z", {"Z": 1.0, "X": 0.45}),
+        lambda: _frame("ZI", {"ZI": 1.0, "IZ": 0.5, "XX": 0.3}),
+        lambda: random_smooth_system(np.random.default_rng(11)),
+    ],
+    ids=["sine", "linear", "frame1q", "frame2q", "random"],
+)
+def test_batched_drive_matches_pointwise(make):
+    ham = make()
+    grid = np.concatenate([np.linspace(0.0, 1.0, 129), (np.arange(64) + 0.5) / 64])
+    for fn in (ham.h, ham.dh):
+        stack = fn(grid)
+        assert stack.shape == (len(grid), ham.dim, ham.dim)
+        for i, s in enumerate(grid):
+            assert np.array_equal(stack[i], fn(float(s)))
 
 
 def test_sweep_validation():
@@ -116,7 +158,10 @@ def test_smooth_eigensystem_gauge():
 def test_smooth_eigensystem_detects_collapse():
     sz = np.diag([1.0, -1.0]).astype(complex)
     ham = lt.TimeDependentHamiltonian(
-        dim=2, h=lambda s: (s - 0.375) * sz, dh=lambda s: sz.copy(), grid=4
+        dim=2,
+        h=lambda s: np.multiply.outer(s - 0.375, sz),
+        dh=lambda s: np.broadcast_to(sz, np.shape(s) + (2, 2)),
+        grid=4,
     )
     with pytest.raises(InvariantViolation):
         lt.smooth_eigensystem(ham, np.linspace(0.0, 1.0, 513))
