@@ -166,7 +166,10 @@ def time_ordered_propagator(
             out = np.eye(hams.shape[-1], dtype=complex)
         vals, vecs = np.linalg.eigh(hams)
         phases = np.exp(-1j * vals * dt)
-        slices = np.einsum("sij,sj,skj->sik", vecs, phases, vecs.conj(), optimize=True)
+        # the path optimize=True picks, fixed so that no call plans it again
+        slices = np.einsum(
+            "sij,sj,skj->sik", vecs, phases, vecs.conj(), optimize=["einsum_path", (0, 1), (0, 1)]
+        )
         out = _ordered_product(slices) @ out
     return out
 

@@ -22,8 +22,12 @@ from .errors import CapExceeded, SpecError
 from .linalg import exp_unitary, spectral_norm
 
 SCHEDULE_ORDER_CAP = 3
-ALPHA_ORDER_CAP = 2
-ALPHA_TERMS_CAP = 4
+# Most nested commutators alpha_comm may form, counting the terms themselves:
+# the unpruned tree of 5 dense terms at k = 3 has 97,655 nodes.
+ALPHA_WORK_CAP = 1 << 17
+# Most matrix entries alpha_comm stacks at once (256 KiB), unless the L
+# children of a single node need more.
+_SLICE_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,29 +103,54 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _nonzero(stack: np.ndarray) -> np.ndarray:
+    return stack.reshape(len(stack), -1).any(axis=1)
+
+
+def _leaf_norms(terms: np.ndarray, level: np.ndarray, remaining: int, formed: list[int]):
+    """Norms of the leaves `remaining` levels below `level`, in ascending
+    tuple index; formed[0] counts the nodes made so far."""
+    L = len(terms)
+    formed[0] += len(level) * L
+    if formed[0] > ALPHA_WORK_CAP:
+        raise CapExceeded(
+            f"alpha_comm would form {formed[0]} nested commutators, above cap {ALPHA_WORK_CAP}"
+        )
+    per_slice = max(1, _SLICE_ENTRIES // (L * terms[0].size))
+    for lo in range(0, len(level), per_slice):
+        part = level[lo : lo + per_slice]
+        children = np.empty((len(part), L) + terms.shape[1:], dtype=complex)
+        for a in range(L):
+            children[:, a] = commutator(terms[a], part)
+        children = children.reshape((-1,) + terms.shape[1:])
+        children = children[_nonzero(children)]
+        if remaining == 1:
+            yield from np.linalg.norm(children, 2, axis=(-2, -1)).tolist()
+        else:
+            yield from _leaf_norms(terms, children, remaining - 1, formed)
+
+
 def alpha_comm(decomp: Decomposition, k: int) -> float:
-    """Sum of nested-commutator norms over all (2k+1)-tuples of terms."""
+    """Sum of nested-commutator norms over all (2k+1)-tuples of terms.
+
+    The tuple (i_0, ..., i_2k) names [A_{i_0}, [A_{i_1}, ..., A_{i_2k}]].
+    Its suffixes are built level by level from the innermost term out: a
+    level stacks each nonzero suffix once, and the next level prepends
+    every term as commutator(terms[a], level).  An exactly-zero suffix is
+    dropped with its subtree, whose norms are all exactly 0.0.  Each level
+    is ordered by the suffix's index i_j + L*i_{j+1} + ..., so the leaf
+    norms arrive in ascending tuple index and their float sum is that of
+    the loop over every tuple.  A level wider than _SLICE_ENTRIES matrix
+    entries is expanded slice by slice, depth first, and the last level's
+    norms are taken one slice at a time in one batched call.
+    """
     if k < 1:
         raise SpecError("alpha_comm applies to k >= 1; k = 0 uses the pair bound")
-    if k > ALPHA_ORDER_CAP:
-        raise CapExceeded(f"alpha_comm order index {k} above cap {ALPHA_ORDER_CAP}")
-    if decomp.term_count > ALPHA_TERMS_CAP:
-        raise CapExceeded(
-            f"alpha_comm term count {decomp.term_count} above cap {ALPHA_TERMS_CAP}"
-        )
-    L = decomp.term_count
-    depth = 2 * k + 1
+    terms = np.stack(decomp.terms)
+    # a plain float loop: builtin sum compensates on Python >= 3.12
     total = 0.0
-    for flat in range(L**depth):
-        idx = []
-        rem = flat
-        for _ in range(depth):
-            idx.append(rem % L)
-            rem //= L
-        nested = decomp.terms[idx[-1]]
-        for i in range(depth - 2, -1, -1):
-            nested = commutator(decomp.terms[idx[i]], nested)
-        total += spectral_norm(nested)
+    for norm in _leaf_norms(terms, terms[_nonzero(terms)], 2 * k, [len(terms)]):
+        total += norm
     return total
 
 

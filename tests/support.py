@@ -102,3 +102,28 @@ def class_edges(cells, k: int) -> set[tuple[int, int]]:
     """Edges (j, q) of select cell k: the side-0 columns it routes to q < N."""
     dim = cells.perm.shape[1] // 2
     return {(j, int(q)) for j, q in enumerate(cells.perm[k, :dim]) if q < dim}
+
+
+def alpha_comm_oracle(decomp, k: int) -> float:
+    """The nested-commutator sum as a plain loop over every (2k+1)-tuple.
+
+    Tuple flat = i_0 + L*i_1 + ... is formed from scratch and its norm added
+    in ascending flat order; trotter.alpha_comm must match it bit for bit.
+    """
+    from pathint.linalg import spectral_norm
+
+    L = decomp.term_count
+    depth = 2 * k + 1
+    total = 0.0
+    for flat in range(L**depth):
+        idx = []
+        rem = flat
+        for _ in range(depth):
+            idx.append(rem % L)
+            rem //= L
+        nested = decomp.terms[idx[-1]]
+        for i in range(depth - 2, -1, -1):
+            a = decomp.terms[idx[i]]
+            nested = a @ nested - nested @ a
+        total += spectral_norm(nested)
+    return total

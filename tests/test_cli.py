@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from pathint import cli, trotter
+from pathint.decomp import decomposition_from_json
 from pathint.errors import InvariantViolation
+from support import alpha_comm_oracle
 
 ZX_DECOMP = '{"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "X", "coeff": 1.0}]}'
 COMMUTING_DECOMP = (
@@ -151,6 +153,34 @@ def test_short_sim_at_twenty_bits(tmp_path):
     _, rows = read_rows(out)
     assert [int(row[2]) for row in rows] == [20]
     assert rows[0][5] <= rows[0][6]
+
+
+FIVE_TERM_DECOMP = json.dumps({
+    "n": 2,
+    "terms": [
+        {"pauli": p, "coeff": c}
+        for p, c in zip(["ZZ", "XX", "YZ", "XI", "IX"], [1.0, 0.5, 0.3, 0.7, 0.4])
+    ],
+})
+
+
+def test_short_sim_five_terms_bound_from_the_tuple_loop(tmp_path):
+    out = tmp_path / "five.csv"
+    k, r, t, bits = 1, 2, 0.5, 8
+    code = cli.main([
+        "short-sim", "--decomp", FIVE_TERM_DECOMP, "--k", str(k), "--r", str(r),
+        "--t", str(t), "--bits", str(bits), "--out", str(out),
+    ])
+    assert code == 0
+    (line,) = out.read_text().strip().split("\n")[1:]
+    row = line.split(",")
+    d = int(row[3])
+    # simulate's rounding charge, term_count * 5**k * r * d^2 / 2^B
+    rounding = 5 * 5**k * r * d * d / float(1 << bits)
+    decomp = decomposition_from_json(json.loads(FIVE_TERM_DECOMP))
+    trotter_term = alpha_comm_oracle(decomp, k) * t ** (2 * k + 1) / r ** (2 * k)
+    assert float(row[6]) == 4.0 * (rounding + trotter_term)
+    assert float(row[5]) <= float(row[6])
 
 
 def test_long_sim_builtin_sweep(tmp_path):

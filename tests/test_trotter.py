@@ -12,7 +12,12 @@ from pathint import decomp as dc
 from pathint import trotter
 from pathint.errors import CapExceeded, SpecError
 from pathint.linalg import exp_unitary, spectral_norm
-from support import pauli_string, random_decomposition_terms
+from support import (
+    alpha_comm_oracle,
+    pauli_string,
+    random_decomposition_terms,
+    random_diagonal,
+)
 
 
 def test_symmetric_step_factor_list_is_pinned():
@@ -73,20 +78,90 @@ def test_first_order_bound_pinned_example():
     assert trotter.error_bound(d, 0, 1.0, 10) == pytest.approx(0.1, rel=1e-12)
 
 
-def test_nested_commutator_sum_pinned_example():
+def _forbidden_commutator(a, b):
+    raise AssertionError("a nested commutator was formed past the work cap")
+
+
+FIVE_TERMS = (["ZZ", "XX", "YZ", "XI", "IX"], [1.0, 0.5, 0.3, 0.7, 0.4])
+
+
+def test_nested_commutator_sum_pinned_example(monkeypatch):
     d = dc.build([pauli_string("Z"), pauli_string("X")])
     assert trotter.alpha_comm(d, 1) == pytest.approx(16.0, rel=1e-12)
     with pytest.raises(SpecError):
         trotter.alpha_comm(d, 0)
-    with pytest.raises(CapExceeded):
+    # k = 3 was over the old order cap: 2 terms and the 5-term Pauli sum
+    assert trotter.alpha_comm(d, 3) == alpha_comm_oracle(d, 3)
+    five = dc.build([c * pauli_string(p) for p, c in zip(*FIVE_TERMS)])
+    assert trotter.alpha_comm(five, 3) == alpha_comm_oracle(five, 3)
+    # 2 terms and their 4 children are 6 nodes: a cap of 5 refuses the first level
+    monkeypatch.setattr(trotter, "ALPHA_WORK_CAP", 5)
+    monkeypatch.setattr(trotter, "commutator", _forbidden_commutator)
+    with pytest.raises(CapExceeded, match="above cap 5$"):
         trotter.alpha_comm(d, 3)
 
 
-def test_alpha_term_count_cap():
+def test_alpha_term_count_cap(monkeypatch):
     rng = np.random.default_rng(0)
     d = dc.build(random_decomposition_terms(rng, 1, 5))
-    with pytest.raises(CapExceeded):
-        trotter.alpha_comm(d, 1)
+    # 5 terms were over the old term-count cap
+    assert trotter.alpha_comm(d, 1) == alpha_comm_oracle(d, 1)
+    # 362 terms and their 362**2 children exceed the work cap at the first level
+    wide = dc.build(random_decomposition_terms(rng, 1, 362))
+    assert 362 + 362**2 > trotter.ALPHA_WORK_CAP
+    monkeypatch.setattr(trotter, "commutator", _forbidden_commutator)
+    with pytest.raises(CapExceeded, match=f"above cap {trotter.ALPHA_WORK_CAP}$"):
+        trotter.alpha_comm(wide, 1)
+
+
+def _random_pauli_terms(rng, n, L):
+    """Pauli strings with random weights, term 0 diagonal; repeats commute."""
+    labels = ["".join(rng.choice(list("IZ"), n))]
+    labels += ["".join(rng.choice(list("IXYZ"), n)) for _ in range(L - 1)]
+    return [rng.uniform(0.2, 1.0) * pauli_string(label) for label in labels]
+
+
+def _commuting_terms(rng, n, L):
+    """Diagonal terms, so every nested commutator is exactly zero."""
+    return [random_diagonal(rng, 2**n) for _ in range(L)]
+
+
+# (L, k, n) over L 1-5, k 1-3, n 1-3 with at most 3,125 tuples each
+ALPHA_CASES = [
+    (1, 1, 1), (1, 3, 2), (2, 1, 3), (2, 2, 2), (2, 3, 1), (2, 3, 3), (3, 1, 2),
+    (3, 2, 1), (3, 2, 3), (3, 3, 1), (4, 1, 3), (4, 2, 1), (5, 1, 2), (5, 2, 1),
+]
+
+
+@pytest.mark.parametrize("kind", ["pauli", "dense", "commuting"])
+def test_alpha_comm_matches_the_tuple_loop(kind):
+    build = {
+        "pauli": _random_pauli_terms,
+        "dense": random_decomposition_terms,
+        "commuting": _commuting_terms,
+    }[kind]
+    for case, (L, k, n) in enumerate(ALPHA_CASES):
+        rng = np.random.default_rng(4000 + case)
+        d = dc.build(build(rng, n, L))
+        got = trotter.alpha_comm(d, k)
+        assert got == alpha_comm_oracle(d, k), (L, k, n)
+        if kind == "commuting":
+            assert got == 0.0
+
+
+def test_alpha_comm_slices_give_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(17)
+    cases = [
+        dc.build(random_decomposition_terms(rng, 2, 4)),
+        dc.build(_random_pauli_terms(rng, 3, 5)),
+        dc.build([c * pauli_string(p) for p, c in zip(*FIVE_TERMS)]),
+    ]
+    whole = [trotter.alpha_comm(d, k) for d in cases for k in (1, 2)]
+    # one matrix per slice: every level is expanded one parent at a time
+    monkeypatch.setattr(trotter, "_SLICE_ENTRIES", 1)
+    assert [trotter.alpha_comm(d, k) for d in cases for k in (1, 2)] == whole
+    monkeypatch.setattr(trotter, "_SLICE_ENTRIES", 3 * 16 * 16)
+    assert [trotter.alpha_comm(d, k) for d in cases for k in (1, 2)] == whole
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
