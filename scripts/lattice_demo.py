@@ -9,6 +9,7 @@ stepped through the circuit.
 from __future__ import annotations
 
 import argparse
+import itertools
 
 import numpy as np
 
@@ -33,13 +34,12 @@ def main() -> None:
 
     positions = cfg.positions()
     state = lat.gaussian_packet(cfg, args.xmax / 2.0 + 1.5, 1.0, 0.0)
+    walk = lat.lagrangian_steps(cfg, pot.grid_values(cfg), state, cfg.r)
     print("step,position_mean,norm")
-    for step in range(args.r + 1):
+    for step, state in enumerate(itertools.chain([state], walk)):
         weights = np.abs(state) ** 2
         mean = float(weights @ positions)
         print(f"{step},{mean:.6f},{float(np.linalg.norm(state)):.12f}")
-        if step < args.r:
-            state = lat.lagrangian_step(cfg, pot, state)
 
 
 if __name__ == "__main__":

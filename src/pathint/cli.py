@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -35,7 +36,7 @@ from .lattice import (
     gaussian_packet,
     harmonic_potential,
     lagrangian_steps,
-    require_normalized,
+    require_unit_norms,
     split_steps,
     square_well_potential,
     zero_potential,
@@ -362,6 +363,15 @@ def _run_long_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[li
     return ["T", "r", "measured_error", "truncation_bound"], rows
 
 
+# A trajectory's columns are computed in blocks of
+# max(1, _BLOCK_AMPLITUDES // 2**n) rows, a few stacked numpy calls per
+# block.  Each stacked form does the arithmetic of its one-row form bit for
+# bit: norms as np.linalg.norm forms them, one (1, n) @ (n, 1) product per
+# row for the overlaps and the means, and builtin abs on each overlap.
+# (k, n) @ (n,), einsum and np.abs on the overlaps each change last bits.
+_BLOCK_AMPLITUDES = 1 << 13
+
+
 def _run_lagrangian_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
     cfg = LatticeConfig(
         n=_require_int(params, "n", 1),
@@ -370,25 +380,38 @@ def _run_lagrangian_sim(params: dict[str, Any], seed: int) -> tuple[list[str], l
         r=_require_int(params, "r", 1),
     )
     potential = _potential_from_param(params["potential"], cfg)
-    state = reference = _initial_state(params["initial"], cfg)
+    initial = _initial_state(params["initial"], cfg)
     values = potential.grid_values(cfg)
-    walk = zip(lagrangian_steps(cfg, values, state, cfg.r), split_steps(cfg, values, state, cfg.r))
-    positions = cfg.positions()
-    momenta = cfg.momenta()
+    walk = itertools.chain([(initial, initial)], zip(
+        lagrangian_steps(cfg, values, initial, cfg.r), split_steps(cfg, values, initial, cfg.r),
+    ))
+    positions = cfg.positions()[:, None]
+    momenta = cfg.momenta()[:, None]
+    size = max(1, _BLOCK_AMPLITUDES // cfg.dim)
+    states = np.empty((size, cfg.dim), dtype=complex)
+    references = np.empty_like(states)
     header = ["step", "norm", "fidelity", "position_mean", "momentum_mean"]
     rows = []
-    for step in range(cfg.r + 1):
-        if step > 0:
-            require_normalized(cfg, state, "lagrangian_step")
-            state, reference = next(walk)
-        norm = float(np.linalg.norm(state))
-        fidelity = float(abs(np.vdot(reference, state)))
-        weights = np.abs(state) ** 2
-        modes = np.abs(np.fft.fft(state, norm="ortho")) ** 2
-        rows.append([
-            _fmt(step), _fmt(norm), _fmt(fidelity),
-            _fmt(float(weights @ positions)), _fmt(float(modes @ momenta)),
-        ])
+    for start in range(0, cfg.r + 1, size):
+        count = min(size, cfg.r + 1 - start)
+        block, refs = states[:count], references[:count]
+        for row in range(count):
+            block[row], refs[row] = next(walk)
+        re, im = block.real, block.imag
+        norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
+        # every state but the last is the input of a step
+        require_unit_norms(norms[: cfg.r - start], "lagrangian_step")
+        overlaps = refs.conj()[:, None, :] @ block[:, :, None]
+        weights = np.abs(block)[:, None, :] ** 2
+        modes = np.abs(np.fft.fft(block, axis=-1, norm="ortho"))[:, None, :] ** 2
+        columns = zip(
+            norms.ravel().tolist(), overlaps.ravel(),
+            (weights @ positions).ravel().tolist(), (modes @ momenta).ravel().tolist(),
+        )
+        for step, (norm, overlap, x, p) in enumerate(columns, start):
+            rows.append([
+                str(step), "%.17g" % norm, "%.17g" % abs(overlap), "%.17g" % x, "%.17g" % p,
+            ])
     return header, rows
 
 

@@ -102,6 +102,8 @@ class Potential:
 
     def grid_values(self, cfg: LatticeConfig) -> np.ndarray:
         vals = np.array([float(self.energy(x)) for x in cfg.positions()])
+        if not np.all(np.isfinite(vals)):
+            raise SpecError("potential is not finite on the grid")
         slack = 1e-12 * max(1.0, self.v_max)
         if np.any(np.abs(vals) > self.v_max + slack):
             raise SpecError("potential exceeds its declared bound on the grid")
@@ -238,9 +240,14 @@ def require_normalized(cfg: LatticeConfig, state: np.ndarray, caller: str) -> np
     state = np.asarray(state, dtype=complex)
     if state.shape != (cfg.dim,):
         raise SpecError("state has the wrong length for this grid")
-    if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
-        raise SpecError(f"{caller} expects a normalized state")
+    require_unit_norms(np.linalg.norm(state), caller)
     return state
+
+
+def require_unit_norms(norms: np.ndarray | float, caller: str) -> None:
+    """Refuse unless every norm is within NORM_TOL of one; a NaN never is."""
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
+        raise SpecError(f"{caller} expects a normalized state")
 
 
 def lagrangian_steps(
@@ -395,7 +402,10 @@ def gaussian_packet(
         raise SpecError("gaussian packet needs positive width")
     x = cfg.positions()
     psi = np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * momentum * x)
-    return psi / np.linalg.norm(psi)
+    norm = np.linalg.norm(psi)
+    if not 0.0 < norm < np.inf:
+        raise SpecError("gaussian packet does not normalize on the grid")
+    return psi / norm
 
 
 def momentum_mode_mask(cfg: LatticeConfig, p_max: float) -> np.ndarray:

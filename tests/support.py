@@ -127,3 +127,33 @@ def alpha_comm_oracle(decomp, k: int) -> float:
             nested = a @ nested - nested @ a
         total += spectral_norm(nested)
     return total
+
+
+def lagrangian_csv_oracle(params: dict) -> bytes:
+    """lagrangian-sim's CSV from a plain loop: one row of numpy calls per step.
+
+    The CLI computes its columns a block of rows at a time; it must write
+    these bytes exactly.
+    """
+    from pathint import cli
+    from pathint.lattice import LatticeConfig, lagrangian_steps, require_normalized, split_steps
+
+    cfg = LatticeConfig(n=params["n"], x_max=params["xmax"], mass=params["mass"], r=params["r"])
+    potential = cli._potential_from_param(params["potential"], cfg)
+    state = reference = cli._initial_state(params["initial"], cfg)
+    values = potential.grid_values(cfg)
+    walk = zip(lagrangian_steps(cfg, values, state, cfg.r), split_steps(cfg, values, state, cfg.r))
+    positions = cfg.positions()
+    momenta = cfg.momenta()
+    lines = ["step,norm,fidelity,position_mean,momentum_mean"]
+    for step in range(cfg.r + 1):
+        if step > 0:
+            require_normalized(cfg, state, "lagrangian_step")
+            state, reference = next(walk)
+        norm = float(np.linalg.norm(state))
+        fidelity = float(abs(np.vdot(reference, state)))
+        weights = np.abs(state) ** 2
+        modes = np.abs(np.fft.fft(state, norm="ortho")) ** 2
+        row = [step, norm, fidelity, float(weights @ positions), float(modes @ momenta)]
+        lines.append(",".join(cli._fmt(value) for value in row))
+    return ("\n".join(lines) + "\n").encode()

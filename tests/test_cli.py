@@ -10,7 +10,7 @@ import pytest
 from pathint import cli, trotter
 from pathint.decomp import decomposition_from_json
 from pathint.errors import InvariantViolation
-from support import alpha_comm_oracle
+from support import alpha_comm_oracle, lagrangian_csv_oracle
 
 ZX_DECOMP = '{"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "X", "coeff": 1.0}]}'
 COMMUTING_DECOMP = (
@@ -276,9 +276,15 @@ def test_lagrangian_sim_builds_step_phases_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_lagrangian_sim_refuses_a_step_that_loses_norm(tmp_path, monkeypatch, capsys):
+# The first state to lose norm is row 1: inside the default block, alone in
+# a one-row block, and last in a two-row block.  With r = 2 it is also the
+# last state the check covers, as the input of the last step.
+@pytest.mark.parametrize("rows", [None, 1, 2], ids=["mid-block", "block-start", "block-end"])
+def test_lagrangian_sim_refuses_a_step_that_loses_norm(tmp_path, monkeypatch, capsys, rows):
     from pathint import lattice
 
+    if rows is not None:
+        monkeypatch.setattr(cli, "_BLOCK_AMPLITUDES", rows * 2**5)
     original = lattice._step_phases
 
     def lossy(cfg, values):
@@ -287,12 +293,53 @@ def test_lagrangian_sim_refuses_a_step_that_loses_norm(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(lattice, "_step_phases", lossy)
     out = tmp_path / "lossy.csv"
-    assert cli.main(LAGRANGIAN_ARGS + ["--n", "5", "--r", "3", "--out", str(out)]) == 2
+    assert cli.main(LAGRANGIAN_ARGS + ["--n", "5", "--r", "2", "--out", str(out)]) == 2
     doc = json.loads(capsys.readouterr().err.strip())
     assert doc["error"] == "spec"
     assert doc["module"] == "pathint.lattice"
     assert doc["message"] == "lagrangian_step expects a normalized state"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--potential", "harmonic:0.5,6.0", "--initial", "gaussian:nan,1.0,0.0"],
+    ["--potential", "harmonic:nan,6.0", "--initial", "gaussian:6.0,1.0,0.5"],
+    ["--potential", "well:nan,3,8", "--initial", "gaussian:6.0,1.0,0.5"],
+], ids=["initial", "harmonic", "well"])
+def test_lagrangian_sim_refuses_nan(tmp_path, capsys, flags):
+    out = tmp_path / "nan.csv"
+    argv = ["lagrangian-sim", "--n", "5", "--xmax", "12", "--mass", "1", "--r", "3", *flags]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "spec"
+    assert not out.exists()
+
+
+def _block_cases():
+    """Block sizes of 1 row, 3 rows and the default, with r + 1 rows either
+    filling the last block or spilling one or two rows into the next."""
+    for rows in (1, 3, None):
+        for n in (1, 5, 7):
+            block = rows or max(1, cli._BLOCK_AMPLITUDES // 2**n)
+            for r in sorted({max(1, block - 1), block, block + 1}):
+                yield pytest.param(rows, n, r, id=f"rows{rows or 'default'}-n{n}-r{r}")
+
+
+@pytest.mark.parametrize("rows,n,r", _block_cases())
+def test_lagrangian_sim_blocks_match_the_row_loop(tmp_path, monkeypatch, rows, n, r):
+    if rows is not None:
+        monkeypatch.setattr(cli, "_BLOCK_AMPLITUDES", rows * 2**n)
+    out = tmp_path / "traj.csv"
+    for potential in ("zero", "harmonic:0.5,6.0", "well:2.0,3.5,7.5"):
+        for initial in ("gaussian:6.0,1.0,0.5", f"basis:{2**n // 3}"):
+            params = {
+                "n": n, "xmax": 12.0, "mass": 1.0, "r": r,
+                "potential": potential, "initial": initial,
+            }
+            argv = ["lagrangian-sim", "--out", str(out)]
+            for name, value in params.items():
+                argv += [f"--{name}", str(value)]
+            assert cli.main(argv) == 0
+            assert out.read_bytes() == lagrangian_csv_oracle(params)
 
 
 def test_spec_file_with_overrides(tmp_path):

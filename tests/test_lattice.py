@@ -209,6 +209,16 @@ def test_step_rejects_bad_states():
         lagrangian_step(cfg, pot, np.zeros(4))
 
 
+def test_nan_and_vanishing_states_are_refused():
+    # abs(nan - 1) > tol is False, so the norm rule must be written to fail on NaN
+    cfg = LatticeConfig(n=3, x_max=4.0, mass=1.0, r=1)
+    with pytest.raises(SpecError, match="normalized"):
+        lagrangian_step(cfg, zero_potential(), np.full(8, np.nan))
+    for center, width in ((np.nan, 1.0), (1.0, np.nan), (1e3, 0.01)):
+        with pytest.raises(SpecError, match="normalize"):
+            gaussian_packet(cfg, center, width, 0.0)
+
+
 def test_propagator_matches_split_power():
     cfg = LatticeConfig(n=6, x_max=12.0, mass=1.0, r=8)
     pot = harmonic_mid(cfg)
