@@ -26,7 +26,13 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .decomp import Decomposition, decomposition_from_json, require_number
+from .decomp import (
+    Decomposition,
+    decomposition_from_json,
+    require_fields,
+    require_int,
+    require_number,
+)
 from .errors import CapExceeded, InvariantViolation, SpecError
 from .lattice import (
     LatticeConfig,
@@ -72,28 +78,28 @@ class ExperimentSpec:
 
 
 def spec_from_dict(doc: object) -> ExperimentSpec:
-    if not isinstance(doc, dict):
-        raise SpecError("experiment document must be a JSON object")
-    unknown = set(doc) - _SPEC_FIELDS
-    if unknown:
-        raise SpecError(f"unknown experiment fields: {sorted(unknown)}")
-    missing = _SPEC_FIELDS - set(doc)
-    if missing:
-        raise SpecError(f"missing experiment fields: {sorted(missing)}")
+    """Check a whole experiment document: every field and every param's value.
+
+    An optional param given as null reads as absent.
+    """
+    require_fields(doc, _SPEC_FIELDS, set(), "experiment document")
     kind = doc["kind"]
     if kind not in KINDS:
         raise SpecError(f"unknown experiment kind {kind!r}")
-    seed = doc["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise SpecError("seed must be an integer in [0, 2^64)")
+    if require_int(doc["seed"], "seed", 0) >= 2**64:
+        raise SpecError("seed must be below 2^64")
     output = doc["output"]
     if not isinstance(output, str) or not output:
         raise SpecError("output must be a non-empty path string")
-    params = doc["params"]
-    if not isinstance(params, dict):
-        raise SpecError("params must be a JSON object")
-    _validate_params(kind, params)
-    return ExperimentSpec(kind=kind, params=params, seed=seed, output=output)
+    fields = _KIND_TABLE[kind].params
+    params = require_fields(
+        doc["params"], {p.name for p in fields if not p.optional},
+        {p.name for p in fields if p.optional}, f"params for {kind}",
+    )
+    for p in fields:
+        if p.check is not None and not (p.optional and params.get(p.name) is None):
+            p.check(params[p.name], f"param {p.name!r}")
+    return ExperimentSpec(kind=kind, params=params, seed=doc["seed"], output=output)
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict[str, Any]:
@@ -103,27 +109,6 @@ def spec_to_dict(spec: ExperimentSpec) -> dict[str, Any]:
 def spec_hash(spec: ExperimentSpec) -> str:
     canon = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _validate_params(kind: str, params: dict[str, Any]) -> None:
-    fields = _KIND_TABLE[kind].params
-    unknown = set(params) - {p.name for p in fields}
-    if unknown:
-        raise SpecError(f"unknown params for {kind}: {sorted(unknown)}")
-    missing = {p.name for p in fields if not p.optional} - set(params)
-    if missing:
-        raise SpecError(f"missing params for {kind}: {sorted(missing)}")
-
-
-def _require_int(params: dict[str, Any], name: str, minimum: int) -> int:
-    value = params[name]
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise SpecError(f"param {name!r} must be an integer >= {minimum}")
-    return value
-
-
-def _require_number(params: dict[str, Any], name: str) -> float:
-    return require_number(params[name], f"param {name!r}")
 
 
 def _fmt(value: Any) -> str:
@@ -159,6 +144,14 @@ def _json_or_path(value: Any, what: str) -> dict[str, Any]:
     raise SpecError(f"{what} must be a JSON object or a path")
 
 
+def _csv_values(text: str, caster: type, what: str) -> list[Any]:
+    try:
+        return [caster(v) for v in text.split(",")]
+    except ValueError:
+        noun = "integers" if caster is int else "numbers"
+        raise SpecError(f"{what} must be comma-separated {noun}") from None
+
+
 def _decomposition_from_param(value: Any) -> Decomposition:
     return decomposition_from_json(_json_or_path(value, "decomposition"))
 
@@ -184,31 +177,35 @@ def _system_builder(value: Any) -> Callable[[float], TimeDependentHamiltonian]:
         doc = _json_or_path(value, "system")
     family = doc.get("family")
     if family == "sweep":
-        allowed = {"family", "shape", "a", "b", "grid"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise SpecError(f"unknown sweep system fields: {sorted(unknown)}")
-        if not {"shape", "a", "b"} <= set(doc):
-            raise SpecError("sweep system needs shape, a, b")
+        require_fields(doc, {"family", "shape", "a", "b"}, {"grid"}, "sweep system")
         ham = two_level_sweep(
-            _require_number(doc, "a"), _require_number(doc, "b"),
-            shape=doc["shape"], grid=_require_int(doc, "grid", 1) if "grid" in doc else 256,
+            require_number(doc["a"], "sweep system 'a'"),
+            require_number(doc["b"], "sweep system 'b'"),
+            shape=doc["shape"], grid=require_int(doc.get("grid", 256), "sweep system 'grid'", 1),
         )
         return lambda total_time: ham
     if family == "interaction-frame":
-        allowed = {"family", "generator", "coupling", "grid"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise SpecError(f"unknown interaction-frame fields: {sorted(unknown)}")
-        if not {"generator", "coupling"} <= set(doc):
-            raise SpecError("interaction-frame system needs generator and coupling")
+        what = "interaction-frame system"
+        require_fields(doc, {"family", "generator", "coupling"}, {"grid"}, what)
         gen = decomposition_from_json(_json_or_path(doc["generator"], "generator"))
         coup = decomposition_from_json(_json_or_path(doc["coupling"], "coupling"))
-        grid = _require_int(doc, "grid", 1) if "grid" in doc else 64
+        grid = require_int(doc.get("grid", 64), f"{what} 'grid'", 1)
         return lambda total_time: interaction_frame(
             gen.total(), coup.total(), total_time, grid=grid
         )
     raise SpecError("system family must be 'sweep' or 'interaction-frame'")
+
+
+# each potential's parameters, in the order of its string form, and its builder
+_POTENTIALS: dict[str, tuple[tuple[str, ...], Callable[..., Potential]]] = {
+    "zero": ((), lambda cfg: zero_potential()),
+    "constant": (("level",), lambda cfg, level: constant_potential(level)),
+    "harmonic": (
+        ("omega", "center"),
+        lambda cfg, omega, center: harmonic_potential(cfg.mass, omega, center, cfg.x_max),
+    ),
+    "well": (("depth", "left", "right"), lambda cfg, *edges: square_well_potential(*edges)),
+}
 
 
 def _potential_from_param(value: Any, cfg: LatticeConfig) -> Potential:
@@ -218,39 +215,18 @@ def _potential_from_param(value: Any, cfg: LatticeConfig) -> Potential:
     """
     if isinstance(value, str) and not value.lstrip().startswith("{"):
         name, _, rest = value.partition(":")
-        args = []
-        if rest:
-            try:
-                args = [float(v) for v in rest.split(",")]
-            except ValueError:
-                raise SpecError("potential parameters must be numbers") from None
-        doc: dict[str, Any] = {"name": name}
-        if name == "constant" and len(args) == 1:
-            doc["level"] = args[0]
-        elif name == "harmonic" and len(args) == 2:
-            doc["omega"], doc["center"] = args
-        elif name == "well" and len(args) == 3:
-            doc["depth"], doc["left"], doc["right"] = args
-        elif name != "zero" or args:
+        args = _csv_values(rest, float, "potential parameters") if rest else []
+        if name not in _POTENTIALS or len(args) != len(_POTENTIALS[name][0]):
             raise SpecError(f"malformed potential {value!r}")
+        doc: dict[str, Any] = {"name": name, **dict(zip(_POTENTIALS[name][0], args))}
     else:
         doc = _json_or_path(value, "potential")
     name = doc.get("name")
-    fields = set(doc) - {"name"}
-    if name == "zero" and not fields:
-        return zero_potential()
-    if name == "constant" and fields == {"level"}:
-        return constant_potential(_require_number(doc, "level"))
-    if name == "harmonic" and fields == {"omega", "center"}:
-        return harmonic_potential(
-            cfg.mass, _require_number(doc, "omega"), _require_number(doc, "center"), cfg.x_max
-        )
-    if name == "well" and fields == {"depth", "left", "right"}:
-        return square_well_potential(
-            _require_number(doc, "depth"), _require_number(doc, "left"),
-            _require_number(doc, "right"),
-        )
-    raise SpecError(f"unrecognized potential document: {doc}")
+    if not isinstance(name, str) or name not in _POTENTIALS:
+        raise SpecError(f"unrecognized potential document: {doc}")
+    names, builder = _POTENTIALS[name]
+    require_fields(doc, {"name", *names}, set(), f"potential {name!r}")
+    return builder(cfg, *(require_number(doc[f], f"potential {name!r} {f!r}") for f in names))
 
 
 def _initial_state(value: Any, cfg: LatticeConfig) -> np.ndarray:
@@ -262,7 +238,8 @@ def _initial_state(value: Any, cfg: LatticeConfig) -> np.ndarray:
             x0, sigma, k0 = (float(v) for v in rest.split(","))
         except ValueError:
             raise SpecError("gaussian initial state needs x0,sigma,k0") from None
-        return gaussian_packet(cfg, x0, sigma, k0)
+        what = "gaussian initial state"
+        return gaussian_packet(cfg, *(require_number(v, what) for v in (x0, sigma, k0)))
     if name == "basis":
         try:
             q = int(rest)
@@ -282,15 +259,9 @@ def _initial_state(value: Any, cfg: LatticeConfig) -> np.ndarray:
 
 def _run_trotter_error(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
     decomp = _decomposition_from_param(params["decomp"])
-    k = _require_int(params, "k", 0)
-    t = _require_number(params, "t")
-    r_list = params["r_list"]
-    if not isinstance(r_list, list) or not r_list:
-        raise SpecError("param 'r_list' must be a non-empty list of integers")
+    k, t = params["k"], float(params["t"])
     rows = []
-    for r in r_list:
-        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-            raise SpecError("r_list entries must be positive integers")
+    for r in params["r_list"]:
         sched = schedule(decomp.term_count, k, r, t)
         bound = error_bound(decomp, k, t, r)
         meas = measured_error(decomp, sched)
@@ -298,34 +269,17 @@ def _run_trotter_error(params: dict[str, Any], seed: int) -> tuple[list[str], li
     return ["k", "r", "bound", "measured"], rows
 
 
-def _short_point(params: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "k": _require_int(params, "k", 0),
-        "r": _require_int(params, "r", 1),
-        "t": _require_number(params, "t"),
-        "bits": _require_int(params, "bits", 1),
-    }
-
-
 def _run_short_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
     decomp = _decomposition_from_param(params["decomp"])
-    points = [_short_point(params)]
     sweep = params.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict) or set(sweep) != {"param", "values"}:
-            raise SpecError("sweep must be {'param': name, 'values': list}")
-        name = sweep["param"]
-        if name not in _SHORT_SWEEPABLE:
-            raise SpecError(f"sweep param must be one of {sorted(_SHORT_SWEEPABLE)}")
-        values = sweep["values"]
-        if not isinstance(values, list) or not values:
-            raise SpecError("sweep values must be a non-empty list")
-        points = [_short_point(dict(params, **{name: v})) for v in values]
+    points = [params] if sweep is None else [
+        dict(params, **{sweep["param"]: value}) for value in sweep["values"]
+    ]
     header = ["k", "r", "B", "d", "M", "measured_error", "bound"]
     header += [col for col, _ in _QUERY_COLUMNS]
     rows = []
     for pt in points:
-        res = simulate(decomp, pt["k"], pt["r"], pt["t"], pt["bits"])
+        res = simulate(decomp, pt["k"], pt["r"], float(pt["t"]), pt["bits"])
         bound = 4.0 * (res.rounding_bound + res.trotter_bound)
         row = [
             _fmt(res.k), _fmt(res.r), _fmt(res.bits), _fmt(res.d), _fmt(res.M),
@@ -338,16 +292,9 @@ def _run_short_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[l
 
 def _run_long_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
     builder = _system_builder(params["system"])
-    sweep = params["T_sweep"]
-    if not isinstance(sweep, list) or not sweep:
-        raise SpecError("param 'T_sweep' must be a non-empty list of times")
     r = params.get("r")
-    if r is not None and (not isinstance(r, int) or r < 4):
-        raise SpecError("param 'r' must be an integer >= 4")
     rows = []
-    for raw in sweep:
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw <= 0:
-            raise SpecError("T_sweep entries must be positive numbers")
+    for raw in params["T_sweep"]:
         total_time = float(raw)
         ham = builder(total_time)
         bounds = ham.bounds
@@ -374,10 +321,7 @@ _BLOCK_AMPLITUDES = 1 << 13
 
 def _run_lagrangian_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
     cfg = LatticeConfig(
-        n=_require_int(params, "n", 1),
-        x_max=_require_number(params, "xmax"),
-        mass=_require_number(params, "mass"),
-        r=_require_int(params, "r", 1),
+        n=params["n"], x_max=float(params["xmax"]), mass=float(params["mass"]), r=params["r"],
     )
     potential = _potential_from_param(params["potential"], cfg)
     initial = _initial_state(params["initial"], cfg)
@@ -416,8 +360,7 @@ def _run_lagrangian_sim(params: dict[str, Any], seed: int) -> tuple[list[str], l
 
 
 def _run_gauss_check(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
-    count = _require_int(params, "count", 1)
-    max_coeff = _require_int(params, "max_coeff", 1)
+    count, max_coeff = params["count"], params["max_coeff"]
     children = np.random.SeedSequence(seed).spawn(count)
     header = [
         "index", "a", "b", "c",
@@ -449,20 +392,44 @@ def _run_gauss_check(params: dict[str, Any], seed: int) -> tuple[list[str], list
 # experiment kinds: one table drives the parser, inline flags and spec check
 
 
-def _csv_values(text: str, caster: type, what: str) -> list[Any]:
-    try:
-        return [caster(v) for v in text.split(",")]
-    except ValueError:
-        noun = "integers" if caster is int else "numbers"
-        raise SpecError(f"{what} must be comma-separated {noun}") from None
-
-
 def _sweep_flag(text: str) -> dict[str, Any]:
     name, _, rest = text.partition(":")
     if name not in _SHORT_SWEEPABLE or not rest:
         raise SpecError("--sweep must look like param:v1,v2,...")
-    values = _csv_values(rest, _SHORT_SWEEPABLE[name], "--sweep values")
+    values = _csv_values(rest, _SHORT_SWEEPABLE[name].type, "--sweep values")
     return {"param": name, "values": values}
+
+
+# A check refuses a bad document value with a SpecError; it is handed the
+# value and the words that name it.
+Check = Callable[[Any, str], object]
+
+
+def _int_from(minimum: int) -> Check:
+    return lambda value, what: require_int(value, what, minimum)
+
+
+def _positive(value: Any, what: str) -> None:
+    if not require_number(value, what) > 0:
+        raise SpecError(f"{what} must be positive")
+
+
+def _list_of(entry: Check) -> Check:
+    def check(value: Any, what: str) -> None:
+        if not isinstance(value, list) or not value:
+            raise SpecError(f"{what} must be a non-empty list")
+        for item in value:
+            entry(item, f"{what} entry")
+    return check
+
+
+def _short_sweep(value: Any, what: str) -> None:
+    """A short-sim sweep: one swept param, each value passing that param's check."""
+    require_fields(value, {"param", "values"}, set(), what)
+    name = value["param"]
+    if not isinstance(name, str) or name not in _SHORT_SWEEPABLE:
+        raise SpecError(f"sweep param must be one of {sorted(_SHORT_SWEEPABLE)}")
+    _list_of(_SHORT_SWEEPABLE[name].check)(value["values"], f"{what} values")
 
 
 @dataclass(frozen=True)
@@ -471,11 +438,14 @@ class Param:
 
     ``parse`` turns flag text into the document value (JSON documents are
     read here, so the spec hash depends on their content, not their path).
+    ``check`` refuses a bad value; the documents that ``decomp``, ``system``,
+    ``potential`` and ``initial`` name are checked by their own readers.
     """
 
     name: str
     type: type = str
     parse: Callable[[str], Any] | None = None
+    check: Check | None = None
     optional: bool = False
     help: str | None = None
 
@@ -502,18 +472,18 @@ _DECOMP = Param(
 _KIND_TABLE: dict[str, Kind] = {
     "trotter-error": Kind("product-formula error sweep over r", _run_trotter_error, (
         _DECOMP,
-        Param("k", int),
+        Param("k", int, check=_int_from(0)),
         Param("r_list", parse=lambda v: _csv_values(v, int, "--r-list"),
-              help="comma-separated step counts"),
-        Param("t", float),
+              check=_list_of(_int_from(1)), help="comma-separated step counts"),
+        Param("t", float, check=require_number),
     )),
     "short-sim": Kind("amplified path-sum simulation", _run_short_sim, (
         _DECOMP,
-        Param("k", int),
-        Param("r", int),
-        Param("t", float),
-        Param("bits", int),
-        Param("sweep", parse=_sweep_flag, optional=True,
+        Param("k", int, check=_int_from(0)),
+        Param("r", int, check=_int_from(1)),
+        Param("t", float, check=require_number),
+        Param("bits", int, check=_int_from(1)),
+        Param("sweep", parse=_sweep_flag, check=_short_sweep, optional=True,
               help="param:v1,v2,... over one of k,r,t,bits"),
     )),
     "long-sim": Kind("slow-sweep truncated propagator errors", _run_long_sim, (
@@ -521,33 +491,34 @@ _KIND_TABLE: dict[str, Kind] = {
               parse=lambda v: v if v.startswith("sweep:") else _json_or_path(v, "system"),
               help="sweep:<shape>:<a>,<b>, JSON, or a path"),
         Param("T_sweep", parse=lambda v: _csv_values(v, float, "--T-sweep"),
-              help="comma-separated total times"),
-        Param("r", int, optional=True, help="quadrature panel count"),
+              check=_list_of(_positive), help="comma-separated total times"),
+        Param("r", int, check=_int_from(4), optional=True, help="quadrature panel count"),
     )),
     "lagrangian-sim": Kind("lattice action-phase trajectory", _run_lagrangian_sim, (
-        Param("n", int),
-        Param("xmax", float),
-        Param("mass", float),
-        Param("r", int),
+        Param("n", int, check=_int_from(1)),
+        Param("xmax", float, check=require_number),
+        Param("mass", float, check=require_number),
+        Param("r", int, check=_int_from(1)),
         Param("potential",
               parse=lambda v: _json_or_path(v, "potential") if v.lstrip().startswith("{") else v,
               help="zero|constant:c|harmonic:omega,x0|well:d,l,r"),
         Param("initial", help="gaussian:x0,sigma,k0 or basis:q"),
     )),
     "gauss-check": Kind("reciprocity fuzz over random triples", _run_gauss_check, (
-        Param("count", int),
-        Param("max_coeff", int),
+        Param("count", int, check=_int_from(1)),
+        Param("max_coeff", int, check=_int_from(1)),
     )),
 }
 
 KINDS = tuple(_KIND_TABLE)
-# short-sim's numeric parameters, each with the type a sweep casts to
-_SHORT_SWEEPABLE = {p.name: p.type for p in _KIND_TABLE["short-sim"].params if p.type is not str}
+# short-sim's numeric parameters: a sweep casts its flag values to each one's
+# type and checks its document values with each one's check
+_SHORT_SWEEPABLE = {p.name: p for p in _KIND_TABLE["short-sim"].params if p.type is not str}
 _RUNNERS: dict[str, Runner] = {name: kind.runner for name, kind in _KIND_TABLE.items()}
 
 
 def run(spec: ExperimentSpec) -> None:
-    """Execute one experiment: write its CSV and sidecar manifest."""
+    """Execute one checked experiment (from spec_from_dict): write its CSV and manifest."""
     start = time.perf_counter()
     header, rows = _RUNNERS[spec.kind](spec.params, spec.seed)
     lines = [",".join(header)] + [",".join(row) for row in rows]

@@ -6,11 +6,14 @@ appear adjacently in a product-formula schedule we tabulate the unitary of
 eigenbasis overlaps and mark its genuine entries, those above ``zero_tol``.
 The sparsity d is the largest number of genuine overlaps in any row or
 column; the short-time select cells color exactly the genuine edges.
-``QueryCounter`` tallies the oracle queries the encodings charge.
+``QueryCounter`` tallies the oracle queries the encodings charge.  The
+document rules ``require_number``, ``require_int`` and ``require_fields``
+read every experiment document and sub-document.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -28,6 +31,8 @@ _PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# the largest finite float: abs(value) <= _MAX fails for NaN, infinities and larger ints
+_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -75,19 +80,41 @@ def build(terms: Sequence[np.ndarray], zero_tol: float = 1e-12) -> Decomposition
     return Decomposition(n=n, terms=tuple(mats), eigensystems=eigs, zero_tol=zero_tol)
 
 
+# ---------------------------------------------------------------------------
+# document rules: every experiment document and sub-document is read with these
+
+
 def require_number(value: object, what: str) -> float:
-    """A document number: an int or float, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{what} must be a number")
+    """A document number: a finite int or float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX:
+        raise SpecError(f"{what} must be a finite number")
     return float(value)
+
+
+def require_int(value: object, what: str, minimum: int) -> int:
+    """A document integer of at least ``minimum``, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SpecError(f"{what} must be an integer >= {minimum}")
+    return value
+
+
+def require_fields(doc: object, required: set[str], optional: set[str], what: str) -> dict:
+    """A JSON object holding every required field and nothing unknown."""
+    if not isinstance(doc, dict):
+        raise SpecError(f"{what} must be a JSON object")
+    unknown = set(doc) - required - optional
+    if unknown:
+        raise SpecError(f"{what}: unknown fields {sorted(unknown)}")
+    missing = required - set(doc)
+    if missing:
+        raise SpecError(f"{what}: missing fields {sorted(missing)}")
+    return doc
 
 
 def _term_from_json(entry: object, dim: int, pos: int) -> np.ndarray:
     if isinstance(entry, dict):
-        unknown = set(entry) - {"pauli", "coeff"}
-        if unknown:
-            raise SpecError(f"term {pos}: unknown fields {sorted(unknown)}")
-        label = entry.get("pauli")
+        require_fields(entry, {"pauli"}, {"coeff"}, f"term {pos}")
+        label = entry["pauli"]
         if not isinstance(label, str) or not label:
             raise SpecError(f"term {pos}: 'pauli' must be a non-empty string")
         if any(c not in _PAULI_1Q for c in label):
@@ -102,13 +129,14 @@ def _term_from_json(entry: object, dim: int, pos: int) -> np.ndarray:
             mat = np.kron(mat, _PAULI_1Q[c])
         return mat
     if isinstance(entry, list):
+        what = f"term {pos}: entries must be [re, im] pairs of finite numbers"
         try:
-            rows = []
-            for row in entry:
-                rows.append([complex(re, im) for re, im in row])
-            mat = np.array(rows, dtype=complex)
+            mat = np.array([
+                [complex(require_number(re, what), require_number(im, what)) for re, im in row]
+                for row in entry
+            ], dtype=complex)
         except (TypeError, ValueError) as exc:
-            raise SpecError(f"term {pos}: entries must be [re, im] pairs") from exc
+            raise SpecError(what) from exc
         if mat.shape != (dim, dim):
             raise SpecError(f"term {pos}: shape {mat.shape}, expected ({dim}, {dim})")
         return mat
@@ -117,21 +145,11 @@ def _term_from_json(entry: object, dim: int, pos: int) -> np.ndarray:
 
 def decomposition_from_json(doc: dict) -> Decomposition:
     """Parse the on-disk decomposition format (dense matrices or Pauli shorthand)."""
-    if not isinstance(doc, dict):
-        raise SpecError("decomposition document must be a JSON object")
-    unknown = set(doc) - {"n", "terms", "zero_tol"}
-    if unknown:
-        raise SpecError(f"decomposition: unknown fields {sorted(unknown)}")
-    try:
-        n = doc["n"]
-        raw_terms = doc["terms"]
-    except KeyError as exc:
-        raise SpecError(f"decomposition: missing field {exc}") from exc
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise SpecError("n must be an integer >= 1")
+    require_fields(doc, {"n", "terms"}, {"zero_tol"}, "decomposition")
+    dim = 2 ** require_int(doc["n"], "decomposition 'n'", 1)
+    raw_terms = doc["terms"]
     if not isinstance(raw_terms, list) or not raw_terms:
         raise SpecError("'terms' must be a non-empty list")
-    dim = 2**n
     terms = [_term_from_json(t, dim, i) for i, t in enumerate(raw_terms)]
     zero_tol = require_number(doc.get("zero_tol", 1e-12), "zero_tol")
     return build(terms, zero_tol=zero_tol)

@@ -57,10 +57,12 @@ class LatticeConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= 10:
             raise SpecError("grid exponent n must be between 1 and 10")
-        if not self.x_max > 0:
-            raise SpecError("x_max must be positive")
-        if not self.mass > 0:
-            raise SpecError("mass must be positive")
+        if not 0 < self.x_max < np.inf:
+            raise SpecError("x_max must be positive and finite")
+        if not 0 < self.mass < np.inf:
+            raise SpecError("mass must be positive and finite")
+        if not np.isfinite(self.tau):
+            raise SpecError("timestep tau must be finite")
         if self.r < 1:
             raise SpecError("step count r must be a positive integer")
 

@@ -354,19 +354,17 @@ class AdiabaticBounds:
     """Sampled-maximum bounds that control the transition expansion.
 
     drive_ratio is the largest of the first three derivative norms over the
-    minimum gap; max_curvature bounds the bending of any eigenvalue curve;
-    jump_constant multiplies the p-transition path-sum bounds; max_drive is
-    the bare first-derivative norm needed by the odd-order bounds.
+    minimum gap; jump_constant multiplies the p-transition path-sum bounds;
+    max_drive is the bare first-derivative norm needed by the odd-order bounds.
     """
 
     gap_min: float
     drive_ratio: float
-    max_curvature: float
     jump_constant: float
     max_drive: float
 
     def __post_init__(self) -> None:
-        for name in ("gap_min", "drive_ratio", "max_curvature", "jump_constant", "max_drive"):
+        for name in ("gap_min", "drive_ratio", "jump_constant", "max_drive"):
             if getattr(self, name) < 0:
                 raise InvariantViolation(f"{name} must be nonnegative")
 
@@ -380,8 +378,7 @@ def adiabatic_bounds(ham: TimeDependentHamiltonian) -> AdiabaticBounds:
     read ``ham.bounds``, which computes this once per Hamiltonian.
     """
     pts = np.linspace(0.0, 1.0, 129)
-    eigsys = smooth_eigensystem(ham, pts)
-    gap_min = eigsys.gap_min
+    gap_min = smooth_eigensystem(ham, pts).gap_min
 
     delta = 1e-3
     inner = np.clip(pts, delta, 1.0 - delta)
@@ -395,16 +392,10 @@ def adiabatic_bounds(ham: TimeDependentHamiltonian) -> AdiabaticBounds:
     m1 = max_norm(np.asarray(ham.dh(pts), dtype=complex))
     m2 = max_norm((d_plus - d_minus) / (2.0 * delta))
     m3 = max_norm((d_plus - 2.0 * d_mid + d_minus) / delta**2)
-    steps = np.diff(pts)
-    curv = (eigsys.values[2:] - 2.0 * eigsys.values[1:-1] + eigsys.values[:-2]) / (
-        steps[0] ** 2
-    )
-    max_curvature = float(np.max(np.abs(curv))) if len(curv) else 0.0
     jump_constant = 6.0 * m1**3 / gap_min**3 + (m1 * m2 + 2.0 * m1**2) / gap_min**2
     return AdiabaticBounds(
         gap_min=gap_min,
         drive_ratio=max(m1, m2, m3) / gap_min,
-        max_curvature=max_curvature,
         jump_constant=jump_constant,
         max_drive=m1,
     )

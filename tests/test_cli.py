@@ -510,7 +510,9 @@ def test_each_required_flag_is_checked(tmp_path, capsys, kind, flag):
 
 # Document numbers of the wrong type, each inside an otherwise valid
 # criterion-14 document: a string where a number belongs, a fraction where
-# an integer belongs, or a boolean where a step count belongs.
+# an integer belongs, or a boolean where a step count belongs.  Then numbers
+# that are not finite, written as JSON NaN and Infinity or given as flags;
+# a case whose keys are flags changes the criterion-14 flags instead.
 SWEEP_SYSTEM = {"family": "sweep", "shape": "sine", "a": 1.0, "b": 0.2}
 FRAME_SYSTEM = {
     "family": "interaction-frame",
@@ -530,19 +532,83 @@ BAD_NUMBERS = {
     "decomp-coeff": ("short-sim", {"decomp": {"n": 1, "terms": [{"pauli": "Z", "coeff": "x"}]}}),
     "decomp-zero-tol": ("short-sim", {"decomp": dict(ZX_DOC, zero_tol="x")}),
     "r-list-boolean": ("trotter-error", {"r_list": [True]}),
+    "flag-t-nan": ("short-sim", {"--t": "nan"}),
+    "flag-t-inf": ("trotter-error", {"--t": "inf"}),
+    "flag-T-sweep-inf": ("long-sim", {"--T-sweep": "20,inf"}),
+    "flag-initial-nan": ("lagrangian-sim", {"--initial": "gaussian:nan,1.0,0.0"}),
+    # finite geometry whose timestep overflows
+    "flag-tau-overflow": ("lagrangian-sim", {
+        "--n": "3", "--xmax": "1e300", "--mass": "1", "--r": "2",
+        "--potential": "zero", "--initial": "basis:0",
+    }),
 }
+for word, value in (("nan", float("nan")), ("infinity", float("inf"))):
+    BAD_NUMBERS.update({
+        f"t-{word}": ("short-sim", {"t": value}),
+        f"xmax-{word}": ("lagrangian-sim", {"xmax": value}),
+        f"mass-{word}": ("lagrangian-sim", {"mass": value}),
+        f"T-sweep-{word}": ("long-sim", {"T_sweep": [20.0, value]}),
+        f"sweep-t-{word}": ("short-sim", {"sweep": {"param": "t", "values": [0.3, value]}}),
+        f"system-a-{word}": ("long-sim", {"system": dict(SWEEP_SYSTEM, a=value)}),
+        f"potential-level-{word}": (
+            "lagrangian-sim", {"potential": {"name": "constant", "level": value}},
+        ),
+        f"decomp-coeff-{word}": (
+            "short-sim", {"decomp": {"n": 1, "terms": [{"pauli": "Z", "coeff": value}]}},
+        ),
+        f"decomp-zero-tol-{word}": ("short-sim", {"decomp": dict(ZX_DOC, zero_tol=value)}),
+    })
 
 
 @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
 def test_document_numbers_are_checked(tmp_path, capsys, case):
     kind, change = BAD_NUMBERS[case]
+    flags, params = INVOCATIONS[kind]
     out = tmp_path / "x.csv"
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(
-        {"kind": kind, "params": dict(INVOCATIONS[kind][1], **change), "seed": 0, "output": str(out)}
-    ))
-    assert cli.main([kind, "--spec", str(spec_path)]) == 2
+    if all(key.startswith("--") for key in change):
+        argv = flag_argv(kind, dict(flags, **change)) + ["--out", str(out)]
+    else:
+        spec_path.write_text(json.dumps(
+            {"kind": kind, "params": dict(params, **change), "seed": 0, "output": str(out)}
+        ))
+        argv = [kind, "--spec", str(spec_path)]
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "spec"
     assert not out.exists()
+
+
+# Each refused document is refused whole, before its runner computes a row:
+# a bad entry late in a list costs no work for the entries before it.
+@pytest.mark.parametrize(("kind", "change", "counted"), [
+    ("long-sim", {"--T-sweep": "20,-1"}, "longtime_error"),
+    ("trotter-error", {"--r-list": "2,0"}, "measured_error"),
+], ids=["long-sim", "trotter-error"])
+def test_refusal_comes_before_any_work(tmp_path, capsys, monkeypatch, kind, change, counted):
+    calls = []
+    original = getattr(cli, counted)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, counted, counting)
+    out = tmp_path / "x.csv"
+    argv = flag_argv(kind, dict(INVOCATIONS[kind][0], **change)) + ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "spec"
+    assert calls == []
+    assert not out.exists()
+
+
+# The four params that name documents or string forms are checked by their
+# own readers; every other value param must declare its check.
+READER_PARAMS = {"decomp", "system", "potential", "initial"}
+
+
+def test_every_value_param_declares_a_check():
+    for kind in cli._KIND_TABLE.values():
+        for param in kind.params:
+            assert (param.check is None) == (param.name in READER_PARAMS), param.name

@@ -7,6 +7,8 @@ sides of Gauss-sum reciprocity summed term by term.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +60,15 @@ def test_config_binding_and_validation():
     ):
         with pytest.raises(SpecError):
             LatticeConfig(**bad)
+
+
+def test_config_refuses_geometry_that_is_not_finite():
+    # 1e300 is finite, but tau = mass * x_max**2 / (2*pi * 2**n) overflows
+    for bad in (
+        (3, math.inf, 1.0, 2), (3, math.nan, 1.0, 2), (3, 1.0, math.inf, 2), (3, 1e300, 1.0, 2),
+    ):
+        with pytest.raises(SpecError):
+            LatticeConfig(*bad)
 
 
 def test_potential_bound_enforced():

@@ -281,7 +281,6 @@ def test_adiabatic_bounds_frozen_values():
     assert abs(bounds.gap_min - 2.0) < 1e-6
     assert abs(bounds.max_drive - 0.2 * np.pi) < 1e-3
     assert abs(bounds.drive_ratio - 0.1 * np.pi**3) < 0.01
-    assert 0.35 < bounds.max_curvature < 0.45
     assert abs(bounds.jump_constant - 0.6935) < 0.01
 
 
@@ -289,7 +288,6 @@ def test_jump_bounds_formula():
     bounds = lt.AdiabaticBounds(
         gap_min=2.0,
         drive_ratio=1.0,
-        max_curvature=0.5,
         jump_constant=0.7,
         max_drive=0.6,
     )
@@ -304,7 +302,7 @@ def test_jump_bounds_formula():
     with pytest.raises(SpecError):
         lt.jump_bounds(bounds, -1.0, 1)
     silent = lt.AdiabaticBounds(
-        gap_min=2.0, drive_ratio=0.0, max_curvature=0.0, jump_constant=0.0, max_drive=0.0
+        gap_min=2.0, drive_ratio=0.0, jump_constant=0.0, max_drive=0.0
     )
     assert lt.jump_bounds(silent, 10.0, 3) == (0.0, 0.0)
 
