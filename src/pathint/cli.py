@@ -514,13 +514,12 @@ KINDS = tuple(_KIND_TABLE)
 # short-sim's numeric parameters: a sweep casts its flag values to each one's
 # type and checks its document values with each one's check
 _SHORT_SWEEPABLE = {p.name: p for p in _KIND_TABLE["short-sim"].params if p.type is not str}
-_RUNNERS: dict[str, Runner] = {name: kind.runner for name, kind in _KIND_TABLE.items()}
 
 
 def run(spec: ExperimentSpec) -> None:
     """Execute one checked experiment (from spec_from_dict): write its CSV and manifest."""
     start = time.perf_counter()
-    header, rows = _RUNNERS[spec.kind](spec.params, spec.seed)
+    header, rows = _KIND_TABLE[spec.kind].runner(spec.params, spec.seed)
     lines = [",".join(header)] + [",".join(row) for row in rows]
     out = Path(spec.output)
     if out.parent != Path(""):

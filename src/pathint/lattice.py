@@ -172,6 +172,20 @@ def split_step_reference(cfg: LatticeConfig, potential: Potential) -> np.ndarray
     return kin @ np.diag(np.exp(-1j * cfg.tau * v))
 
 
+def action_phase(
+    cfg: LatticeConfig, values: np.ndarray, q_from: np.ndarray | int, q_to: np.ndarray | int
+) -> np.ndarray:
+    """Action phase exp(i*pi*(q_to - q_from)**2/2**n - i*tau*V(x_from)).
+
+    ``values`` is ``Potential.grid_values(cfg)``; the grid indices broadcast
+    against each other.  Under the timestep binding the kinetic coefficient
+    mass/(2*tau) * delta_x**2 is exactly pi/2**n, so the phase is formed in
+    that integer form.
+    """
+    dq = q_to - q_from
+    return np.exp(1j * (np.pi * dq * dq / cfg.dim) - 1j * cfg.tau * values[q_from])
+
+
 class ActionOracle:
     """Diagonal phase oracle for the action of one timeslice pair.
 
@@ -179,10 +193,9 @@ class ActionOracle:
 
         exp(i*(mass/(2*tau))*(x_to - x_from)**2 - i*tau*V(x_from))
 
-    and counts one query.  Under the timestep binding the kinetic
-    coefficient is exactly pi/2**n, so the phase is computed in that integer
-    form.  The doubled-register matrix view counts one query as well, since
-    a single oracle application serves a whole superposition.
+    from :func:`action_phase` and counts one query.  The doubled-register
+    matrix view counts one query as well, since a single oracle application
+    serves a whole superposition.
     """
 
     def __init__(
@@ -201,34 +214,17 @@ class ActionOracle:
         if not (0 <= q_from < dim and 0 <= q_to < dim):
             raise SpecError("grid index out of range for the action oracle")
         self.counter.tick("action")
-        kinetic = (np.pi / dim) * (q_to - q_from) ** 2
-        return complex(np.exp(1j * kinetic - 1j * self.cfg.tau * self._v[q_from]))
+        return complex(action_phase(self.cfg, self._v, q_from, q_to))
 
     def phase_table(self) -> np.ndarray:
         """Array of phases indexed [q_from, q_to], without query accounting."""
-        dim = self.cfg.dim
-        q = np.arange(dim)
-        kinetic = (np.pi / dim) * (q[None, :] - q[:, None]) ** 2
-        return np.exp(1j * kinetic - 1j * self.cfg.tau * self._v[:, None])
+        q = np.arange(self.cfg.dim)
+        return action_phase(self.cfg, self._v, q[:, None], q[None, :])
 
     def doubled_matrix(self) -> np.ndarray:
         """Diagonal unitary on the doubled register |q_from>|q_to>."""
         self.counter.tick("action")
         return np.diag(self.phase_table().reshape(-1))
-
-
-def _step_phases(cfg: LatticeConfig, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal phases for the two oracle queries of one step.
-
-    The first query is (q, 0): kinetic phase pi*q^2/2^n plus the potential at
-    x_q.  The second is (0, q): the same kinetic phase but the potential at
-    x = 0, which is a global phase per step.
-    """
-    q = np.arange(cfg.dim)
-    kinetic = np.pi * q * q / cfg.dim
-    first = np.exp(1j * kinetic - 1j * cfg.tau * v)
-    second = np.exp(1j * kinetic - 1j * cfg.tau * v[0])
-    return first, second
 
 
 def step_global_phase(cfg: LatticeConfig, potential: Potential) -> complex:
@@ -265,9 +261,11 @@ def lagrangian_steps(
     built once, so a trajectory evaluates both once.  Each step applies the
     action oracle against a zeroed second register, an inverse Fourier
     transform, and the oracle again with the zeroed register first: two
-    oracle queries and one transform.
+    oracle queries and one transform.  The second query's potential is at
+    x = 0, a global phase per step.
     """
-    first, second = _step_phases(cfg, values)
+    q = np.arange(cfg.dim)
+    first, second = action_phase(cfg, values, q, 0), action_phase(cfg, values, 0, q)
     if state.ndim == 2:
         first, second = first[:, None], second[:, None]
     for _ in range(steps):
@@ -344,19 +342,15 @@ def brute_force_propagator(cfg: LatticeConfig, potential: Potential) -> np.ndarr
     """Propagator by literal summation over all interior lattice paths.
 
     Enumerates every path (q_0, q_1, ..., q_r) with fixed endpoints,
-    multiplies the per-transition action phases along it, and accumulates
-    with the prefactor (exp(-i*pi/4)/sqrt(2^n))**r.  The result equals the
-    split product with no extra phase.  Only feasible while the interior
+    multiplies the oracle's per-transition action phases along it, and
+    accumulates with the prefactor (exp(-i*pi/4)/sqrt(2^n))**r.  The result
+    equals the split product with no extra phase.  Only feasible while the interior
     path count (2^n)**(r-1) stays at or below BRUTE_FORCE_CAP.
     """
     dim = cfg.dim
     if dim ** (cfg.r - 1) > BRUTE_FORCE_CAP:
         raise CapExceeded("interior path count exceeds the brute-force cap")
-    v = potential.grid_values(cfg)
-    q = np.arange(dim)
-    trans = np.exp(
-        1j * (np.pi / dim) * (q[:, None] - q[None, :]) ** 2 - 1j * cfg.tau * v[None, :]
-    )
+    trans = ActionOracle(cfg, potential).phase_table()
     prefactor = (np.exp(-1j * np.pi / 4) / math.sqrt(dim)) ** cfg.r
     out = np.zeros((dim, dim), dtype=complex)
     for q_start in range(dim):
@@ -366,7 +360,7 @@ def brute_force_propagator(cfg: LatticeConfig, potential: Potential) -> np.ndarr
                 chain = (q_start, *interior, q_end)
                 amp = 1.0 + 0.0j
                 for k in range(cfg.r):
-                    amp *= trans[chain[k + 1], chain[k]]
+                    amp *= trans[chain[k], chain[k + 1]]
                 total += amp
             out[q_end, q_start] = total
     return prefactor * out

@@ -58,6 +58,30 @@ def _fix_phase(column: np.ndarray) -> np.ndarray:
     return column * (abs(pivot) / pivot)
 
 
+def _gram_schmidt(
+    fixed: list[np.ndarray], candidates: np.ndarray, count: int, tol: float
+) -> np.ndarray:
+    """Complete the orthonormal ``fixed`` columns to ``count`` columns.
+
+    Candidate columns are taken in index order; each has every kept column
+    projected out, and is normalized and kept if its remainder's norm
+    exceeds ``tol``.
+    """
+    out = list(fixed)
+    for i in range(candidates.shape[1]):
+        if len(out) == count:
+            break
+        cand = candidates[:, i].copy()
+        for prev in out:
+            cand -= prev * (prev.conj() @ cand)
+        norm = np.linalg.norm(cand)
+        if norm > tol:
+            out.append(cand / norm)
+    if len(out) < count:
+        raise InvariantViolation("Gram-Schmidt ran out of basis vectors")
+    return np.column_stack(out)
+
+
 def _refix_cluster(vectors: np.ndarray) -> np.ndarray:
     """Deterministic basis for a degenerate cluster.
 
@@ -65,21 +89,7 @@ def _refix_cluster(vectors: np.ndarray) -> np.ndarray:
     order and Gram-Schmidts the survivors.  The output spans the same space
     but no longer depends on backend rotation conventions.
     """
-    dim, size = vectors.shape
-    proj = vectors @ vectors.conj().T
-    out: list[np.ndarray] = []
-    for i in range(dim):
-        cand = proj[:, i].copy()
-        for prev in out:
-            cand -= prev * (prev.conj() @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            out.append(cand / norm)
-        if len(out) == size:
-            break
-    if len(out) < size:
-        raise InvariantViolation("degenerate cluster re-fix ran out of basis vectors")
-    return np.column_stack(out)
+    return _gram_schmidt([], vectors @ vectors.conj().T, vectors.shape[1], 1e-8)
 
 
 def hermitian_eig(h: np.ndarray) -> EigenSystem:

@@ -48,6 +48,7 @@ from . import lcu
 from .decomp import QueryCounter, round_to_bits
 from .errors import InvariantViolation, SpecError
 from .linalg import (
+    _gram_schmidt,
     check_hermitian,
     converged_propagator,
     hermitian_eig,
@@ -158,7 +159,7 @@ def two_level_sweep(
     h(s) = a * diag(1, -1) + b * f(s) * offdiag, with f either the identity
     ramp or a half-period sine.  The gap never closes as long as a != 0.
     """
-    if shape not in _SWEEP_SHAPES:
+    if not isinstance(shape, str) or shape not in _SWEEP_SHAPES:
         raise SpecError(f"unknown sweep shape {shape!r}; use one of {sorted(_SWEEP_SHAPES)}")
     f, fdot = _SWEEP_SHAPES[shape]
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -582,20 +583,7 @@ def _dft(n: int) -> np.ndarray:
 def _branch_unitary(first_column: np.ndarray) -> np.ndarray:
     """Any unitary whose first column is the given unit vector."""
     n = len(first_column)
-    cols = [first_column.astype(complex)]
-    for i in range(n):
-        cand = np.zeros(n, dtype=complex)
-        cand[i] = 1.0
-        for prev in cols:
-            cand = cand - prev * (prev.conj() @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-10:
-            cols.append(cand / norm)
-        if len(cols) == n:
-            break
-    if len(cols) < n:
-        raise InvariantViolation("failed to complete the branch unitary")
-    return np.column_stack(cols)
+    return _gram_schmidt([first_column.astype(complex)], np.eye(n, dtype=complex), n, 1e-10)
 
 
 def _apply_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:

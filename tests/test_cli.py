@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -264,16 +265,17 @@ def test_lagrangian_sim_builds_step_phases_once(tmp_path, monkeypatch):
     from pathint import lattice
 
     calls = []
-    original = lattice._step_phases
+    original = lattice.action_phase
 
-    def counting(cfg, values):
+    def counting(cfg, values, q_from, q_to):
         calls.append(cfg)
-        return original(cfg, values)
+        return original(cfg, values, q_from, q_to)
 
-    monkeypatch.setattr(lattice, "_step_phases", counting)
+    monkeypatch.setattr(lattice, "action_phase", counting)
     out = tmp_path / "long.csv"
     assert cli.main(LAGRANGIAN_ARGS + ["--n", "5", "--r", "50", "--out", str(out)]) == 0
-    assert len(calls) == 1
+    # one phase row per oracle query of a step, not one per step
+    assert len(calls) == 2
 
 
 # The first state to lose norm is row 1: inside the default block, alone in
@@ -285,13 +287,12 @@ def test_lagrangian_sim_refuses_a_step_that_loses_norm(tmp_path, monkeypatch, ca
 
     if rows is not None:
         monkeypatch.setattr(cli, "_BLOCK_AMPLITUDES", rows * 2**5)
-    original = lattice._step_phases
+    original = lattice.action_phase
 
-    def lossy(cfg, values):
-        first, second = original(cfg, values)
-        return 0.99 * first, second
+    def lossy(cfg, values, q_from, q_to):
+        return 0.99 * original(cfg, values, q_from, q_to)
 
-    monkeypatch.setattr(lattice, "_step_phases", lossy)
+    monkeypatch.setattr(lattice, "action_phase", lossy)
     out = tmp_path / "lossy.csv"
     assert cli.main(LAGRANGIAN_ARGS + ["--n", "5", "--r", "2", "--out", str(out)]) == 2
     doc = json.loads(capsys.readouterr().err.strip())
@@ -381,7 +382,8 @@ def test_invariant_failures_exit_four(tmp_path, capsys, monkeypatch):
     def boom(params, seed):
         raise InvariantViolation("synthetic trip")
 
-    monkeypatch.setitem(cli._RUNNERS, "gauss-check", boom)
+    kind = cli._KIND_TABLE["gauss-check"]
+    monkeypatch.setitem(cli._KIND_TABLE, "gauss-check", dataclasses.replace(kind, runner=boom))
     code = cli.main([
         "gauss-check", "--count", "1", "--max-coeff", "2",
         "--out", str(tmp_path / "x.csv"),
@@ -510,7 +512,8 @@ def test_each_required_flag_is_checked(tmp_path, capsys, kind, flag):
 
 # Document numbers of the wrong type, each inside an otherwise valid
 # criterion-14 document: a string where a number belongs, a fraction where
-# an integer belongs, or a boolean where a step count belongs.  Then numbers
+# an integer belongs, a boolean where a step count belongs, or a list or a
+# number where a sweep shape's name belongs.  Then numbers
 # that are not finite, written as JSON NaN and Infinity or given as flags;
 # a case whose keys are flags changes the criterion-14 flags instead.
 SWEEP_SYSTEM = {"family": "sweep", "shape": "sine", "a": 1.0, "b": 0.2}
@@ -525,6 +528,8 @@ BAD_NUMBERS = {
     "system-a": ("long-sim", {"system": dict(SWEEP_SYSTEM, a="x")}),
     "system-b": ("long-sim", {"system": dict(SWEEP_SYSTEM, b="x")}),
     "system-grid": ("long-sim", {"system": dict(SWEEP_SYSTEM, grid="x")}),
+    "system-shape-list": ("long-sim", {"system": dict(SWEEP_SYSTEM, shape=[1])}),
+    "system-shape-number": ("long-sim", {"system": dict(SWEEP_SYSTEM, shape=3)}),
     "frame-grid": ("long-sim", {"system": dict(FRAME_SYSTEM, grid="x")}),
     "potential-level": ("lagrangian-sim", {"potential": {"name": "constant", "level": "x"}}),
     "decomp-n": ("short-sim", {"decomp": dict(ZX_DOC, n="x")}),

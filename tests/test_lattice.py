@@ -28,6 +28,7 @@ from pathint.lattice import (
     harmonic_potential,
     lagrangian_propagator,
     lagrangian_step,
+    lagrangian_steps,
     momentum_mode_mask,
     momentum_op,
     position_op,
@@ -129,6 +130,18 @@ def test_action_oracle_call_values():
         assert abs(abs(orc(a, b)) - 1.0) < 1e-12
     with pytest.raises(SpecError):
         orc(8, 0)
+
+
+def test_walk_phases_are_the_oracle_table():
+    # The walk's two queries are the oracle's rows (q, 0) and (0, q), so one
+    # step equals the step formed from the oracle's own table, bit for bit.
+    cfg = LatticeConfig(n=10, x_max=20.0, mass=1.3, r=1)
+    psi = gaussian_packet(cfg, 9.0, 1.0, 0.6)
+    for pot in (harmonic_mid(cfg), square_well_potential(0.9, 5.0, 15.0)):
+        table = ActionOracle(cfg, pot).phase_table()
+        want = table[0, :] * np.fft.fft(table[:, 0] * psi, norm="ortho")
+        (got,) = lagrangian_steps(cfg, pot.grid_values(cfg), psi, 1)
+        assert np.array_equal(got, want)
 
 
 def test_action_oracle_doubled_register():
