@@ -55,7 +55,7 @@ from .long_time import (
     two_level_sweep,
 )
 from .short_time import simulate
-from .trotter import error_bound, measured_error, schedule
+from .trotter import measured_error, optional_error_bound, schedule
 
 _SPEC_FIELDS = {"kind", "params", "seed", "output"}
 
@@ -112,6 +112,8 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 
 def _fmt(value: Any) -> str:
+    if value is None:  # an optional bound that was not computed
+        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -263,7 +265,7 @@ def _run_trotter_error(params: dict[str, Any], seed: int) -> tuple[list[str], li
     rows = []
     for r in params["r_list"]:
         sched = schedule(decomp.term_count, k, r, t)
-        bound = error_bound(decomp, k, t, r)
+        bound = optional_error_bound(decomp, k, t, r)
         meas = measured_error(decomp, sched)
         rows.append([_fmt(k), _fmt(r), _fmt(bound), _fmt(meas)])
     return ["k", "r", "bound", "measured"], rows
@@ -280,7 +282,8 @@ def _run_short_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[l
     rows = []
     for pt in points:
         res = simulate(decomp, pt["k"], pt["r"], float(pt["t"]), pt["bits"])
-        bound = 4.0 * (res.rounding_bound + res.trotter_bound)
+        trotter_term = res.trotter_bound
+        bound = None if trotter_term is None else 4.0 * (res.rounding_bound + trotter_term)
         row = [
             _fmt(res.k), _fmt(res.r), _fmt(res.bits), _fmt(res.d), _fmt(res.M),
             _fmt(res.measured_error), _fmt(bound),

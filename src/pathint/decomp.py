@@ -6,6 +6,9 @@ appear adjacently in a product-formula schedule we tabulate the unitary of
 eigenbasis overlaps and mark its genuine entries, those above ``zero_tol``.
 The sparsity d is the largest number of genuine overlaps in any row or
 column; the short-time select cells color exactly the genuine edges.
+A Pauli-string term, told apart by its matrix alone, gets its eigensystem
+in closed form (``_pauli_eig``); every other term goes through
+``linalg.hermitian_eig``, whose gauge the closed form reproduces.
 ``QueryCounter`` tallies the oracle queries the encodings charge.  The
 document rules ``require_number``, ``require_int`` and ``require_fields``
 read every experiment document and sub-document.
@@ -20,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import SpecError
-from .linalg import EigenSystem, check_hermitian, hermitian_eig
+from .linalg import DEGENERACY_RTOL, EigenSystem, check_hermitian, hermitian_eig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from .trotter import TrotterSchedule
@@ -56,6 +59,41 @@ class Decomposition:
         return np.sum(self.terms, axis=0)
 
 
+def _pauli_eig(m: np.ndarray) -> EigenSystem | None:
+    """The eigensystem of a Pauli-string term in closed form, else None.
+
+    A Pauli-string term is a Hermitian matrix with exactly one nonzero entry
+    per column, all of one magnitude |c|: M e_i = a_i e_pi(i), with pi an
+    involution.  A fixed point i = pi(i) gives e_i with value a_i; a pair
+    i < pi(i) gives (e_i + s (a_i/|c|) e_pi(i))/sqrt(2) with value s|c| for
+    each sign s.  Values ascend, and the columns of one value ascend in
+    their lowest index: the gauge ``hermitian_eig`` fixes, found without
+    ``eigh``.  Two values closer than its degeneracy tolerance would be one
+    cluster there, so such a term takes that path too.
+    """
+    # entries come row by row; for Hermitian m, one per row is one per column
+    rows, pi = np.nonzero(m)
+    dim = len(m)
+    idx = np.arange(dim)
+    if len(rows) != dim or (rows != idx).any():
+        return None
+    a = m[pi, idx]
+    mag = abs(a[0])
+    if (np.abs(a) != mag).any() or 2 * mag <= DEGENERACY_RTOL * max(mag, 1.0):
+        return None
+    pair = idx < pi
+    neg = pair | ((a.real < 0) & (idx == pi))
+    pos = pair | ((a.real > 0) & (idx == pi))
+    cols = np.concatenate([idx[neg], idx[pos]])
+    sign = np.repeat([-1.0, 1.0], [neg.sum(), pos.sum()])
+    half = np.sqrt(0.5)
+    vectors = np.zeros((dim, dim), dtype=complex)
+    # a fixed point's partner entry is then overwritten by its own 1
+    vectors[pi[cols], idx] = sign * (a[cols] / mag) * half
+    vectors[cols, idx] = np.where(pi[cols] == cols, 1.0, half)
+    return EigenSystem(values=sign * mag, vectors=vectors)
+
+
 def build(terms: Sequence[np.ndarray], zero_tol: float = 1e-12) -> Decomposition:
     """Validate terms and precompute each term's deterministic eigensystem."""
     if not terms:
@@ -76,7 +114,7 @@ def build(terms: Sequence[np.ndarray], zero_tol: float = 1e-12) -> Decomposition
         )
     if zero_tol <= 0:
         raise SpecError("zero_tol must be positive")
-    eigs = tuple(hermitian_eig(m) for m in mats)
+    eigs = tuple(_pauli_eig(m) or hermitian_eig(m) for m in mats)
     return Decomposition(n=n, terms=tuple(mats), eigensystems=eigs, zero_tol=zero_tol)
 
 

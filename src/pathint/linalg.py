@@ -58,16 +58,18 @@ def _fix_phase(column: np.ndarray) -> np.ndarray:
     return column * (abs(pivot) / pivot)
 
 
-def _gram_schmidt(
-    fixed: list[np.ndarray], candidates: np.ndarray, count: int, tol: float
-) -> np.ndarray:
-    """Complete the orthonormal ``fixed`` columns to ``count`` columns.
+def _refix_cluster(vectors: np.ndarray) -> np.ndarray:
+    """Deterministic basis for a degenerate cluster.
 
-    Candidate columns are taken in index order; each has every kept column
+    Projects computational basis vectors into the cluster subspace in index
+    order and Gram-Schmidts the survivors: each has every kept column
     projected out, and is normalized and kept if its remainder's norm
-    exceeds ``tol``.
+    exceeds 1e-8.  The output spans the same space but no longer depends on
+    backend rotation conventions.
     """
-    out = list(fixed)
+    count = vectors.shape[1]
+    candidates = vectors @ vectors.conj().T
+    out: list[np.ndarray] = []
     for i in range(candidates.shape[1]):
         if len(out) == count:
             break
@@ -75,21 +77,11 @@ def _gram_schmidt(
         for prev in out:
             cand -= prev * (prev.conj() @ cand)
         norm = np.linalg.norm(cand)
-        if norm > tol:
+        if norm > 1e-8:
             out.append(cand / norm)
     if len(out) < count:
         raise InvariantViolation("Gram-Schmidt ran out of basis vectors")
     return np.column_stack(out)
-
-
-def _refix_cluster(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic basis for a degenerate cluster.
-
-    Projects computational basis vectors into the cluster subspace in index
-    order and Gram-Schmidts the survivors.  The output spans the same space
-    but no longer depends on backend rotation conventions.
-    """
-    return _gram_schmidt([], vectors @ vectors.conj().T, vectors.shape[1], 1e-8)
 
 
 def hermitian_eig(h: np.ndarray) -> EigenSystem:

@@ -47,13 +47,7 @@ import numpy as np
 from . import lcu
 from .decomp import QueryCounter, round_to_bits
 from .errors import InvariantViolation, SpecError
-from .linalg import (
-    _gram_schmidt,
-    check_hermitian,
-    converged_propagator,
-    hermitian_eig,
-    spectral_norm,
-)
+from .linalg import check_hermitian, converged_propagator, hermitian_eig, spectral_norm
 
 # Ten times the eigensolver degeneracy tolerance; spectra must clear this.
 GAP_FLOOR = 1e-8
@@ -581,9 +575,12 @@ def _dft(n: int) -> np.ndarray:
 
 
 def _branch_unitary(first_column: np.ndarray) -> np.ndarray:
-    """Any unitary whose first column is the given unit vector."""
-    n = len(first_column)
-    return _gram_schmidt([first_column.astype(complex)], np.eye(n, dtype=complex), n, 1e-10)
+    """A unitary whose first column is the given real unit vector x != e_0:
+    the Householder reflection I - 2 u u^T / |u|^2 with u = x - e_0, which
+    swaps e_0 and x."""
+    u = np.array(first_column, dtype=float)
+    u[0] -= 1.0
+    return (np.eye(len(u)) - (2.0 / (u @ u)) * np.outer(u, u)).astype(complex)
 
 
 def _apply_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from . import lcu
 from .decomp import Decomposition, QueryCounter, ScheduleOverlaps
 from .errors import CapExceeded, InvariantViolation, SpecError
 from .linalg import exp_unitary, spectral_norm
-from .trotter import TrotterSchedule, error_bound, schedule
+from .trotter import TrotterSchedule, optional_error_bound, schedule
 
 PATH_SUM_CAP = 1 << 20
 
@@ -377,7 +377,7 @@ class SimulationResult:
     unitary: np.ndarray
     measured_error: float
     rounding_bound: float
-    trotter_bound: float
+    trotter_bound: float | None  # None past alpha_comm's work cap
     queries: dict[str, int]
     n: int
     k: int
@@ -431,7 +431,7 @@ def simulate(
     measured = spectral_norm(result - exact)
     d = overlaps.d
     rounding = decomp.term_count * 5**k * r * d * d / float(1 << bits)
-    trotter_term = error_bound(decomp, k, t, r)
+    trotter_term = optional_error_bound(decomp, k, t, r)
     return SimulationResult(
         unitary=result,
         measured_error=measured,

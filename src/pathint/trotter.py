@@ -168,6 +168,15 @@ def error_bound(decomp: Decomposition, k: int, t: float, r: int) -> float:
     return alpha_comm(decomp, k) * t ** (2 * k + 1) / r ** (2 * k)
 
 
+def optional_error_bound(decomp: Decomposition, k: int, t: float, r: int) -> float | None:
+    """``error_bound``, or None when alpha_comm's work cap trips: the bound is
+    optional output, so a run past the cap reports it as absent."""
+    try:
+        return error_bound(decomp, k, t, r)
+    except CapExceeded:
+        return None
+
+
 def measured_error(decomp: Decomposition, sched: TrotterSchedule) -> float:
     """Spectral-norm distance between the product formula and the exact flow."""
     exact = exp_unitary(decomp.total(), sched.t)

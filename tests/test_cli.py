@@ -10,7 +10,7 @@ import pytest
 
 from pathint import cli, trotter
 from pathint.decomp import decomposition_from_json
-from pathint.errors import InvariantViolation
+from pathint.errors import CapExceeded, InvariantViolation
 from support import alpha_comm_oracle, lagrangian_csv_oracle
 
 ZX_DECOMP = '{"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "X", "coeff": 1.0}]}'
@@ -182,6 +182,57 @@ def test_short_sim_five_terms_bound_from_the_tuple_loop(tmp_path):
     trotter_term = alpha_comm_oracle(decomp, k) * t ** (2 * k + 1) / r ** (2 * k)
     assert float(row[6]) == 4.0 * (rounding + trotter_term)
     assert float(row[5]) <= float(row[6])
+
+
+def test_trotter_error_under_the_alpha_cap_writes_pinned_bytes(tmp_path):
+    out = tmp_path / "five.csv"
+    code = cli.main([
+        "trotter-error", "--decomp", FIVE_TERM_DECOMP, "--k", "3",
+        "--r-list", "1,2,4", "--t", "0.5", "--out", str(out),
+    ])
+    assert code == 0
+    assert out.read_bytes() == (
+        b"k,r,bound,measured\n"
+        b"3,1,22.501980000000007,9.6436039772881325e-06\n"
+        b"3,2,0.35159343750000011,5.2756343997974763e-07\n"
+        b"3,4,0.0054936474609375016,3.1901710038015994e-08\n"
+    )
+
+
+# 8 two-qubit terms whose alpha_comm at k = 3 would form 131,720 nested
+# commutators, past trotter.ALPHA_WORK_CAP
+EIGHT_TERM_DECOMP = json.dumps({
+    "n": 2,
+    "terms": [
+        {"pauli": p, "coeff": 1.0} for p in ["IZ", "ZX", "XZ", "IX", "XX", "YX", "YI", "ZY"]
+    ],
+})
+
+
+def test_bound_past_the_alpha_cap_is_an_empty_cell(tmp_path):
+    decomp = decomposition_from_json(json.loads(EIGHT_TERM_DECOMP))
+    with pytest.raises(CapExceeded, match="131720 nested commutators"):
+        trotter.error_bound(decomp, 3, 0.1, 1)
+    out = tmp_path / "t.csv"
+    code = cli.main([
+        "trotter-error", "--decomp", EIGHT_TERM_DECOMP, "--k", "3",
+        "--r-list", "1,2", "--t", "0.1", "--out", str(out),
+    ])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "k,r,bound,measured"
+    cells = [line.split(",") for line in lines[1:]]
+    assert [row[:3] for row in cells] == [["3", "1", ""], ["3", "2", ""]]
+    assert 0 < float(cells[1][3]) < float(cells[0][3])
+    out = tmp_path / "s.csv"
+    code = cli.main([
+        "short-sim", "--decomp", EIGHT_TERM_DECOMP, "--k", "3", "--r", "1",
+        "--t", "0.1", "--bits", "8", "--out", str(out),
+    ])
+    assert code == 0
+    (row,) = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert row[6] == "" and float(row[5]) > 0
+    assert all(int(q) > 0 for q in row[7:])
 
 
 def test_long_sim_builtin_sweep(tmp_path):

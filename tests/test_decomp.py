@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathint import decomp as dc
+from pathint import linalg
 from pathint import short_time as sh
 from pathint import trotter
 from pathint.errors import SpecError
+from pathint.linalg import hermitian_eig, spectral_norm
 from support import (
     class_edges,
     pauli_string,
@@ -183,3 +188,83 @@ def test_json_rejects_unknown_fields():
         dc.decomposition_from_json({"n": 1, "terms": [{"pauli": "Q"}]})
     with pytest.raises(SpecError):
         dc.decomposition_from_json({"n": 2, "terms": [{"pauli": "Z"}]})
+
+
+# ---------------------------------------------------------------------------
+# closed-form eigensystems of Pauli-string terms
+
+# the nine short-wide benchmark decompositions, with their k and B
+SHORT_WIDE = (
+    (["ZZZZ", "XIXI", "IYIY", "XXXX"], 2, 8),
+    (["ZZII", "XXII", "IYZI", "IIXX"], 2, 8),
+    (["ZZIII", "XXIII", "IIYZI"], 2, 8),
+    (["ZIZII", "XXIII", "IIYYI"], 2, 8),
+    (["ZZIII", "XXIII", "IIYZI", "IIIXX"], 1, 8),
+    (["ZZIIII", "XXIIII", "IIYZII"], 1, 8),
+    (["ZIZIII", "XXIIII", "IIYYII"], 1, 8),
+    (["ZZIIII", "XXIIII", "IIYZII", "IIIIXX"], 0, 8),
+    (["ZZIIII", "XXIIII", "IIYZII", "IIIIXX"], 1, 8),
+)
+WIDE_COEFFS = (0.73, 0.52, -0.41, 0.6)
+PAULI_LABELS = [
+    "".join(p) for n in (1, 2, 3) for p in itertools.product("IXYZ", repeat=n)
+] + sorted({label for labels, _, _ in SHORT_WIDE for label in labels})
+
+
+def pauli_doc(labels, coeffs) -> dict:
+    return {"n": len(labels[0]), "terms": [{"pauli": p, "coeff": c} for p, c in zip(labels, coeffs)]}
+
+
+@pytest.mark.parametrize("coeff", [0.73, -0.41])
+def test_pauli_terms_get_the_hermitian_eig_gauge(coeff):
+    for label in PAULI_LABELS:
+        d = dc.decomposition_from_json(pauli_doc(["I" * len(label), label], [1.0, coeff]))
+        got, ref = d.eigensystems[1], hermitian_eig(d.terms[1])
+        npt.assert_array_equal(np.sign(got.values), np.sign(ref.values))
+        npt.assert_allclose(got.values, ref.values, rtol=0, atol=1e-15)
+        npt.assert_allclose(got.vectors, ref.vectors, rtol=0, atol=1e-15)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a Pauli-string term went through the dense eigensolver")
+
+
+def test_pauli_documents_build_without_eigh(monkeypatch):
+    monkeypatch.setattr(dc, "hermitian_eig", _forbidden)
+    monkeypatch.setattr(dc.np.linalg, "eigh", _forbidden)
+    monkeypatch.setattr(linalg, "_refix_cluster", _forbidden)
+    for labels, _, _ in SHORT_WIDE:
+        d = dc.decomposition_from_json(pauli_doc(labels, WIDE_COEFFS))
+        assert len(d.eigensystems) == len(labels)
+
+
+def test_other_terms_keep_hermitian_eig(monkeypatch):
+    seen = []
+
+    def counted(m):
+        seen.append(m)
+        return hermitian_eig(m)
+
+    monkeypatch.setattr(dc, "hermitian_eig", counted)
+    zero = np.zeros((2, 2), dtype=complex)
+    two_magnitudes = np.diag([1.0, 2.0]).astype(complex)
+    dense = pauli_string("X") + 0.5 * pauli_string("Z")
+    d = dc.build([zero, two_magnitudes, dense, -0.41 * pauli_string("Y")])
+    assert len(seen) == 3
+    for got, term in zip(d.eigensystems, (zero, two_magnitudes, dense)):
+        ref = hermitian_eig(term)
+        npt.assert_array_equal(got.values, ref.values)
+        npt.assert_array_equal(got.vectors, ref.vectors)
+
+
+@pytest.mark.parametrize(("labels", "k", "bits"), SHORT_WIDE)
+def test_simulate_reads_closed_forms_like_hermitian_eig(labels, k, bits):
+    d = dc.decomposition_from_json(pauli_doc(labels, WIDE_COEFFS))
+    dense = dataclasses.replace(d, eigensystems=tuple(hermitian_eig(t) for t in d.terms))
+    got, ref = (sh.simulate(x, k, 2, 0.6, bits) for x in (d, dense))
+    for name in ("d", "p", "M", "rounding_bound", "trotter_bound", "queries"):
+        assert getattr(got, name) == getattr(ref, name), name
+    # measured_error is a distance between unitaries, so it moves by at most
+    # the unitaries' own distance: a few ulps of 1, whatever its size
+    assert spectral_norm(got.unitary - ref.unitary) <= 1e-13
+    assert abs(got.measured_error - ref.measured_error) <= 1e-14
