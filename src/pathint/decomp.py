@@ -17,12 +17,12 @@ read every experiment document and sub-document.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import CapExceeded, SpecError
 from .linalg import DEGENERACY_RTOL, EigenSystem, check_hermitian, hermitian_eig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -40,12 +40,22 @@ _MAX = sys.float_info.max
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Validated term list with gauge-fixed eigensystems."""
+    """Validated term list with gauge-fixed eigensystems.
+
+    ``paulis`` holds each term's (x-mask, z-mask, |coeff|) when every term
+    came from a Pauli-string document entry, and is None otherwise.
+    ``alphas`` is where ``trotter.error_bound`` keeps each alpha_comm it
+    computes, by k.
+    """
 
     n: int
     terms: tuple[np.ndarray, ...]
     eigensystems: tuple[EigenSystem, ...]
     zero_tol: float
+    paulis: tuple[tuple[int, int, float], ...] | None = None
+    alphas: dict[int, float | CapExceeded] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -149,7 +159,10 @@ def require_fields(doc: object, required: set[str], optional: set[str], what: st
     return doc
 
 
-def _term_from_json(entry: object, dim: int, pos: int) -> np.ndarray:
+def _term_from_json(
+    entry: object, dim: int, pos: int
+) -> tuple[np.ndarray, tuple[int, int, float] | None]:
+    """A document term's matrix, and its (x-mask, z-mask, |coeff|) if it is a Pauli string."""
     if isinstance(entry, dict):
         require_fields(entry, {"pauli"}, {"coeff"}, f"term {pos}")
         label = entry["pauli"]
@@ -163,9 +176,11 @@ def _term_from_json(entry: object, dim: int, pos: int) -> np.ndarray:
             )
         coeff = require_number(entry.get("coeff", 1.0), f"term {pos}: 'coeff'")
         mat = np.array([[coeff + 0j]])
+        x = z = 0
         for c in label:
             mat = np.kron(mat, _PAULI_1Q[c])
-        return mat
+            x, z = 2 * x + (c in "XY"), 2 * z + (c in "YZ")
+        return mat, (x, z, abs(coeff))
     if isinstance(entry, list):
         what = f"term {pos}: entries must be [re, im] pairs of finite numbers"
         try:
@@ -177,20 +192,24 @@ def _term_from_json(entry: object, dim: int, pos: int) -> np.ndarray:
             raise SpecError(what) from exc
         if mat.shape != (dim, dim):
             raise SpecError(f"term {pos}: shape {mat.shape}, expected ({dim}, {dim})")
-        return mat
+        return mat, None
     raise SpecError(f"term {pos}: unsupported term encoding {type(entry).__name__}")
 
 
 def decomposition_from_json(doc: dict) -> Decomposition:
-    """Parse the on-disk decomposition format (dense matrices or Pauli shorthand)."""
+    """Parse the on-disk decomposition format (dense matrices or Pauli shorthand).
+
+    A document of Pauli-string terms only also keeps their symplectic form.
+    """
     require_fields(doc, {"n", "terms"}, {"zero_tol"}, "decomposition")
     dim = 2 ** require_int(doc["n"], "decomposition 'n'", 1)
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list) or not raw_terms:
         raise SpecError("'terms' must be a non-empty list")
-    terms = [_term_from_json(t, dim, i) for i, t in enumerate(raw_terms)]
+    terms, paulis = zip(*(_term_from_json(t, dim, i) for i, t in enumerate(raw_terms)))
     zero_tol = require_number(doc.get("zero_tol", 1e-12), "zero_tol")
-    return build(terms, zero_tol=zero_tol)
+    decomp = build(terms, zero_tol=zero_tol)
+    return decomp if None in paulis else replace(decomp, paulis=paulis)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +290,7 @@ class QueryCounter:
         self.counts.clear()
 
 
-def round_to_bits(value: float, bits: int) -> int:
-    """Round-to-nearest (ties to even) of 2^bits * value, clamped to B bits."""
-    scaled = round(value * (1 << bits))
-    return int(min((1 << bits) - 1, max(0, scaled)))
+def round_to_bits(value: np.ndarray | float, bits: int) -> np.ndarray:
+    """Round-to-nearest (ties to even) of 2^bits * value, clamped to B bits, elementwise."""
+    scaled = np.rint(np.multiply(value, 1 << bits))
+    return np.clip(scaled, 0, (1 << bits) - 1).astype(np.int64)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,32 +62,52 @@ def blank_cells(cells: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return perm, np.ones(perm.shape, dtype=complex), np.zeros(perm.shape, dtype=np.int64)
 
 
-def unit_phase(z: complex) -> complex:
-    """z/|z|, or 1 when z is zero."""
-    mag = abs(z)
-    return z / mag if mag > 0 else 1.0
+def unit_phase(z: np.ndarray | complex) -> np.ndarray:
+    """z/|z| elementwise, or 1 where z is zero.
+
+    |z| is ``hypot(re, im)``, which is what builtin ``abs`` of one complex
+    computes (``np.abs`` of a complex array can differ in the last bit),
+    and z/|z| is numpy's complex division, as on one numpy complex scalar.
+    """
+    z = np.asarray(z, dtype=complex)
+    mag = np.hypot(z.real, z.imag)
+    return np.divide(z, mag, out=np.ones_like(z), where=mag > 0)
+
+
+def _times(a: np.ndarray | complex, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, written out in real arithmetic.
+
+    This is the product of two numpy complex scalars bit for bit; the
+    vectorized complex multiply can differ from it in the last bit.
+    """
+    a = np.asarray(a, dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def route(
-    perm: np.ndarray, phase: np.ndarray, thr: np.ndarray, bits: int, edges: Iterable[tuple]
+    perm: np.ndarray, phase: np.ndarray, thr: np.ndarray, bits: int,
+    k: np.ndarray, j: np.ndarray, to: np.ndarray, amp: np.ndarray, carried: np.ndarray | complex,
 ) -> None:
     """Write colored edges into the select columns of ``(perm, phase, thr)``.
 
-    The one edge rule of both encodings: edge ``(k, j, to, amp, carried)``
-    maps column j of cell k to row ``to`` and the mirrored column N + ``to``
-    to row N + j, with phase ``carried`` times amp/|amp| and threshold
-    ``round_to_bits(|amp|, bits)`` on column j.  Two edges of one cell that
-    share a target leave a row that is not a permutation, which
-    ``SignedPermutationCells`` refuses.  The arithmetic is scalar, one edge
-    at a time: numpy's vectorized complex abs and product can differ from
-    it in the last bit.
+    The one edge rule of both encodings, for edges given as columns: edge
+    ``(k, j, to, amp, carried)`` maps column j of cell k to row ``to`` and
+    the mirrored column N + ``to`` to row N + j, with phase ``carried``
+    times ``unit_phase(amp)`` and threshold ``round_to_bits(|amp|, bits)``
+    on column j.  Two edges of one cell that share a target leave a row
+    that is not a permutation, which ``SignedPermutationCells`` refuses.
+    |amp| is ``hypot(re, im)`` and the phase product is written out in real
+    arithmetic, so every entry has the bits of the same edge written as
+    numpy scalars one at a time.
     """
     dim = perm.shape[1] // 2
-    for k, j, to, amp, carried in edges:
-        perm[k, j] = to
-        perm[k, dim + to] = dim + j
-        phase[k, j] = carried * unit_phase(amp)
-        thr[k, j] = round_to_bits(abs(amp), bits)
+    perm[k, j] = to
+    perm[k, dim + to] = dim + j
+    phase[k, j] = _times(carried, unit_phase(amp))
+    thr[k, j] = round_to_bits(np.hypot(amp.real, amp.imag), bits)
 
 
 def hadamard_axes(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -193,10 +213,10 @@ class SignedPermutationCells:
         A dense (2N x 2N) matrix; with PREP's |PREP[k, 0]|^2 as the weights
         its side-0 block is the encoding's zero-ancilla block.
         """
-        two_n = self.perm.shape[1]
+        cells, two_n = self.perm.shape
+        scale = np.broadcast_to(weights, cells)[:, None] * replica_average(self.thr, self.bits)
+        cols = np.broadcast_to(np.arange(two_n), self.perm.shape)
         out = np.zeros((two_n, two_n), dtype=complex)
-        cols = np.arange(two_n)
-        weights = np.broadcast_to(weights, len(self.perm))
-        for perm, phase, thr, w in zip(self.perm, self.phase, self.thr, weights):
-            out[perm, cols] += w * replica_average(thr, self.bits) * phase
+        # unbuffered, in cell order: the float sum of adding the cells one by one
+        np.add.at(out, (self.perm, cols), scale * self.phase)
         return out

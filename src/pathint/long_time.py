@@ -442,7 +442,7 @@ class Truncation:
     zeta: np.ndarray
     correction: np.ndarray
 
-    def label(self, mag: Callable[[float], float] | None = None) -> np.ndarray:
+    def label(self, mag: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
         """Eigenframe matrix; entry [j1, j0] maps curve j0 at s=0 to j1 at s=1.
 
         The s=1 boundary term keeps the departed level's accumulated phase,
@@ -452,9 +452,11 @@ class Truncation:
         """
         eta_start, eta_end, correction = self.eta_start, self.eta_end, self.correction
         if mag is not None:
-            rescale = np.vectorize(lambda a: mag(abs(a)) * lcu.unit_phase(a), otypes=[complex])
-            eta_start, eta_end = rescale(eta_start), rescale(eta_end)
-            correction = rescale(self.zeta).sum(axis=(0, 2))
+            eta_start, eta_end, zeta = (
+                mag(np.hypot(a.real, a.imag)) * lcu.unit_phase(a)
+                for a in (eta_start, eta_end, self.zeta)
+            )
+            correction = zeta.sum(axis=(0, 2))
         out = np.diag(self.phase * (1.0 + correction)).astype(complex)
         out += eta_end * self.phase[None, :] + eta_start * self.phase[:, None]
         return out
@@ -684,9 +686,8 @@ class PropagatorEncoding:
         end = np.where(ell == self.r, trunc.eta_end[f, j], 0.0)
         eta = np.where(ell == 0, trunc.eta_start[f, j], end)
         carried = np.where(ell == 0, trunc.phase[f], trunc.phase[j])
-        lcu.route(perm, phase, thr, self.bits, zip(hop, j, f, eta, carried))
-        returning = zip(back, j, j, trunc.zeta[ell, j, f], trunc.phase[j])
-        lcu.route(perm, phase, thr, self.bits, returning)
+        lcu.route(perm, phase, thr, self.bits, hop, j, f, eta, carried)
+        lcu.route(perm, phase, thr, self.bits, back, j, j, trunc.zeta[ell, j, f], trunc.phase[j])
         return lcu.SignedPermutationCells(perm, phase, thr, self.bits, self.d * self.d)
 
     # -- structured applications --------------------------------------------

@@ -129,8 +129,7 @@ def _step_cells(overlaps: ScheduleOverlaps, m: int, bits: int) -> lcu.SignedPerm
     c2 = np.cumsum(genuine, axis=1)[q, j] - 1
     perm, phase, thr = lcu.blank_cells(colors * colors, overlaps.decomp.dim)
     eigenphase = np.exp(-1j * values * tau)
-    edges = zip(c1 * colors + c2, j, q, table.overlap[q, j], eigenphase[j])
-    lcu.route(perm, phase, thr, bits, edges)
+    lcu.route(perm, phase, thr, bits, c1 * colors + c2, j, q, table.overlap[q, j], eigenphase[j])
     return lcu.SignedPermutationCells(perm, phase, thr, bits, colors * colors)
 
 

@@ -130,28 +130,77 @@ def _leaf_norms(terms: np.ndarray, level: np.ndarray, remaining: int, formed: li
             yield from _leaf_norms(terms, children, remaining - 1, formed)
 
 
+def _odd_parity(v: np.ndarray) -> np.ndarray:
+    """Is the popcount of each non-negative 64-bit integer odd?"""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return (v & 1).astype(bool)
+
+
+def _symplectic_alpha(paulis: tuple[tuple[int, int, float], ...], n: int, k: int) -> float:
+    """alpha_comm of Pauli-string terms c_a P_a, summed over symplectic vectors.
+
+    For a Pauli string Q, [c_a P_a, w Q] is 0 when P_a and Q commute and
+    2 c_a w P_a Q otherwise, again a multiple of a Pauli string, whose
+    norm is 2 |c_a| |w|.  Strings with masks (x_a, z_a) and (x_b, z_b)
+    anticommute iff popcount(x_a & z_b) + popcount(z_a & x_b) is odd
+    (Aaronson and Gottesman, PRA 70, 052328 (2004)), and P_a Q has masks
+    (x_a ^ x_b, z_a ^ z_b) up to a phase the norm ignores.  So each level
+    keeps, per string, the summed norm of the suffixes that reach it, and
+    prepends every term to every string: L times the distinct strings per
+    level, not L^(2k+1) tuples.
+    """
+    x, z, coeff = (np.array(col) for col in zip(*paulis))
+    at_x, at_z, norm = x, z, coeff
+    for _ in range(2 * k):
+        anti = _odd_parity((x[:, None] & at_z) ^ (z[:, None] & at_x))
+        key = ((x[:, None] ^ at_x) << n | (z[:, None] ^ at_z))[anti]
+        key, where = np.unique(key, return_inverse=True)
+        norm = np.bincount(where, weights=(2.0 * coeff[:, None] * norm)[anti], minlength=len(key))
+        at_x, at_z = key >> n, key & ((1 << n) - 1)
+    return float(norm.sum())
+
+
 def alpha_comm(decomp: Decomposition, k: int) -> float:
     """Sum of nested-commutator norms over all (2k+1)-tuples of terms.
 
     The tuple (i_0, ..., i_2k) names [A_{i_0}, [A_{i_1}, ..., A_{i_2k}]].
-    Its suffixes are built level by level from the innermost term out: a
-    level stacks each nonzero suffix once, and the next level prepends
-    every term as commutator(terms[a], level).  An exactly-zero suffix is
-    dropped with its subtree, whose norms are all exactly 0.0.  Each level
-    is ordered by the suffix's index i_j + L*i_{j+1} + ..., so the leaf
-    norms arrive in ascending tuple index and their float sum is that of
-    the loop over every tuple.  A level wider than _SLICE_ENTRIES matrix
-    entries is expanded slice by slice, depth first, and the last level's
-    norms are taken one slice at a time in one batched call.
+    A decomposition of Pauli-string document terms takes the symplectic
+    sum (``_symplectic_alpha``).  Any other is built level by level from
+    the innermost term out: a level stacks each nonzero suffix once, and
+    the next level prepends every term as commutator(terms[a], level).  An
+    exactly-zero suffix is dropped with its subtree, whose norms are all
+    exactly 0.0.  Each level is ordered by the suffix's index i_j + L*i_{j+1}
+    + ..., so the leaf norms arrive in ascending tuple index and their
+    float sum is that of the loop over every tuple.  A level wider than
+    _SLICE_ENTRIES matrix entries is expanded slice by slice, depth first,
+    and the last level's norms are taken one slice at a time in one
+    batched call; past ALPHA_WORK_CAP nested commutators it refuses.
     """
     if k < 1:
         raise SpecError("alpha_comm applies to k >= 1; k = 0 uses the pair bound")
+    if decomp.paulis is not None:
+        return _symplectic_alpha(decomp.paulis, decomp.n, k)
     terms = np.stack(decomp.terms)
     # a plain float loop: builtin sum compensates on Python >= 3.12
     total = 0.0
     for norm in _leaf_norms(terms, terms[_nonzero(terms)], 2 * k, [len(terms)]):
         total += norm
     return total
+
+
+def _alpha_once(decomp: Decomposition, k: int) -> float:
+    """alpha_comm(decomp, k), kept in ``decomp.alphas``: it does not depend
+    on t or r, so a sweep computes it, or hits its work cap, once per k."""
+    memo = decomp.alphas
+    if k not in memo:
+        try:
+            memo[k] = alpha_comm(decomp, k)
+        except CapExceeded as exc:
+            memo[k] = exc
+    if isinstance(memo[k], CapExceeded):
+        raise CapExceeded(*memo[k].args)
+    return memo[k]
 
 
 def error_bound(decomp: Decomposition, k: int, t: float, r: int) -> float:
@@ -165,7 +214,7 @@ def error_bound(decomp: Decomposition, k: int, t: float, r: int) -> float:
             for a in range(b):
                 acc += spectral_norm(commutator(decomp.terms[b], decomp.terms[a]))
         return t**2 / (2 * r) * acc
-    return alpha_comm(decomp, k) * t ** (2 * k + 1) / r ** (2 * k)
+    return _alpha_once(decomp, k) * t ** (2 * k + 1) / r ** (2 * k)
 
 
 def optional_error_bound(decomp: Decomposition, k: int, t: float, r: int) -> float | None:

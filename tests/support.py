@@ -104,6 +104,53 @@ def class_edges(cells, k: int) -> set[tuple[int, int]]:
     return {(j, int(q)) for j, q in enumerate(cells.perm[k, :dim]) if q < dim}
 
 
+def route_oracle(perm, phase, thr, bits: int, edges) -> None:
+    """lcu.route as a loop over edge tuples (k, j, to, amp, carried).
+
+    Each edge is written on its own, with builtin abs and round on its
+    scalars; lcu.route must write the same tables bit for bit.
+    """
+
+    def unit_phase(z: complex) -> complex:
+        mag = abs(z)
+        return z / mag if mag > 0 else 1.0
+
+    def round_to_bits(value: float, bits: int) -> int:
+        scaled = round(value * (1 << bits))
+        return int(min((1 << bits) - 1, max(0, scaled)))
+
+    dim = perm.shape[1] // 2
+    for k, j, to, amp, carried in edges:
+        perm[k, j] = to
+        perm[k, dim + to] = dim + j
+        phase[k, j] = carried * unit_phase(amp)
+        thr[k, j] = round_to_bits(abs(amp), bits)
+
+
+def average_oracle(cells, weights=1.0) -> np.ndarray:
+    """SignedPermutationCells.average as a loop that adds one cell at a time."""
+    from pathint.lcu import replica_average
+
+    two_n = cells.perm.shape[1]
+    out = np.zeros((two_n, two_n), dtype=complex)
+    cols = np.arange(two_n)
+    weights = np.broadcast_to(weights, len(cells.perm))
+    for perm, phase, thr, w in zip(cells.perm, cells.phase, cells.thr, weights):
+        out[perm, cols] += w * replica_average(thr, cells.bits) * phase
+    return out
+
+
+def dense_document(doc: dict) -> dict:
+    """The dense-matrix decomposition document of a Pauli document's terms."""
+    from pathint.decomp import decomposition_from_json
+
+    terms = decomposition_from_json(doc).terms
+    return {
+        "n": doc["n"],
+        "terms": [[[[v.real, v.imag] for v in row] for row in term] for term in terms],
+    }
+
+
 def alpha_comm_oracle(decomp, k: int) -> float:
     """The nested-commutator sum as a plain loop over every (2k+1)-tuple.
 

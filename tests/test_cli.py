@@ -11,7 +11,7 @@ import pytest
 from pathint import cli, trotter
 from pathint.decomp import decomposition_from_json
 from pathint.errors import CapExceeded, InvariantViolation
-from support import alpha_comm_oracle, lagrangian_csv_oracle
+from support import alpha_comm_oracle, dense_document, lagrangian_csv_oracle
 
 ZX_DECOMP = '{"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "X", "coeff": 1.0}]}'
 COMMUTING_DECOMP = (
@@ -184,10 +184,14 @@ def test_short_sim_five_terms_bound_from_the_tuple_loop(tmp_path):
     assert float(row[5]) <= float(row[6])
 
 
+# the same terms as dense matrices, which alpha_comm sums level by level
+FIVE_TERM_DENSE = json.dumps(dense_document(json.loads(FIVE_TERM_DECOMP)))
+
+
 def test_trotter_error_under_the_alpha_cap_writes_pinned_bytes(tmp_path):
     out = tmp_path / "five.csv"
     code = cli.main([
-        "trotter-error", "--decomp", FIVE_TERM_DECOMP, "--k", "3",
+        "trotter-error", "--decomp", FIVE_TERM_DENSE, "--k", "3",
         "--r-list", "1,2,4", "--t", "0.5", "--out", str(out),
     ])
     assert code == 0
@@ -199,23 +203,45 @@ def test_trotter_error_under_the_alpha_cap_writes_pinned_bytes(tmp_path):
     )
 
 
+def test_trotter_error_on_pauli_terms_takes_the_symplectic_sum(tmp_path):
+    """The Pauli document of the test above: the same measured column, and
+    the bound of the symplectic sum, within 4e-15 of the dense one."""
+    out = tmp_path / "five.csv"
+    code = cli.main([
+        "trotter-error", "--decomp", FIVE_TERM_DECOMP, "--k", "3",
+        "--r-list", "1,2,4", "--t", "0.5", "--out", str(out),
+    ])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert rows[0] == ["k", "r", "bound", "measured"]
+    assert [row[:2] + row[3:] for row in rows[1:]] == [
+        ["3", "1", "9.6436039772881325e-06"],
+        ["3", "2", "5.2756343997974763e-07"],
+        ["3", "4", "3.1901710038015994e-08"],
+    ]
+    dense = [22.501980000000007, 0.35159343750000011, 0.0054936474609375016]
+    for row, want in zip(rows[1:], dense):
+        assert float(row[2]) == pytest.approx(want, rel=4e-15)
+
+
 # 8 two-qubit terms whose alpha_comm at k = 3 would form 131,720 nested
-# commutators, past trotter.ALPHA_WORK_CAP
+# commutators as dense matrices, past trotter.ALPHA_WORK_CAP
 EIGHT_TERM_DECOMP = json.dumps({
     "n": 2,
     "terms": [
         {"pauli": p, "coeff": 1.0} for p in ["IZ", "ZX", "XZ", "IX", "XX", "YX", "YI", "ZY"]
     ],
 })
+EIGHT_TERM_DENSE = json.dumps(dense_document(json.loads(EIGHT_TERM_DECOMP)))
 
 
 def test_bound_past_the_alpha_cap_is_an_empty_cell(tmp_path):
-    decomp = decomposition_from_json(json.loads(EIGHT_TERM_DECOMP))
+    decomp = decomposition_from_json(json.loads(EIGHT_TERM_DENSE))
     with pytest.raises(CapExceeded, match="131720 nested commutators"):
         trotter.error_bound(decomp, 3, 0.1, 1)
     out = tmp_path / "t.csv"
     code = cli.main([
-        "trotter-error", "--decomp", EIGHT_TERM_DECOMP, "--k", "3",
+        "trotter-error", "--decomp", EIGHT_TERM_DENSE, "--k", "3",
         "--r-list", "1,2", "--t", "0.1", "--out", str(out),
     ])
     assert code == 0
@@ -226,13 +252,67 @@ def test_bound_past_the_alpha_cap_is_an_empty_cell(tmp_path):
     assert 0 < float(cells[1][3]) < float(cells[0][3])
     out = tmp_path / "s.csv"
     code = cli.main([
-        "short-sim", "--decomp", EIGHT_TERM_DECOMP, "--k", "3", "--r", "1",
+        "short-sim", "--decomp", EIGHT_TERM_DENSE, "--k", "3", "--r", "1",
         "--t", "0.1", "--bits", "8", "--out", str(out),
     ])
     assert code == 0
     (row,) = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert row[6] == "" and float(row[5]) > 0
     assert all(int(q) > 0 for q in row[7:])
+
+
+def test_bound_on_pauli_terms_past_the_alpha_cap_is_finite(tmp_path):
+    """The Pauli document of the test above takes the symplectic sum, which
+    has no work cap: both kinds write a finite bound of at least measured."""
+    decomp = decomposition_from_json(json.loads(EIGHT_TERM_DECOMP))
+    assert trotter.error_bound(decomp, 3, 0.1, 1) > 0
+    out = tmp_path / "t.csv"
+    code = cli.main([
+        "trotter-error", "--decomp", EIGHT_TERM_DECOMP, "--k", "3",
+        "--r-list", "1,2", "--t", "0.1", "--out", str(out),
+    ])
+    assert code == 0
+    _, rows = read_rows(out)
+    assert [row[:2] for row in rows] == [[3, 1], [3, 2]]
+    assert all(row[3] <= row[2] < np.inf for row in rows)
+    out = tmp_path / "s.csv"
+    code = cli.main([
+        "short-sim", "--decomp", EIGHT_TERM_DECOMP, "--k", "3", "--r", "1",
+        "--t", "0.1", "--bits", "8", "--out", str(out),
+    ])
+    assert code == 0
+    (row,) = read_rows(out)[1]
+    assert row[5] <= row[6] < np.inf
+
+
+def test_a_run_computes_alpha_comm_once_per_k(tmp_path, monkeypatch):
+    """alpha_comm, or its work-cap refusal, does not depend on t or r."""
+    calls = []
+    alpha_comm = trotter.alpha_comm
+
+    def counting(decomp, k):
+        calls.append(k)
+        return alpha_comm(decomp, k)
+
+    monkeypatch.setattr(trotter, "alpha_comm", counting)
+    out = tmp_path / "t.csv"
+    code = cli.main([
+        "trotter-error", "--decomp", EIGHT_TERM_DENSE, "--k", "3",
+        "--r-list", "1,2,4,8", "--t", "0.1", "--out", str(out),
+    ])
+    assert code == 0 and calls == [3]
+    calls.clear()
+    code = cli.main([
+        "short-sim", "--decomp", ZX_DECOMP, "--k", "1", "--r", "1", "--t", "0.3",
+        "--bits", "6", "--sweep", "r:1,2,3", "--out", str(out),
+    ])
+    assert code == 0 and calls == [1]
+    calls.clear()
+    code = cli.main([
+        "short-sim", "--decomp", ZX_DECOMP, "--k", "1", "--r", "2", "--t", "0.3",
+        "--bits", "6", "--sweep", "k:1,2,1,2", "--out", str(out),
+    ])
+    assert code == 0 and calls == [1, 2]
 
 
 def test_long_sim_builtin_sweep(tmp_path):

@@ -12,7 +12,7 @@ from pathint import short_time as sh
 from pathint.errors import CapExceeded, InvariantViolation
 from pathint.trotter import schedule
 
-from support import pauli_string, random_smooth_system
+from support import average_oracle, pauli_string, random_smooth_system, route_oracle
 
 
 def test_replica_average_is_the_mean_of_the_weight_rule():
@@ -33,20 +33,20 @@ def test_cells_must_be_permutations():
 
 def test_route_writes_the_edge_rule():
     dim, carried = 3, np.exp(-1.1j)
+    j = np.arange(dim)
+    to = (j + 1) % dim
+    amp = np.array([0.0, 0.3, 1.0]) * np.exp(0.4j * (j + 1))
     for bits in (3, 6):
-        edges = [
-            (0, j, (j + 1) % dim, mag * np.exp(0.4j * (j + 1)), carried)
-            for j, mag in enumerate((0.0, 0.3, 1.0))
-        ]
         perm, phase, thr = lcu.blank_cells(1, dim)
-        lcu.route(perm, phase, thr, bits, edges)
+        lcu.route(perm, phase, thr, bits, np.zeros(dim, dtype=int), j, to, amp, carried)
         avg = lcu.SignedPermutationCells(perm, phase, thr, bits, 1).average()
         want = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        for _, j, to, amp, _ in edges[1:]:
-            kept = lcu.replica_average(dc.round_to_bits(abs(amp), bits), bits)
-            want[to, j] = kept * carried * amp / abs(amp)
-        for _, j, to, _, _ in edges:
-            assert perm[0, j] == to and perm[0, dim + to] == dim + j
+        for col in j[1:]:
+            a = amp[col]
+            kept = lcu.replica_average(dc.round_to_bits(abs(a), bits), bits)
+            want[to[col], col] = kept * carried * a / abs(a)
+        for col in j:
+            assert perm[0, col] == to[col] and perm[0, dim + to[col]] == dim + col
         # the zero-amplitude edge (column 0) and the mirrored side-1 columns cancel
         assert not avg[:, 0].any() and not avg[:, dim:].any()
         assert np.max(np.abs(avg - want)) <= 1e-15
@@ -54,7 +54,8 @@ def test_route_writes_the_edge_rule():
 
 def test_route_refuses_a_shared_target():
     perm, phase, thr = lcu.blank_cells(1, 3)
-    lcu.route(perm, phase, thr, 4, [(0, 0, 1, 0.5, 1.0), (0, 2, 1, 0.5, 1.0)])
+    lcu.route(perm, phase, thr, 4, np.array([0, 0]), np.array([0, 2]), np.array([1, 1]),
+              np.array([0.5, 0.5]), 1.0)
     with pytest.raises(InvariantViolation):
         lcu.SignedPermutationCells(perm, phase, thr, 4, 1)
 
@@ -79,14 +80,21 @@ def test_hadamard_axes_is_the_normalized_sylvester_matrix():
     assert np.array_equal(arr, before)
 
 
-def long_encodings(bits):
+def long_encodings(bits, frames=("Z",)):
+    """Sine, linear and 3-level systems and interaction frames of 0.02 * gen.
+
+    The 1-qubit frame couples with Z + 0.45 X, the 2-qubit frame with
+    ZI + 0.5 IZ + 0.3 XX.
+    """
+    coupling = {"Z": pauli_string("Z") + 0.45 * pauli_string("X"),
+                "ZI": pauli_string("ZI") + 0.5 * pauli_string("IZ") + 0.3 * pauli_string("XX")}
     systems = (
         lt.two_level_sweep(1.0, 0.2, shape="sine", grid=8),
         lt.two_level_sweep(1.0, 0.2, shape="linear", grid=8),
         random_smooth_system(np.random.default_rng(21), grid=32),
-        lt.interaction_frame(
-            0.02 * pauli_string("Z"), pauli_string("Z") + 0.45 * pauli_string("X"), 40.0, grid=64
-        ),
+    ) + tuple(
+        lt.interaction_frame(0.02 * pauli_string(gen), coupling[gen], 40.0, grid=64)
+        for gen in frames
     )
     return [lt.PropagatorEncoding(ham, 40.0, 8, bits) for ham in systems]
 
@@ -136,3 +144,69 @@ def test_system_block_refuses_an_output_above_the_cap():
     side = math.isqrt(amplitudes) + 1
     with pytest.raises(CapExceeded):
         lcu.system_block(walk, side, side)
+
+
+@pytest.fixture
+def pinned_to_the_loops(monkeypatch):
+    """Check every lcu.route and average call against the per-edge and
+    per-cell loops of tests/support.py, bit for bit; returns the call log."""
+    calls = []
+    route, average = lcu.route, lcu.SignedPermutationCells.average
+
+    def checked_route(perm, phase, thr, bits, *edges):
+        want = perm.copy(), phase.copy(), thr.copy()
+        route_oracle(*want, bits, zip(*np.broadcast_arrays(*edges)))
+        route(perm, phase, thr, bits, *edges)
+        for got, expect in zip((perm, phase, thr), want):
+            assert np.array_equal(got, expect)
+        calls.append("route")
+
+    def checked_average(self, weights=1.0):
+        out = average(self, weights)
+        assert (out == average_oracle(self, weights)).all()
+        calls.append("average")
+        return out
+
+    monkeypatch.setattr(lcu, "route", checked_route)
+    monkeypatch.setattr(lcu.SignedPermutationCells, "average", checked_average)
+    return calls
+
+
+@pytest.mark.parametrize("bits", [3, 8])
+def test_short_cells_match_the_loops(pinned_to_the_loops, bits):
+    for enc in short_encodings(bits):
+        enc.block()
+    # one encoding per factor of the k = 1, r = 1 schedules: 4 + 4 + 6
+    assert pinned_to_the_loops.count("route") == pinned_to_the_loops.count("average") == 14
+
+
+@pytest.mark.parametrize("bits", [8, 12])
+def test_long_cells_match_the_loops(pinned_to_the_loops, bits):
+    for enc in long_encodings(bits, frames=("Z", "ZI")):
+        enc.block()
+    assert pinned_to_the_loops.count("route") == 2 * pinned_to_the_loops.count("average") == 10
+
+
+@pytest.mark.parametrize("bits", [3, 8])
+def test_random_edges_match_the_loops(pinned_to_the_loops, bits):
+    """Random signed permutations with zero amplitudes and exact rounding ties."""
+    rng = np.random.default_rng(600 + bits)
+    cells, dim = 6, 8
+    perm, phase, thr = lcu.blank_cells(cells, dim)
+    k = np.repeat(np.arange(cells), dim)
+    j = np.tile(np.arange(dim), cells)
+    to = np.concatenate([rng.permutation(dim) for _ in range(cells)])
+    amp = rng.uniform(0, 1, k.size) * np.exp(2j * np.pi * rng.uniform(size=k.size))
+    amp[rng.uniform(size=k.size) < 0.2] = 0.0
+    # |amp| = (2m+1)/2^(B+1) exactly on the four axis directions
+    ties = rng.uniform(size=k.size) < 0.3
+    odd = 2 * rng.integers(0, 1 << bits, ties.sum()) + 1
+    amp[ties] = odd / 2.0 ** (bits + 1) * rng.choice([1, -1, 1j, -1j], ties.sum())
+    carried = np.exp(2j * np.pi * rng.uniform(size=k.size))
+    lcu.route(perm, phase, thr, bits, k, j, to, amp, carried)
+    # every tie went to the even neighbor, or to the clamp 2^B - 1 from 2^B - 1/2
+    tied = thr[k, j][ties]
+    assert ((tied % 2 == 0) | (tied == (1 << bits) - 1)).all()
+    weights = rng.uniform(size=cells)
+    lcu.SignedPermutationCells(perm, phase, thr, bits, cells).average(weights)
+    assert pinned_to_the_loops == ["route", "average"]

@@ -149,6 +149,34 @@ def test_alpha_comm_matches_the_tuple_loop(kind):
             assert got == 0.0
 
 
+def _random_pauli_document(rng, n, L):
+    """The draws of _random_pauli_terms, as a Pauli-string document."""
+    labels = ["".join(rng.choice(list("IZ"), n))]
+    labels += ["".join(rng.choice(list("IXYZ"), n)) for _ in range(L - 1)]
+    return {"n": n, "terms": [{"pauli": p, "coeff": rng.uniform(0.2, 1.0)} for p in labels]}
+
+
+def test_symplectic_alpha_comm_matches_the_tuple_loop(monkeypatch):
+    """Pauli documents take the symplectic sum: no matrix commutator is formed,
+    and it meets the tuple loop within 4e-15 relative (worst seen 1.5e-15)."""
+    for case, (L, k, n) in enumerate(ALPHA_CASES):
+        doc = _random_pauli_document(np.random.default_rng(4000 + case), n, L)
+        d = dc.decomposition_from_json(doc)
+        # the "pauli" instances of test_alpha_comm_matches_the_tuple_loop
+        dense = _random_pauli_terms(np.random.default_rng(4000 + case), n, L)
+        assert all(np.array_equal(a, b) for a, b in zip(d.terms, dense, strict=True))
+        want = alpha_comm_oracle(d, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(trotter, "commutator", _forbidden_commutator)
+            got = trotter.alpha_comm(d, k)
+        assert got == pytest.approx(want, rel=4e-15, abs=0.0), (L, k, n)
+    five = dc.decomposition_from_json(
+        {"n": 2, "terms": [{"pauli": p, "coeff": c} for p, c in zip(*FIVE_TERMS)]}
+    )
+    for k in (1, 2, 3):
+        assert trotter.alpha_comm(five, k) == pytest.approx(alpha_comm_oracle(five, k), rel=4e-15)
+
+
 def test_alpha_comm_slices_give_the_same_bits(monkeypatch):
     rng = np.random.default_rng(17)
     cases = [
