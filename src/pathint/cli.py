@@ -300,12 +300,14 @@ def _run_long_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[li
     for raw in params["T_sweep"]:
         total_time = float(raw)
         ham = builder(total_time)
+        # measured first: longtime_error refuses a panel count above the
+        # cap before the bounds sample anything
+        meas = longtime_error(ham, total_time, r)
         bounds = ham.bounds
         # first omitted orders: the odd three-transition term, then the
         # full next even/odd pair
         _, odd1 = jump_bounds(bounds, total_time, 1)
         even2, odd2 = jump_bounds(bounds, total_time, 2)
-        meas = longtime_error(ham, total_time, r)
         r_used = r if r is not None else ham.grid
         rows.append([
             _fmt(total_time), _fmt(r_used), _fmt(meas), _fmt(odd1 + even2 + odd2),

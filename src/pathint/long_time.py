@@ -38,7 +38,7 @@ survive, mirroring the analytic structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import lcu
 from .decomp import QueryCounter, round_to_bits
-from .errors import InvariantViolation, SpecError
+from .errors import CapExceeded, InvariantViolation, SpecError
 from .linalg import check_hermitian, converged_propagator, hermitian_eig, spectral_norm
 
 # Ten times the eigensolver degeneracy tolerance; spectra must clear this.
@@ -56,6 +56,11 @@ RATE_PRUNE = 1e-9
 DERIV_CHECK_STEP = 1e-4
 DERIV_CHECK_TOL = 1e-4
 _VALIDATION_SEED = 1719
+# Largest (panels + 1) * dim^2 a sampled grid may hold, checked before any
+# sample is taken: 2^20 complex entries are 16 MB per stacked array.
+# Criterion 08 needs 4049 * 4 at T = 160, an 8192-panel jump_term 8193 * 4,
+# 32 times below it.
+PANEL_CAP = 1 << 20
 
 # Oracle applications charged per select stage: three color lookups, three
 # index lookups, magnitude and comparator queries for both transition
@@ -91,12 +96,16 @@ class TimeDependentHamiltonian:
     h: Callable[[float | np.ndarray], np.ndarray]
     dh: Callable[[float | np.ndarray], np.ndarray]
     grid: int = 64
+    _frames: dict[int, tuple[SmoothEigensystem, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise SpecError("a driven system needs at least two levels")
         if self.grid < 1:
             raise SpecError("grid must be a positive sample count")
+        require_panels(self.grid, self.dim)
         hams = check_hermitian(self._stack("h", np.linspace(0.0, 1.0, self.grid + 1)))
         values = np.linalg.eigvalsh(hams)
         scale = max(1.0, float(np.max(np.abs(values))))
@@ -137,6 +146,32 @@ class TimeDependentHamiltonian:
     def bounds(self) -> AdiabaticBounds:
         """The sweep's derivative-norm bounds, computed on first use."""
         return adiabatic_bounds(self)
+
+    def frames(self, r: int) -> tuple[SmoothEigensystem, np.ndarray]:
+        """Tracked frames and transition rates on the r-panel grid.
+
+        Both depend on the sweep alone, not on the total time, so they are
+        computed once per r and shared by every truncation and jump_term of
+        this Hamiltonian; the arrays are read-only.
+        """
+        if r not in self._frames:
+            require_panels(r, self.dim)
+            s_grid = np.linspace(0.0, 1.0, r + 1)
+            eigsys = smooth_eigensystem(self, s_grid)
+            rates = _rate_matrices(eigsys, _sample(self.dh, s_grid))
+            for arr in (s_grid, eigsys.values, eigsys.vectors, rates):
+                arr.flags.writeable = False
+            self._frames[r] = (eigsys, rates)
+        return self._frames[r]
+
+
+def require_panels(panels: int, dim: int) -> None:
+    """Refuse a grid of panels + 1 samples of dim x dim above PANEL_CAP."""
+    if (panels + 1) * dim * dim > PANEL_CAP:
+        raise CapExceeded(
+            f"{panels} panels at dimension {dim} hold {(panels + 1) * dim * dim} "
+            f"entries per stacked sample, above cap {PANEL_CAP}"
+        )
 
 
 _SWEEP_SHAPES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], ...]] = {
@@ -215,6 +250,8 @@ class SmoothEigensystem:
     Column j of vectors[i] is curve j at s_grid[i].  Curves are matched
     between neighboring grid points by overlap, never re-sorted, and each
     step's phase is fixed so the same-curve overlap is real positive.
+    ``TimeDependentHamiltonian.frames`` keeps one per panel count, with its
+    arrays read-only.
     """
 
     s_grid: np.ndarray
@@ -252,49 +289,47 @@ class SmoothEigensystem:
 def smooth_eigensystem(
     ham: TimeDependentHamiltonian, s_grid: np.ndarray | None = None
 ) -> SmoothEigensystem:
-    """Track eigenpairs across the sweep with a parallel-transport gauge."""
+    """Track eigenpairs across the sweep with a parallel-transport gauge.
+
+    Frame 0 is the ``hermitian_eig`` gauge; every later frame is a column
+    permutation of ``eigh``'s, re-phased.  The matching weights
+    |<raw_{i-1}|raw_i>|^2 do not depend on the phases, so one batched
+    product gives every step's.  Rows and columns of a squared unitary sum
+    to 1, so an entry above 1/2 is the only one of its row and column: it
+    is the step's match, and a row without one makes tracking ambiguous.
+    (An exact 1/2 tie counts as ambiguous.)  A curve's column is the
+    composition of the step matches, and its phase the renormalized running
+    product of the conjugated unit overlaps along it.
+    """
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, ham.grid + 1)
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or len(s_grid) < 2:
         raise SpecError("need at least two grid points to transport a gauge")
-    count, dim = len(s_grid), ham.dim
     hams = _sample(ham.h, s_grid)
     raw_vals, raw_vecs = np.linalg.eigh(hams)
-
-    values = np.empty((count, dim))
-    vectors = np.empty((count, dim, dim), dtype=complex)
     anchor = hermitian_eig(hams[0])
-    values[0] = anchor.values
-    vectors[0] = anchor.vectors
-    for i in range(1, count):
-        overlap = vectors[i - 1].conj().T @ raw_vecs[i]
-        weight = np.abs(overlap) ** 2
-        # Greedy global matching: largest overlaps claim their pairs first.
-        order = np.argsort(-weight, axis=None)
-        curve_of = np.full(dim, -1, dtype=int)
-        used = np.zeros(dim, dtype=bool)
-        matched = 0
-        for flat in order:
-            cj, nq = divmod(int(flat), dim)
-            if curve_of[cj] >= 0 or used[nq]:
-                continue
-            curve_of[cj] = nq
-            used[nq] = True
-            matched += 1
-            if matched == dim:
-                break
-        for cj in range(dim):
-            nq = curve_of[cj]
-            if weight[cj, nq] < 0.5:
-                raise InvariantViolation(
-                    "eigenvector tracking became ambiguous between grid points; "
-                    "the gap may be collapsing, or the grid is too coarse"
-                )
-            o = overlap[cj, nq]
-            vectors[i][:, cj] = raw_vecs[i][:, nq] * (np.conj(o) / abs(o))
-            values[i, cj] = raw_vals[i, nq]
+    raw_vals[0], raw_vecs[0] = anchor.values, anchor.vectors
+    overlap = np.swapaxes(raw_vecs[:-1].conj(), 1, 2) @ raw_vecs[1:]
+    hit = np.abs(overlap) ** 2 > 0.5
+    if not (np.all(np.sum(hit, axis=2) == 1) and np.all(np.sum(hit, axis=1) == 1)):
+        raise InvariantViolation(
+            "eigenvector tracking became ambiguous between grid points; "
+            "the gap may be collapsing, or the grid is too coarse"
+        )
+    match = np.argmax(hit, axis=2)  # raw column at s_i of raw column a at s_{i-1}
+    labels = np.arange(ham.dim)
+    column = np.tile(labels, (len(s_grid), 1))  # curve j's raw column at each s
+    for i in np.flatnonzero(np.any(match != labels, axis=1)):
+        column[i + 1:] = match[i][column[i]]
+    steps = np.arange(len(match))[:, None]
+    unit = lcu.unit_phase(overlap[steps, column[:-1], column[1:]]).conj()
+    phase = np.cumprod(unit, axis=0)
+    phase /= np.abs(phase)
 
+    values = np.take_along_axis(raw_vals, column, axis=1)
+    vectors = np.take_along_axis(raw_vecs, column[:, None, :], axis=2)
+    vectors[1:] *= phase[:, None, :]
     eigsys = SmoothEigensystem(s_grid=s_grid, values=values, vectors=vectors)
     if eigsys.gap_min <= GAP_FLOOR * max(1.0, float(np.max(np.abs(values)))):
         raise InvariantViolation("spectral gap collapsed below tolerance mid-grid")
@@ -470,9 +505,7 @@ def truncation(
         r = ham.grid
     if r < 4:
         raise SpecError("the trapezoid grid needs at least 4 panels")
-    s_grid = np.linspace(0.0, 1.0, r + 1)
-    eigsys = smooth_eigensystem(ham, s_grid)
-    rates = _rate_matrices(eigsys, _sample(ham.dh, s_grid))
+    eigsys, rates = ham.frames(r)
     weights = _trapezoid_weights(r)
     diag = np.eye(ham.dim, dtype=bool)
     gaps = eigsys.values[:, :, None] - eigsys.values[:, None, :]
@@ -514,7 +547,9 @@ def longtime_error(
 
     Refuses to run where the truncation has no business converging: the
     expansion is controlled only once drive_ratio^4 / (gap^2 T^2) < 1/2.
+    A panel count above ``PANEL_CAP`` is refused before any work.
     """
+    require_panels(ham.grid if r is None else r, ham.dim)
     bounds = ham.bounds
     control = bounds.drive_ratio**4 / (bounds.gap_min**2 * total_time**2)
     if control >= 0.5:
@@ -543,9 +578,7 @@ def jump_term(
         raise SpecError("transition count must be at least 1")
     if panels < 8:
         raise SpecError("nested quadrature needs a meaningful panel count")
-    s_grid = np.linspace(0.0, 1.0, panels + 1)
-    eigsys = smooth_eigensystem(ham, s_grid)
-    rates = _rate_matrices(eigsys, _sample(ham.dh, s_grid))
+    eigsys, rates = ham.frames(panels)
     ds = 1.0 / panels
     theta = np.zeros_like(eigsys.values)
     theta[1:] = np.cumsum(

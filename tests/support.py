@@ -204,3 +204,63 @@ def lagrangian_csv_oracle(params: dict) -> bytes:
         row = [step, norm, fidelity, float(weights @ positions), float(modes @ momenta)]
         lines.append(",".join(cli._fmt(value) for value in row))
     return ("\n".join(lines) + "\n").encode()
+
+
+def smooth_eigensystem_oracle(ham, s_grid=None):
+    """long_time.smooth_eigensystem as a greedy matching loop over grid steps.
+
+    At each step the transported frame's overlaps with the next raw eigh
+    frame are claimed largest first, and each column is re-phased from the
+    step before.  Production must give the same values bit for bit and the
+    same vectors up to rounding, and refuse the same inputs.
+    """
+    from pathint.errors import InvariantViolation, SpecError
+    from pathint.linalg import check_hermitian, hermitian_eig
+    from pathint.long_time import GAP_FLOOR, SmoothEigensystem
+
+    if s_grid is None:
+        s_grid = np.linspace(0.0, 1.0, ham.grid + 1)
+    s_grid = np.asarray(s_grid, dtype=float)
+    if s_grid.ndim != 1 or len(s_grid) < 2:
+        raise SpecError("need at least two grid points to transport a gauge")
+    count, dim = len(s_grid), ham.dim
+    hams = check_hermitian(ham.h(s_grid))
+    raw_vals, raw_vecs = np.linalg.eigh(hams)
+
+    values = np.empty((count, dim))
+    vectors = np.empty((count, dim, dim), dtype=complex)
+    anchor = hermitian_eig(hams[0])
+    values[0] = anchor.values
+    vectors[0] = anchor.vectors
+    for i in range(1, count):
+        overlap = vectors[i - 1].conj().T @ raw_vecs[i]
+        weight = np.abs(overlap) ** 2
+        # Greedy global matching: largest overlaps claim their pairs first.
+        order = np.argsort(-weight, axis=None)
+        curve_of = np.full(dim, -1, dtype=int)
+        used = np.zeros(dim, dtype=bool)
+        matched = 0
+        for flat in order:
+            cj, nq = divmod(int(flat), dim)
+            if curve_of[cj] >= 0 or used[nq]:
+                continue
+            curve_of[cj] = nq
+            used[nq] = True
+            matched += 1
+            if matched == dim:
+                break
+        for cj in range(dim):
+            nq = curve_of[cj]
+            if weight[cj, nq] < 0.5:
+                raise InvariantViolation(
+                    "eigenvector tracking became ambiguous between grid points; "
+                    "the gap may be collapsing, or the grid is too coarse"
+                )
+            o = overlap[cj, nq]
+            vectors[i][:, cj] = raw_vecs[i][:, nq] * (np.conj(o) / abs(o))
+            values[i, cj] = raw_vals[i, nq]
+
+    eigsys = SmoothEigensystem(s_grid=s_grid, values=values, vectors=vectors)
+    if eigsys.gap_min <= GAP_FLOOR * max(1.0, float(np.max(np.abs(values)))):
+        raise InvariantViolation("spectral gap collapsed below tolerance mid-grid")
+    return eigsys

@@ -349,6 +349,80 @@ def test_long_sim_computes_bounds_once_per_system(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def count_tracking(monkeypatch) -> list[int]:
+    """Grid sizes of every long_time.smooth_eigensystem call from now on."""
+    from pathint import long_time
+
+    calls = []
+    original = long_time.smooth_eigensystem
+
+    def counting(ham, s_grid=None):
+        calls.append(len(s_grid))
+        return original(ham, s_grid)
+
+    monkeypatch.setattr(long_time, "smooth_eigensystem", counting)
+    return calls
+
+
+def test_long_sim_tracks_a_sweep_once_for_every_total_time(tmp_path, monkeypatch):
+    calls = count_tracking(monkeypatch)
+    argv = [
+        "long-sim", "--system", "sweep:linear:1.0,0.2", "--T-sweep", "20,30,40,60,80",
+        "--r", "512", "--out",
+    ]
+    assert cli.main(argv + [str(tmp_path / "shared.csv")]) == 0
+    # one track for the bounds, one for the frames every truncation reads
+    assert calls == [129, 513]
+    # the same run with a fresh Hamiltonian, so fresh frames, for each T
+    original = cli._system_builder
+    monkeypatch.setattr(cli, "_system_builder", lambda value: lambda t: original(value)(t))
+    assert cli.main(argv + [str(tmp_path / "fresh.csv")]) == 0
+    assert len(calls) == 2 + 2 * 5
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_long_sim_interaction_frame_tracks_once_per_total_time(tmp_path, monkeypatch):
+    calls = count_tracking(monkeypatch)
+    system = json.dumps({
+        "family": "interaction-frame",
+        "generator": {"n": 1, "terms": [{"pauli": "Z", "coeff": 0.02}]},
+        "coupling": {"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0},
+                                        {"pauli": "X", "coeff": 0.45}]},
+    })
+    code = cli.main([
+        "long-sim", "--system", system, "--T-sweep", "30,40", "--r", "64",
+        "--out", str(tmp_path / "if.csv"),
+    ])
+    assert code == 0
+    # the frame's drift scales with T, so each T is a new Hamiltonian
+    assert calls == [129, 65, 129, 65]
+
+
+@pytest.mark.parametrize(
+    "system, r",
+    [
+        ("sweep:sine:1.0,0.2", "300"),
+        ('{"family": "sweep", "shape": "sine", "a": 1.0, "b": 0.2, "grid": 300}', None),
+    ],
+    ids=["r", "grid"],
+)
+def test_long_sim_panel_cap_exits_three_before_sampling(
+    tmp_path, monkeypatch, capsys, system, r
+):
+    from pathint import long_time
+
+    monkeypatch.setattr(long_time, "PANEL_CAP", 4 * 257)
+    calls = count_tracking(monkeypatch)
+    argv = ["long-sim", "--system", system, "--T-sweep", "20", "--out", str(tmp_path / "c.csv")]
+    if r is not None:
+        argv += ["--r", r]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0])["error"] == "cap"
+    assert calls == []
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_lagrangian_sim_trajectory(tmp_path):
     out = tmp_path / "traj.csv"
     code = cli.main([

@@ -16,7 +16,12 @@ from pathint import long_time as lt
 from pathint.decomp import QueryCounter
 from pathint.errors import CapExceeded, InvariantViolation, SpecError
 from pathint.linalg import converged_propagator, spectral_norm
-from support import pauli_string, random_smooth_system
+from support import (
+    pauli_string,
+    random_hermitian,
+    random_smooth_system,
+    smooth_eigensystem_oracle,
+)
 
 
 def sine_family(grid: int = 8) -> lt.TimeDependentHamiltonian:
@@ -155,16 +160,132 @@ def test_smooth_eigensystem_gauge():
         assert np.allclose(np.sort(eigsys.values[i]), point, atol=1e-10)
 
 
-def test_smooth_eigensystem_detects_collapse():
+def collapsing_system() -> lt.TimeDependentHamiltonian:
     sz = np.diag([1.0, -1.0]).astype(complex)
-    ham = lt.TimeDependentHamiltonian(
+    return lt.TimeDependentHamiltonian(
         dim=2,
         h=lambda s: np.multiply.outer(s - 0.375, sz),
         dh=lambda s: np.broadcast_to(sz, np.shape(s) + (2, 2)),
         grid=4,
     )
+
+
+def test_smooth_eigensystem_detects_collapse():
     with pytest.raises(InvariantViolation):
-        lt.smooth_eigensystem(ham, np.linspace(0.0, 1.0, 513))
+        lt.smooth_eigensystem(collapsing_system(), np.linspace(0.0, 1.0, 513))
+
+
+TRACKED = {
+    "sine": lambda: lt.two_level_sweep(1.0, 0.2, shape="sine"),
+    "linear": lambda: lt.two_level_sweep(1.0, 0.2, shape="linear"),
+    "random": lambda: random_smooth_system(np.random.default_rng(7), dim=3),
+    "frame1q": lambda: _frame("Z", {"Z": 1.0, "X": 0.45}),
+    "frame2q": lambda: _frame("ZI", {"ZI": 1.0, "IZ": 0.5, "XX": 0.3}),
+}
+
+
+@pytest.mark.parametrize("panels", [16, 256, 2048])
+@pytest.mark.parametrize("name", sorted(TRACKED))
+def test_smooth_eigensystem_matches_the_greedy_oracle(name, panels):
+    ham = TRACKED[name]()
+    s_grid = np.linspace(0.0, 1.0, panels + 1)
+    got = lt.smooth_eigensystem(ham, s_grid)
+    want = smooth_eigensystem_oracle(ham, s_grid)
+    assert np.array_equal(got.values, want.values)
+    # the running phase product and the loop's per-step phases agree to
+    # rounding; 5.7e-15 is the largest gap seen over these cases
+    assert np.max(np.abs(got.vectors - want.vectors)) < 1e-13
+
+
+def test_smooth_eigensystem_follows_curves_out_of_eigh_order():
+    # h(s) = (s - 0.51) Z + 1e-3 X: a narrow avoided crossing that the
+    # 16-panel grid steps over, so one step's match swaps the columns
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    ham = lt.TimeDependentHamiltonian(
+        dim=2,
+        h=lambda s: np.multiply.outer(s - 0.51, sz) + 1e-3 * sx,
+        dh=lambda s: np.broadcast_to(sz, np.shape(s) + (2, 2)),
+        grid=16,
+    )
+    got = lt.smooth_eigensystem(ham)
+    want = smooth_eigensystem_oracle(ham)
+    assert np.array_equal(got.values, want.values)
+    assert np.max(np.abs(got.vectors - want.vectors)) < 1e-13
+    # past the crossing the curves keep their Z eigenvectors, so their
+    # labels no longer ascend with eigh's
+    assert int(np.sum(got.values[:, 0] > got.values[:, 1])) == 8
+
+
+def fast_rotation() -> lt.TimeDependentHamiltonian:
+    """A 3-level frame turned so far per panel that some row's largest
+    matching weight is below 1/2."""
+    gen = random_hermitian(np.random.default_rng(3), 3)
+    ham = lt.interaction_frame(gen, np.diag([-1.0, 0.0, 1.0]).astype(complex), 4.0, grid=4)
+    _, raw = np.linalg.eigh(ham.h(np.linspace(0.0, 1.0, 5)))
+    weight = np.abs(np.swapaxes(raw[:-1].conj(), 1, 2) @ raw[1:]) ** 2
+    assert float(np.min(np.max(weight, axis=2))) < 0.5
+    return ham
+
+
+@pytest.mark.parametrize(
+    "make, s_grid",
+    [(collapsing_system, np.linspace(0.0, 1.0, 513)), (fast_rotation, None)],
+    ids=["collapse", "fast-rotation"],
+)
+def test_smooth_eigensystem_refuses_what_the_oracle_refuses(make, s_grid):
+    ham = make()
+    messages = []
+    for track in (lt.smooth_eigensystem, smooth_eigensystem_oracle):
+        with pytest.raises(InvariantViolation) as info:
+            track(ham, s_grid)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_frames_are_shared_across_total_times_and_read_only(monkeypatch):
+    calls = []
+    original = lt.smooth_eigensystem
+
+    def counting(ham, s_grid=None):
+        calls.append(len(s_grid))
+        return original(ham, s_grid)
+
+    monkeypatch.setattr(lt, "smooth_eigensystem", counting)
+    ham = sine_family()
+    fresh = [lt.truncation(sine_family(), t, r=16) for t in (20.0, 40.0)]
+    assert calls == [17, 17]
+    shared = [lt.truncation(ham, t, r=16) for t in (20.0, 40.0)]
+    encs = [lt.PropagatorEncoding(ham, 40.0, 16, bits) for bits in (4, 6)]
+    assert calls == [17, 17, 17]
+    for a, b in zip(shared, fresh):
+        for name in ("rates", "phase", "eta_start", "eta_end", "zeta", "correction"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert all(enc.truncation.eigsys is shared[0].eigsys for enc in encs)
+    eigsys, rates = ham.frames(16)
+    for arr in (eigsys.s_grid, eigsys.values, eigsys.vectors, rates):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        eigsys.values[0, 0] = 0.0
+
+
+def test_panel_cap_refuses_before_sampling(monkeypatch):
+    # the cap itself admits criterion 08's finest grid and 8192 panels
+    for panels in (int(np.ceil(2.0 * 160.0**1.5)), 8192):
+        lt.require_panels(panels, 2)
+    monkeypatch.setattr(lt, "PANEL_CAP", 4 * 65)
+    calls = []
+    monkeypatch.setattr(lt, "smooth_eigensystem", lambda *args: calls.append(args))
+    ham = lt.two_level_sweep(1.0, 0.2, shape="sine", grid=64)
+    with pytest.raises(CapExceeded):
+        lt.two_level_sweep(1.0, 0.2, shape="sine", grid=65)
+    with pytest.raises(CapExceeded):
+        lt.truncation(ham, 20.0, r=65)
+    with pytest.raises(CapExceeded):
+        lt.jump_term(ham, 20.0, 1, panels=65)
+    with pytest.raises(CapExceeded):
+        lt.longtime_error(ham, 20.0, r=65)
+    assert calls == []
 
 
 def test_interaction_frame_spectrum_static():
