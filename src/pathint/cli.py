@@ -29,12 +29,15 @@ from . import __version__
 from .decomp import (
     Decomposition,
     decomposition_from_json,
+    operator_from_json,
+    require_bits,
     require_fields,
     require_int,
     require_number,
 )
 from .errors import CapExceeded, InvariantViolation, SpecError
 from .lattice import (
+    GAUSS_TERMS_CAP,
     LatticeConfig,
     Potential,
     constant_potential,
@@ -189,12 +192,10 @@ def _system_builder(value: Any) -> Callable[[float], TimeDependentHamiltonian]:
     if family == "interaction-frame":
         what = "interaction-frame system"
         require_fields(doc, {"family", "generator", "coupling"}, {"grid"}, what)
-        gen = decomposition_from_json(_json_or_path(doc["generator"], "generator"))
-        coup = decomposition_from_json(_json_or_path(doc["coupling"], "coupling"))
+        gen = operator_from_json(_json_or_path(doc["generator"], "generator"))
+        coup = operator_from_json(_json_or_path(doc["coupling"], "coupling"))
         grid = require_int(doc.get("grid", 64), f"{what} 'grid'", 1)
-        return lambda total_time: interaction_frame(
-            gen.total(), coup.total(), total_time, grid=grid
-        )
+        return lambda total_time: interaction_frame(gen, coup, total_time, grid=grid)
     raise SpecError("system family must be 'sweep' or 'interaction-frame'")
 
 
@@ -364,6 +365,9 @@ def _run_lagrangian_sim(params: dict[str, Any], seed: int) -> tuple[list[str], l
     return header, rows
 
 
+_GAUSS_ROW_CAP = 1 << 16  # most rows gauss-check writes; the tests write a few dozen
+
+
 def _run_gauss_check(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
     count, max_coeff = params["count"], params["max_coeff"]
     children = np.random.SeedSequence(seed).spawn(count)
@@ -410,8 +414,12 @@ def _sweep_flag(text: str) -> dict[str, Any]:
 Check = Callable[[Any, str], object]
 
 
-def _int_from(minimum: int) -> Check:
-    return lambda value, what: require_int(value, what, minimum)
+def _int_from(minimum: int, cap: float = float("inf")) -> Check:
+    """An integer of at least ``minimum``; one above ``cap`` trips the cap."""
+    def check(value: Any, what: str) -> None:
+        if require_int(value, what, minimum) > cap:
+            raise CapExceeded(f"{what} {value} above cap {cap}")
+    return check
 
 
 def _positive(value: Any, what: str) -> None:
@@ -487,7 +495,7 @@ _KIND_TABLE: dict[str, Kind] = {
         Param("k", int, check=_int_from(0)),
         Param("r", int, check=_int_from(1)),
         Param("t", float, check=require_number),
-        Param("bits", int, check=_int_from(1)),
+        Param("bits", int, check=require_bits),
         Param("sweep", parse=_sweep_flag, check=_short_sweep, optional=True,
               help="param:v1,v2,... over one of k,r,t,bits"),
     )),
@@ -510,8 +518,8 @@ _KIND_TABLE: dict[str, Kind] = {
         Param("initial", help="gaussian:x0,sigma,k0 or basis:q"),
     )),
     "gauss-check": Kind("reciprocity fuzz over random triples", _run_gauss_check, (
-        Param("count", int, check=_int_from(1)),
-        Param("max_coeff", int, check=_int_from(1)),
+        Param("count", int, check=_int_from(1, _GAUSS_ROW_CAP)),
+        Param("max_coeff", int, check=_int_from(1, GAUSS_TERMS_CAP)),
     )),
 }
 

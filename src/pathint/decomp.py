@@ -6,34 +6,28 @@ appear adjacently in a product-formula schedule we tabulate the unitary of
 eigenbasis overlaps and mark its genuine entries, those above ``zero_tol``.
 The sparsity d is the largest number of genuine overlaps in any row or
 column; the short-time select cells color exactly the genuine edges.
-A Pauli-string term, told apart by its matrix alone, gets its eigensystem
-in closed form (``_pauli_eig``); every other term goes through
-``linalg.hermitian_eig``, whose gauge the closed form reproduces.
-``QueryCounter`` tallies the oracle queries the encodings charge.  The
-document rules ``require_number``, ``require_int`` and ``require_fields``
-read every experiment document and sub-document.
+A term is a dense matrix or a ``PauliTerm``, the masks a document's Pauli
+entry declares; its matrix and closed-form eigensystem are written from
+them, and a dense term goes through ``linalg.hermitian_eig``, whose gauge
+the closed form reproduces.  ``QueryCounter`` tallies the oracle queries
+the encodings charge.  The document rules ``require_number``,
+``require_int`` and ``require_fields`` read every experiment document.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, SpecError
+from .errors import CapExceeded, InvariantViolation, SpecError
 from .linalg import DEGENERACY_RTOL, EigenSystem, check_hermitian, hermitian_eig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from .trotter import TrotterSchedule
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 # the largest finite float: abs(value) <= _MAX fails for NaN, infinities and larger ints
 _MAX = sys.float_info.max
 
@@ -43,9 +37,8 @@ class Decomposition:
     """Validated term list with gauge-fixed eigensystems.
 
     ``paulis`` holds each term's (x-mask, z-mask, |coeff|) when every term
-    came from a Pauli-string document entry, and is None otherwise.
-    ``alphas`` is where ``trotter.error_bound`` keeps each alpha_comm it
-    computes, by k.
+    was a ``PauliTerm``, and is None otherwise.  ``alphas`` is where
+    ``trotter.error_bound`` keeps each alpha_comm it computes, by k.
     """
 
     n: int
@@ -69,46 +62,81 @@ class Decomposition:
         return np.sum(self.terms, axis=0)
 
 
-def _pauli_eig(m: np.ndarray) -> EigenSystem | None:
-    """The eigensystem of a Pauli-string term in closed form, else None.
+def odd_parity(v: np.ndarray) -> np.ndarray:
+    """Is the popcount of each non-negative 64-bit integer odd?"""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return (v & 1).astype(bool)
 
-    A Pauli-string term is a Hermitian matrix with exactly one nonzero entry
-    per column, all of one magnitude |c|: M e_i = a_i e_pi(i), with pi an
-    involution.  A fixed point i = pi(i) gives e_i with value a_i; a pair
-    i < pi(i) gives (e_i + s (a_i/|c|) e_pi(i))/sqrt(2) with value s|c| for
-    each sign s.  Values ascend, and the columns of one value ascend in
-    their lowest index: the gauge ``hermitian_eig`` fixes, found without
-    ``eigh``.  Two values closer than its degeneracy tolerance would be one
-    cluster there, so such a term takes that path too.
+
+@dataclass(frozen=True)
+class PauliTerm:
+    """coeff * P for the n-qubit Pauli string P with masks x and z: letter q
+    sets bit n-1-q of x for X or Y and of z for Y or Z, so P maps e_j to
+    i^popcount(x&z) (-1)^popcount(z&j) e_(j^x) (Aaronson and Gottesman,
+    PRA 70, 052328 (2004))."""
+
+    n: int
+    x: int
+    z: int
+    coeff: float
+
+    def matrix(self) -> np.ndarray:
+        j = np.arange(1 << self.n)
+        unit = (1 + 0j, 1j, -1 + 0j, -1j)[(self.x & self.z).bit_count() % 4]
+        m = np.zeros((len(j), len(j)), dtype=complex)
+        m[j ^ self.x, j] = np.where(odd_parity(self.z & j), -1.0, 1.0) * (self.coeff * unit)
+        return m
+
+
+def _pauli_eig(term: np.ndarray | PauliTerm, m: np.ndarray) -> EigenSystem | None:
+    """A ``PauliTerm``'s eigensystem in closed form from its matrix m, else None.
+
+    With a_i the entry of column i, in row pi(i) = i^x, a fixed point gives
+    e_i with value a_i and a pair i < pi(i) gives (e_i + s (a_i/|c|)
+    e_pi(i))/sqrt(2) with value s|c| for each sign s, in the gauge
+    ``hermitian_eig`` fixes.  Values closer than its degeneracy tolerance
+    would be one cluster there, so such a term takes that path too.
     """
-    # entries come row by row; for Hermitian m, one per row is one per column
-    rows, pi = np.nonzero(m)
-    dim = len(m)
-    idx = np.arange(dim)
-    if len(rows) != dim or (rows != idx).any():
+    if not isinstance(term, PauliTerm):
         return None
+    mag = abs(term.coeff)
+    if 2 * mag <= DEGENERACY_RTOL * max(mag, 1.0):
+        return None
+    idx = np.arange(len(m))
+    pi = idx ^ term.x
     a = m[pi, idx]
-    mag = abs(a[0])
-    if (np.abs(a) != mag).any() or 2 * mag <= DEGENERACY_RTOL * max(mag, 1.0):
-        return None
     pair = idx < pi
     neg = pair | ((a.real < 0) & (idx == pi))
     pos = pair | ((a.real > 0) & (idx == pi))
     cols = np.concatenate([idx[neg], idx[pos]])
     sign = np.repeat([-1.0, 1.0], [neg.sum(), pos.sum()])
     half = np.sqrt(0.5)
-    vectors = np.zeros((dim, dim), dtype=complex)
+    vectors = np.zeros(m.shape, dtype=complex)
     # a fixed point's partner entry is then overwritten by its own 1
     vectors[pi[cols], idx] = sign * (a[cols] / mag) * half
     vectors[cols, idx] = np.where(pi[cols] == cols, 1.0, half)
     return EigenSystem(values=sign * mag, vectors=vectors)
 
 
-def build(terms: Sequence[np.ndarray], zero_tol: float = 1e-12) -> Decomposition:
-    """Validate terms and precompute each term's deterministic eigensystem."""
+def _matrix(term: np.ndarray | PauliTerm, pos: int) -> np.ndarray:
+    """A term's Hermitian matrix; a dense term that is not Hermitian is refused."""
+    if isinstance(term, PauliTerm):
+        return term.matrix()
+    try:
+        return check_hermitian(term)
+    except InvariantViolation as exc:
+        raise SpecError(f"term {pos}: {exc}") from None
+
+
+def build(terms: Sequence[np.ndarray | PauliTerm], zero_tol: float = 1e-12) -> Decomposition:
+    """Validate terms and precompute each term's deterministic eigensystem.
+
+    A ``PauliTerm`` gets its closed form, a dense matrix ``hermitian_eig``.
+    """
     if not terms:
         raise SpecError("decomposition needs at least one term")
-    mats = [check_hermitian(t) for t in terms]
+    mats = [_matrix(t, i) for i, t in enumerate(terms)]
     dim = mats[0].shape[0]
     for i, m in enumerate(mats):
         if m.shape[0] != dim:
@@ -124,8 +152,10 @@ def build(terms: Sequence[np.ndarray], zero_tol: float = 1e-12) -> Decomposition
         )
     if zero_tol <= 0:
         raise SpecError("zero_tol must be positive")
-    eigs = tuple(_pauli_eig(m) or hermitian_eig(m) for m in mats)
-    return Decomposition(n=n, terms=tuple(mats), eigensystems=eigs, zero_tol=zero_tol)
+    eigs = tuple(_pauli_eig(t, m) or hermitian_eig(m) for t, m in zip(terms, mats))
+    masks = tuple((t.x, t.z, abs(t.coeff)) for t in terms if isinstance(t, PauliTerm))
+    return Decomposition(n=n, terms=tuple(mats), eigensystems=eigs, zero_tol=zero_tol,
+                         paulis=masks if len(masks) == len(terms) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -159,28 +189,22 @@ def require_fields(doc: object, required: set[str], optional: set[str], what: st
     return doc
 
 
-def _term_from_json(
-    entry: object, dim: int, pos: int
-) -> tuple[np.ndarray, tuple[int, int, float] | None]:
-    """A document term's matrix, and its (x-mask, z-mask, |coeff|) if it is a Pauli string."""
+def _term_from_json(entry: object, n: int, pos: int) -> np.ndarray | PauliTerm:
+    """A document term: a ``PauliTerm``, or a dense matrix that ``_matrix`` checks."""
     if isinstance(entry, dict):
         require_fields(entry, {"pauli"}, {"coeff"}, f"term {pos}")
         label = entry["pauli"]
         if not isinstance(label, str) or not label:
             raise SpecError(f"term {pos}: 'pauli' must be a non-empty string")
-        if any(c not in _PAULI_1Q for c in label):
+        if not set(label) <= set("IXYZ"):
             raise SpecError(f"term {pos}: bad Pauli letter in {label!r}")
-        if 2 ** len(label) != dim:
-            raise SpecError(
-                f"term {pos}: Pauli string length {len(label)} does not match n"
-            )
+        if len(label) != n:
+            raise SpecError(f"term {pos}: Pauli string length {len(label)} does not match n")
         coeff = require_number(entry.get("coeff", 1.0), f"term {pos}: 'coeff'")
-        mat = np.array([[coeff + 0j]])
         x = z = 0
         for c in label:
-            mat = np.kron(mat, _PAULI_1Q[c])
             x, z = 2 * x + (c in "XY"), 2 * z + (c in "YZ")
-        return mat, (x, z, abs(coeff))
+        return PauliTerm(n, x, z, coeff)
     if isinstance(entry, list):
         what = f"term {pos}: entries must be [re, im] pairs of finite numbers"
         try:
@@ -190,26 +214,34 @@ def _term_from_json(
             ], dtype=complex)
         except (TypeError, ValueError) as exc:
             raise SpecError(what) from exc
-        if mat.shape != (dim, dim):
-            raise SpecError(f"term {pos}: shape {mat.shape}, expected ({dim}, {dim})")
-        return mat, None
+        if mat.shape != (1 << n, 1 << n):
+            raise SpecError(f"term {pos}: shape {mat.shape}, expected ({1 << n}, {1 << n})")
+        return mat
     raise SpecError(f"term {pos}: unsupported term encoding {type(entry).__name__}")
 
 
-def decomposition_from_json(doc: dict) -> Decomposition:
-    """Parse the on-disk decomposition format (dense matrices or Pauli shorthand).
-
-    A document of Pauli-string terms only also keeps their symplectic form.
-    """
+def _terms_from_json(doc: object) -> tuple[list[np.ndarray | PauliTerm], float]:
+    """The terms and zero_tol of a decomposition document (dense matrices or Pauli shorthand)."""
     require_fields(doc, {"n", "terms"}, {"zero_tol"}, "decomposition")
-    dim = 2 ** require_int(doc["n"], "decomposition 'n'", 1)
+    n = require_int(doc["n"], "decomposition 'n'", 1)
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list) or not raw_terms:
         raise SpecError("'terms' must be a non-empty list")
-    terms, paulis = zip(*(_term_from_json(t, dim, i) for i, t in enumerate(raw_terms)))
-    zero_tol = require_number(doc.get("zero_tol", 1e-12), "zero_tol")
-    decomp = build(terms, zero_tol=zero_tol)
-    return decomp if None in paulis else replace(decomp, paulis=paulis)
+    terms = [_term_from_json(t, n, i) for i, t in enumerate(raw_terms)]
+    return terms, require_number(doc.get("zero_tol", 1e-12), "zero_tol")
+
+
+def decomposition_from_json(doc: dict) -> Decomposition:
+    """Parse the on-disk decomposition format into a checked ``Decomposition``."""
+    return build(*_terms_from_json(doc))
+
+
+def operator_from_json(doc: dict) -> np.ndarray:
+    """A decomposition document read as one operator, the sum of its checked
+    terms (``Decomposition.total``'s bits): no term need be diagonal and no
+    eigensystem is formed."""
+    terms, _ = _terms_from_json(doc)
+    return np.sum([_matrix(t, i) for i, t in enumerate(terms)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +320,18 @@ class QueryCounter:
 
     def reset(self) -> None:
         self.counts.clear()
+
+
+# Most magnitude bits B: round_to_bits clamps to 2^B - 1, a float64 integer
+# only up to B = 53; at B = 54 a magnitude of 1.0 rounds to 2^B.
+MAX_BITS = 53
+
+
+def require_bits(value: object, what: str) -> int:
+    """A magnitude precision B: an integer from 1 to ``MAX_BITS``."""
+    if require_int(value, what, 1) > MAX_BITS:
+        raise SpecError(f"{what} must be at most {MAX_BITS}")
+    return value
 
 
 def round_to_bits(value: np.ndarray | float, bits: int) -> np.ndarray:

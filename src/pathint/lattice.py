@@ -34,6 +34,8 @@ from .linalg import exp_unitary, qft_matrix
 
 BRUTE_FORCE_CAP = 1 << 16
 STEP_WORK_CAP = 1 << 16
+# Most terms gauss_sum_check sums on one side, |a| or |c| (16 MiB of complex).
+GAUSS_TERMS_CAP = 1 << 20
 NORM_TOL = 1e-9
 CUTOFF_TOL = 1e-10
 
@@ -373,9 +375,11 @@ def gauss_sum_check(a: int, b: int, c: int) -> tuple[complex, complex]:
     rhs = |c/a|^(1/2) * exp(i*pi/4*(sgn(a*c) - b^2/(a*c)))
           * sum_{j=0}^{|a|-1} exp(-i*pi*(c*j^2 + b*j)/a)
 
-    Requires a*c nonzero and a*c + b even.
+    Requires a*c nonzero and a*c + b even, and |a|, |c| at most GAUSS_TERMS_CAP.
     """
     a, b, c = int(a), int(b), int(c)
+    if max(abs(a), abs(c)) > GAUSS_TERMS_CAP:
+        raise CapExceeded(f"Gauss sum of {max(abs(a), abs(c))} terms above cap {GAUSS_TERMS_CAP}")
     if a * c == 0:
         raise SpecError("gauss_sum_check needs a*c nonzero")
     if (a * c + b) % 2 != 0:

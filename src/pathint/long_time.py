@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import lcu
-from .decomp import QueryCounter, round_to_bits
+from .decomp import MAX_BITS, QueryCounter, round_to_bits
 from .errors import CapExceeded, InvariantViolation, SpecError
 from .linalg import check_hermitian, converged_propagator, hermitian_eig, spectral_norm
 
@@ -653,8 +653,8 @@ class PropagatorEncoding:
         bits: int,
         counter: QueryCounter | None = None,
     ):
-        if bits < 1:
-            raise SpecError("magnitude precision must be at least one bit")
+        if not 1 <= bits <= MAX_BITS:
+            raise SpecError(f"magnitude precision must be 1 to {MAX_BITS} bits")
         if total_time <= 0:
             raise SpecError("total time must be positive")
         self.ham = ham

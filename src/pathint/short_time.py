@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lcu
-from .decomp import Decomposition, QueryCounter, ScheduleOverlaps
+from .decomp import MAX_BITS, Decomposition, QueryCounter, ScheduleOverlaps
 from .errors import CapExceeded, InvariantViolation, SpecError
 from .linalg import exp_unitary, spectral_norm
 from .trotter import TrotterSchedule, optional_error_bound, schedule
@@ -191,8 +191,8 @@ class BlockEncoding:
         bits: int,
         counter: QueryCounter | None = None,
     ):
-        if bits < 1:
-            raise SpecError("magnitude precision must be at least one bit")
+        if not 1 <= bits <= MAX_BITS:
+            raise SpecError(f"magnitude precision must be 1 to {MAX_BITS} bits")
         self.bits = bits
         self.counter = counter if counter is not None else QueryCounter()
         self.d = overlaps.d

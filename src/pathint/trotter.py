@@ -17,11 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import Decomposition
+from .decomp import Decomposition, odd_parity
 from .errors import CapExceeded, SpecError
 from .linalg import exp_unitary, spectral_norm
 
 SCHEDULE_ORDER_CAP = 3
+# Most factors a schedule may list; the tests and the benchmark list a few hundred.
+SCHEDULE_FACTOR_CAP = 1 << 20
 # Most nested commutators alpha_comm may form, counting the terms themselves:
 # the unpruned tree of 5 dense terms at k = 3 has 97,655 nodes.
 ALPHA_WORK_CAP = 1 << 17
@@ -80,6 +82,8 @@ def schedule(L: int, k: int, r: int, t: float) -> TrotterSchedule:
     if k > SCHEDULE_ORDER_CAP:
         raise CapExceeded(f"order index {k} above cap {SCHEDULE_ORDER_CAP}")
     step = _one_step(L, k)
+    if len(step) * r > SCHEDULE_FACTOR_CAP:
+        raise CapExceeded(f"schedule of {len(step) * r} factors above cap {SCHEDULE_FACTOR_CAP}")
     factors = tuple(ScheduleFactor(term, weight) for term, weight in step * r)
     return TrotterSchedule(L=L, k=k, r=r, t=float(t), factors=factors)
 
@@ -130,13 +134,6 @@ def _leaf_norms(terms: np.ndarray, level: np.ndarray, remaining: int, formed: li
             yield from _leaf_norms(terms, children, remaining - 1, formed)
 
 
-def _odd_parity(v: np.ndarray) -> np.ndarray:
-    """Is the popcount of each non-negative 64-bit integer odd?"""
-    for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return (v & 1).astype(bool)
-
-
 def _symplectic_alpha(paulis: tuple[tuple[int, int, float], ...], n: int, k: int) -> float:
     """alpha_comm of Pauli-string terms c_a P_a, summed over symplectic vectors.
 
@@ -153,7 +150,7 @@ def _symplectic_alpha(paulis: tuple[tuple[int, int, float], ...], n: int, k: int
     x, z, coeff = (np.array(col) for col in zip(*paulis))
     at_x, at_z, norm = x, z, coeff
     for _ in range(2 * k):
-        anti = _odd_parity((x[:, None] & at_z) ^ (z[:, None] & at_x))
+        anti = odd_parity((x[:, None] & at_z) ^ (z[:, None] & at_x))
         key = ((x[:, None] ^ at_x) << n | (z[:, None] ^ at_z))[anti]
         key, where = np.unique(key, return_inverse=True)
         norm = np.bincount(where, weights=(2.0 * coeff[:, None] * norm)[anti], minlength=len(key))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from pathint import cli, trotter
-from pathint.decomp import decomposition_from_json
+from pathint.decomp import MAX_BITS, decomposition_from_json
 from pathint.errors import CapExceeded, InvariantViolation
+from pathint.lattice import GAUSS_TERMS_CAP
 from support import alpha_comm_oracle, dense_document, lagrangian_csv_oracle
 
 ZX_DECOMP = '{"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "X", "coeff": 1.0}]}'
@@ -770,9 +771,9 @@ for word, value in (("nan", float("nan")), ("infinity", float("inf"))):
     })
 
 
-@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
-def test_document_numbers_are_checked(tmp_path, capsys, case):
-    kind, change = BAD_NUMBERS[case]
+def main_with(tmp_path, kind: str, change: dict) -> int:
+    """cli.main on the kind's criterion-14 invocation, changed: its flags
+    when every key of ``change`` is a flag, else its document."""
     flags, params = INVOCATIONS[kind]
     out = tmp_path / "x.csv"
     spec_path = tmp_path / "spec.json"
@@ -783,11 +784,92 @@ def test_document_numbers_are_checked(tmp_path, capsys, case):
             {"kind": kind, "params": dict(params, **change), "seed": 0, "output": str(out)}
         ))
         argv = [kind, "--spec", str(spec_path)]
-    assert cli.main(argv) == 2
+    return cli.main(argv)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_document_numbers_are_checked(tmp_path, capsys, case):
+    assert main_with(tmp_path, *BAD_NUMBERS[case]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "spec"
-    assert not out.exists()
+    assert not (tmp_path / "x.csv").exists()
+
+
+# Terms a document may not hold: a dense term that is not Hermitian, in a
+# decomposition or in either operator of an interaction frame; and
+# magnitude bits past exact rounding, given once or in a sweep.
+NOT_HERMITIAN = {"n": 1, "terms": [[[[0, 0], [1, 0]], [[2, 0], [0, 0]]]]}
+TOO_MANY_BITS = MAX_BITS + 1
+NOT_HERMITIAN_TERM = "term 0: matrix is not Hermitian"
+BITS_MESSAGE = f"must be at most {MAX_BITS}"
+BAD_TERMS = {
+    "decomp-not-hermitian": ("trotter-error", {
+        "decomp": {"n": 1, "terms": [{"pauli": "Z"}] + NOT_HERMITIAN["terms"]},
+    }, "term 1: matrix is not Hermitian"),
+    "generator-not-hermitian": (
+        "long-sim", {"system": dict(FRAME_SYSTEM, generator=NOT_HERMITIAN)}, NOT_HERMITIAN_TERM,
+    ),
+    "coupling-not-hermitian": (
+        "long-sim", {"system": dict(FRAME_SYSTEM, coupling=NOT_HERMITIAN)}, NOT_HERMITIAN_TERM,
+    ),
+    "bits": ("short-sim", {"bits": TOO_MANY_BITS}, BITS_MESSAGE),
+    "sweep-bits": (
+        "short-sim", {"sweep": {"param": "bits", "values": [6, TOO_MANY_BITS]}}, BITS_MESSAGE,
+    ),
+    "flag-bits": ("short-sim", {"--bits": "63"}, BITS_MESSAGE),
+    "flag-sweep-bits": ("short-sim", {"--sweep": "bits:6,64"}, BITS_MESSAGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TERMS))
+def test_document_terms_and_bits_are_checked(tmp_path, capsys, case):
+    kind, change, words = BAD_TERMS[case]
+    assert main_with(tmp_path, kind, change) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "spec"
+    assert words in doc["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_frame_operators_are_sums_in_any_term_order(tmp_path):
+    """Only a frame operator's sum is used, so its terms may come in any order."""
+    csvs = []
+    for terms in (FRAME_SYSTEM["coupling"]["terms"], FRAME_SYSTEM["coupling"]["terms"][::-1]):
+        system = dict(FRAME_SYSTEM, coupling={"n": 1, "terms": terms})
+        out = tmp_path / f"frame{len(csvs)}.csv"
+        argv = ["long-sim", "--system", json.dumps(system), "--T-sweep", "30", "--r", "64"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert csvs[0].decode().splitlines()[1].startswith("30,64,")
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("work started past a cap")
+
+
+@pytest.mark.parametrize("flags", [
+    {"--max-coeff": str(1 << 63)},
+    {"--max-coeff": str(GAUSS_TERMS_CAP + 1)},
+    {"--count": str(cli._GAUSS_ROW_CAP + 1)},
+], ids=["max-coeff-past-int64", "max-coeff", "count"])
+def test_gauss_check_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.setattr(cli, "gauss_sum_check", _forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", _forbidden)
+    assert main_with(tmp_path, "gauss-check", flags) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "cap"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_schedule_cap_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "measured_error", _forbidden)
+    assert main_with(tmp_path, "trotter-error", {"--r-list": str(10**7)}) == 3
+    assert json.loads(capsys.readouterr().err)["module"] == "pathint.trotter"
 
 
 # Each refused document is refused whole, before its runner computes a row:
@@ -795,7 +877,8 @@ def test_document_numbers_are_checked(tmp_path, capsys, case):
 @pytest.mark.parametrize(("kind", "change", "counted"), [
     ("long-sim", {"--T-sweep": "20,-1"}, "longtime_error"),
     ("trotter-error", {"--r-list": "2,0"}, "measured_error"),
-], ids=["long-sim", "trotter-error"])
+    ("short-sim", {"--sweep": "bits:6,64"}, "simulate"),
+], ids=["long-sim", "trotter-error", "short-sim-bits"])
 def test_refusal_comes_before_any_work(tmp_path, capsys, monkeypatch, kind, change, counted):
     calls = []
     original = getattr(cli, counted)

@@ -249,12 +249,63 @@ def test_other_terms_keep_hermitian_eig(monkeypatch):
     zero = np.zeros((2, 2), dtype=complex)
     two_magnitudes = np.diag([1.0, 2.0]).astype(complex)
     dense = pauli_string("X") + 0.5 * pauli_string("Z")
-    d = dc.build([zero, two_magnitudes, dense, -0.41 * pauli_string("Y")])
-    assert len(seen) == 3
-    for got, term in zip(d.eigensystems, (zero, two_magnitudes, dense)):
+    # a Pauli string given as a dense matrix is a dense term too
+    terms = (zero, two_magnitudes, dense, -0.41 * pauli_string("Y"))
+    d = dc.build(list(terms))
+    assert len(seen) == 4
+    assert d.paulis is None
+    for got, term in zip(d.eigensystems, terms):
         ref = hermitian_eig(term)
         npt.assert_array_equal(got.values, ref.values)
         npt.assert_array_equal(got.vectors, ref.vectors)
+
+
+@pytest.mark.parametrize("coeff", [0.73, -0.41])
+def test_pauli_matrices_from_masks_match_the_kron_products(coeff):
+    for label in PAULI_LABELS:
+        got = dc.operator_from_json(pauli_doc([label], [coeff]))
+        npt.assert_array_equal(got, coeff * pauli_string(label))
+
+
+def test_documents_keep_masks_only_when_every_term_is_a_pauli_string():
+    d = dc.decomposition_from_json(pauli_doc(["ZI", "XY", "IZ"], [1.0, -0.5, 0.25]))
+    assert d.paulis == ((0b00, 0b10, 1.0), (0b11, 0b01, 0.5), (0b00, 0b01, 0.25))
+    built = dc.build([dc.PauliTerm(2, 0b00, 0b10, 1.0), dc.PauliTerm(2, 0b11, 0b01, -0.5)])
+    assert built.paulis == d.paulis[:2]
+    mixed = dc.build([dc.PauliTerm(2, 0b00, 0b10, 1.0), pauli_string("XY")])
+    assert mixed.paulis is None
+
+
+NOT_HERMITIAN = [[[0.0, 0.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]]
+
+
+def test_dense_terms_that_are_not_hermitian_are_refused():
+    doc = {"n": 1, "terms": [{"pauli": "Z"}, NOT_HERMITIAN]}
+    for read in (dc.decomposition_from_json, dc.operator_from_json):
+        with pytest.raises(SpecError, match="term 1: matrix is not Hermitian"):
+            read(doc)
+    with pytest.raises(SpecError, match="term 1"):
+        dc.build([pauli_string("Z"), np.array([[0.0, 1.0], [2.0, 0.0]])])
+
+
+def test_operator_documents_are_sums_in_any_term_order():
+    forward = pauli_doc(["Z", "X"], [1.0, 0.45])
+    backward = pauli_doc(["X", "Z"], [0.45, 1.0])
+    with pytest.raises(SpecError, match="term 0 must be diagonal"):
+        dc.decomposition_from_json(backward)
+    total = dc.decomposition_from_json(forward).total()
+    for doc in (forward, backward):
+        assert dc.operator_from_json(doc).tobytes() == total.tobytes()
+
+
+def test_bits_stop_where_rounding_is_exact():
+    assert 24 < dc.MAX_BITS <= 62
+    for bits in (dc.MAX_BITS, dc.MAX_BITS + 1):
+        exact = dc.round_to_bits(1.0, bits) == (1 << bits) - 1
+        assert exact == (bits == dc.MAX_BITS)  # one bit more rounds 1.0 out of range
+    assert dc.require_bits(dc.MAX_BITS, "B") == dc.MAX_BITS
+    with pytest.raises(SpecError, match=f"at most {dc.MAX_BITS}"):
+        dc.require_bits(dc.MAX_BITS + 1, "B")
 
 
 @pytest.mark.parametrize(("labels", "k", "bits"), SHORT_WIDE)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pathint.decomp import QueryCounter
 from pathint.errors import CapExceeded, SpecError
 from pathint.lattice import (
+    GAUSS_TERMS_CAP,
     ActionOracle,
     LatticeConfig,
     Potential,
@@ -324,6 +325,17 @@ def test_gauss_sum_preconditions():
         gauss_sum_check(3, 0, 0)
     with pytest.raises(SpecError):
         gauss_sum_check(2, 1, 3)
+
+
+def test_gauss_sum_cap_refuses_before_allocating(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Gauss sum above the cap allocated its terms")
+
+    monkeypatch.setattr(np, "arange", forbidden)
+    big = GAUSS_TERMS_CAP + 2
+    for a, c in ((1, big), (-big, 1), (1, -(1 << 63))):
+        with pytest.raises(CapExceeded, match=f"above cap {GAUSS_TERMS_CAP}$"):
+            gauss_sum_check(a, 0, c)
 
 
 def test_gauss_reciprocity_fuzz():

@@ -1,0 +1,28 @@
+"""The benchmark's trace targets stay where its tracer replaces them.
+
+``benchmarks/layertrace.py`` wraps each entry of ``TARGETS`` by reading it
+from its owner's own ``__dict__``, so a traced entry point that is renamed,
+moved or inherited would fail only the traced benchmark run.  Loaded by
+path, unchanged.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "benchmarks" / "layertrace.py"
+
+
+def test_every_trace_target_is_its_owners_own_attribute():
+    spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert layertrace.TARGETS
+    for module_name, path, _, _ in layertrace.TARGETS:
+        owner = importlib.import_module(module_name)
+        *classes, attr = path.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        assert callable(vars(owner).get(attr)), f"{module_name}.{path}"

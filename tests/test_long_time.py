@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathint import decomp as dc
 from pathint import lcu
 from pathint import long_time as lt
 from pathint.decomp import QueryCounter
@@ -570,5 +571,7 @@ def test_encoding_validation_and_cap():
         lt.PropagatorEncoding(ham, 20.0, r=3, bits=6)
     with pytest.raises(SpecError):
         lt.PropagatorEncoding(ham, 20.0, r=8, bits=0)
+    with pytest.raises(SpecError, match=f"1 to {dc.MAX_BITS} bits"):
+        lt.PropagatorEncoding(ham, 20.0, r=8, bits=dc.MAX_BITS + 1)
     with pytest.raises(SpecError):
         lt.PropagatorEncoding(ham, 0.0, r=8, bits=6)

@@ -466,6 +466,37 @@ def test_simulate_query_accounting():
     assert counter.snapshot() == counts[2]
 
 
+# (decomposition, k, bits) whose flagged registers hold at most 2^17 amplitudes
+COUNTED_WALKS = [(z_x, 0, 6), (z_x, 1, 4), (zz_zx, 0, 4)]
+
+
+@pytest.mark.parametrize(("make", "k", "bits"), COUNTED_WALKS)
+def test_simulate_charges_what_the_applied_walk_counts(make, k, bits):
+    decomp = make()
+    sched = schedule(decomp.term_count, k, 1, 0.8)
+    counted = dc.QueryCounter()
+    enc = sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), 0, bits, counted)
+    step = sh.AmplifiedStep(enc)
+    assert step.size <= 1 << 17
+    step.amplified(method="iterate")
+    # one select per application of W: 2p+1 for each of the dim columns
+    per_column = {name: (2 * step.p + 1) * cost for name, cost in sh.SELECT_BUDGET.items()}
+    assert counted.snapshot() == {name: enc.dim * v for name, v in per_column.items()}
+    charged = dc.QueryCounter()
+    res = sh.simulate(decomp, k=k, r=2, t=0.8, bits=bits, counter=charged)
+    assert res.p == step.p
+    assert charged.snapshot() == {
+        name: res.M * total // enc.dim for name, total in counted.snapshot().items()
+    }
+
+
+def test_block_encoding_refuses_bits_beyond_exact_rounding():
+    overlaps = dc.ScheduleOverlaps(z_x(), schedule(2, 0, 1, 1.0))
+    assert sh.BlockEncoding(overlaps, 0, dc.MAX_BITS).width == 1 << dc.MAX_BITS
+    with pytest.raises(SpecError, match=f"1 to {dc.MAX_BITS} bits"):
+        sh.BlockEncoding(overlaps, 0, dc.MAX_BITS + 1)
+
+
 def test_simulate_error_envelope_point():
     decomp = z_x()
     res = sh.simulate(decomp, k=1, r=4, t=0.9, bits=10)

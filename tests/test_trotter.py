@@ -64,6 +64,22 @@ def test_schedule_validation_and_caps():
         trotter.schedule(2, 4, 1, 1.0)
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a schedule above the cap built a factor")
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_schedule_factor_cap_refuses_before_building(monkeypatch, k):
+    per_step = 3 * (1, 2, 10, 50)[k]
+    assert len(trotter.schedule(3, k, 2, 1.0).factors) == 2 * per_step
+    monkeypatch.setattr(trotter, "ScheduleFactor", _forbidden)
+    r = trotter.SCHEDULE_FACTOR_CAP // per_step + 1
+    with pytest.raises(CapExceeded, match=f"above cap {trotter.SCHEDULE_FACTOR_CAP}$"):
+        trotter.schedule(3, k, r, 1.0)
+    with pytest.raises(CapExceeded):
+        trotter.schedule(3, k, 1 << 62, 1.0)
+
+
 def test_commuting_terms_are_reproduced_exactly():
     d = dc.build([pauli_string("Z"), 2.0 * pauli_string("Z")])
     exact = exp_unitary(d.total(), 1.3)
