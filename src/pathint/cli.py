@@ -35,9 +35,8 @@ from .decomp import (
     require_int,
     require_number,
 )
-from .errors import CapExceeded, InvariantViolation, SpecError
+from .errors import CapExceeded, InvariantViolation, SpecError, require_cap
 from .lattice import (
-    GAUSS_TERMS_CAP,
     LatticeConfig,
     Potential,
     constant_potential,
@@ -365,9 +364,6 @@ def _run_lagrangian_sim(params: dict[str, Any], seed: int) -> tuple[list[str], l
     return header, rows
 
 
-_GAUSS_ROW_CAP = 1 << 16  # most rows gauss-check writes; the tests write a few dozen
-
-
 def _run_gauss_check(params: dict[str, Any], seed: int) -> tuple[list[str], list[list[str]]]:
     count, max_coeff = params["count"], params["max_coeff"]
     children = np.random.SeedSequence(seed).spawn(count)
@@ -414,11 +410,12 @@ def _sweep_flag(text: str) -> dict[str, Any]:
 Check = Callable[[Any, str], object]
 
 
-def _int_from(minimum: int, cap: float = float("inf")) -> Check:
-    """An integer of at least ``minimum``; one above ``cap`` trips the cap."""
+def _int_from(minimum: int, cap: str | None = None) -> Check:
+    """An integer of at least ``minimum``, within the named cap if one is given."""
     def check(value: Any, what: str) -> None:
-        if require_int(value, what, minimum) > cap:
-            raise CapExceeded(f"{what} {value} above cap {cap}")
+        require_int(value, what, minimum)
+        if cap is not None:
+            require_cap(cap, value, what)
     return check
 
 
@@ -511,15 +508,15 @@ _KIND_TABLE: dict[str, Kind] = {
         Param("n", int, check=_int_from(1)),
         Param("xmax", float, check=require_number),
         Param("mass", float, check=require_number),
-        Param("r", int, check=_int_from(1)),
+        Param("r", int, check=_int_from(1, "trajectory_steps")),
         Param("potential",
               parse=lambda v: _json_or_path(v, "potential") if v.lstrip().startswith("{") else v,
               help="zero|constant:c|harmonic:omega,x0|well:d,l,r"),
         Param("initial", help="gaussian:x0,sigma,k0 or basis:q"),
     )),
     "gauss-check": Kind("reciprocity fuzz over random triples", _run_gauss_check, (
-        Param("count", int, check=_int_from(1, _GAUSS_ROW_CAP)),
-        Param("max_coeff", int, check=_int_from(1, GAUSS_TERMS_CAP)),
+        Param("count", int, check=_int_from(1, "gauss_rows")),
+        Param("max_coeff", int, check=_int_from(1, "gauss_terms")),
     )),
 }
 
@@ -614,11 +611,12 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def _blame_module(exc: BaseException) -> str:
+    """The innermost pathint module that raised, passing over ``require_cap``'s."""
     name = "pathint.cli"
     tb = exc.__traceback__
     while tb is not None:
         frame_name = tb.tb_frame.f_globals.get("__name__", "")
-        if frame_name.startswith("pathint.") and frame_name != "pathint.cli":
+        if frame_name.startswith("pathint.") and frame_name.split(".")[1] not in ("cli", "errors"):
             name = frame_name
         tb = tb.tb_next
     return name

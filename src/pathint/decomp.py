@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, InvariantViolation, SpecError
+from .errors import CapExceeded, InvariantViolation, SpecError, require_cap
 from .linalg import DEGENERACY_RTOL, EigenSystem, check_hermitian, hermitian_eig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -223,7 +223,8 @@ def _term_from_json(entry: object, n: int, pos: int) -> np.ndarray | PauliTerm:
 def _terms_from_json(doc: object) -> tuple[list[np.ndarray | PauliTerm], float]:
     """The terms and zero_tol of a decomposition document (dense matrices or Pauli shorthand)."""
     require_fields(doc, {"n", "terms"}, {"zero_tol"}, "decomposition")
-    n = require_int(doc["n"], "decomposition 'n'", 1)
+    what = "decomposition 'n'"
+    n = require_cap("dense_qubits", require_int(doc["n"], what, 1), what)
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list) or not raw_terms:
         raise SpecError("'terms' must be a non-empty list")

@@ -29,13 +29,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .decomp import QueryCounter
-from .errors import CapExceeded, SpecError
+from .errors import SpecError, require_cap
 from .linalg import exp_unitary, qft_matrix
 
-BRUTE_FORCE_CAP = 1 << 16
-STEP_WORK_CAP = 1 << 16
-# Most terms gauss_sum_check sums on one side, |a| or |c| (16 MiB of complex).
-GAUSS_TERMS_CAP = 1 << 20
 NORM_TOL = 1e-9
 CUTOFF_TOL = 1e-10
 
@@ -57,8 +53,9 @@ class LatticeConfig:
     r: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 10:
-            raise SpecError("grid exponent n must be between 1 and 10")
+        if self.n < 1:
+            raise SpecError("grid exponent n must be at least 1")
+        require_cap("dense_qubits", self.n, "grid exponent n")
         if not 0 < self.x_max < np.inf:
             raise SpecError("x_max must be positive and finite")
         if not 0 < self.mass < np.inf:
@@ -329,8 +326,7 @@ def lagrangian_propagator(
     accounting is per step, not per basis column: the oracle acts on
     superpositions.
     """
-    if cfg.r * cfg.dim > STEP_WORK_CAP:
-        raise CapExceeded("propagator work r * 2^n exceeds the cap")
+    require_cap("step_work", cfg.r * cfg.dim, "propagator work r * 2^n")
     u = np.eye(cfg.dim, dtype=complex)
     return _last(lagrangian_steps(cfg, potential.grid_values(cfg), u, cfg.r, counter))
 
@@ -347,11 +343,10 @@ def brute_force_propagator(cfg: LatticeConfig, potential: Potential) -> np.ndarr
     multiplies the oracle's per-transition action phases along it, and
     accumulates with the prefactor (exp(-i*pi/4)/sqrt(2^n))**r.  The result
     equals the split product with no extra phase.  Only feasible while the interior
-    path count (2^n)**(r-1) stays at or below BRUTE_FORCE_CAP.
+    path count (2^n)**(r-1) stays within the ``brute_force_paths`` cap.
     """
     dim = cfg.dim
-    if dim ** (cfg.r - 1) > BRUTE_FORCE_CAP:
-        raise CapExceeded("interior path count exceeds the brute-force cap")
+    require_cap("brute_force_paths", dim ** (cfg.r - 1), "interior path count")
     trans = ActionOracle(cfg, potential).phase_table()
     prefactor = (np.exp(-1j * np.pi / 4) / math.sqrt(dim)) ** cfg.r
     out = np.zeros((dim, dim), dtype=complex)
@@ -375,11 +370,11 @@ def gauss_sum_check(a: int, b: int, c: int) -> tuple[complex, complex]:
     rhs = |c/a|^(1/2) * exp(i*pi/4*(sgn(a*c) - b^2/(a*c)))
           * sum_{j=0}^{|a|-1} exp(-i*pi*(c*j^2 + b*j)/a)
 
-    Requires a*c nonzero and a*c + b even, and |a|, |c| at most GAUSS_TERMS_CAP.
+    Requires a*c nonzero and a*c + b even, and |a|, |c| within the
+    ``gauss_terms`` cap.
     """
     a, b, c = int(a), int(b), int(c)
-    if max(abs(a), abs(c)) > GAUSS_TERMS_CAP:
-        raise CapExceeded(f"Gauss sum of {max(abs(a), abs(c))} terms above cap {GAUSS_TERMS_CAP}")
+    require_cap("gauss_terms", max(abs(a), abs(c)), "Gauss sum terms")
     if a * c == 0:
         raise SpecError("gauss_sum_check needs a*c nonzero")
     if (a * c + b) % 2 != 0:

@@ -28,13 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .decomp import round_to_bits
-from .errors import CapExceeded, InvariantViolation
-
-# Bytes of the complex register a walk may allocate (2^24 amplitudes).  A
-# walk's peak RSS grew 4.1-4.6x its register bytes (long-time sine sweep,
-# r=8, bits 16 and 14), so about 1.2 GiB at the cap; the select's boolean
-# replica table is 1/16 of the register, so this bounds it too.
-WALK_REGISTER_CAP = 256 << 20
+from .errors import InvariantViolation, require_cap
 
 
 def replica_flip(b: np.ndarray | int, thr: np.ndarray | int) -> np.ndarray:
@@ -145,10 +139,10 @@ def system_block(walk: Callable[[np.ndarray], np.ndarray], size: int, dim: int) 
     The register is flat with every ancilla index slower than the system
     index, so its first ``dim`` amplitudes are the zero-ancilla subspace.
     Refuses before allocating when the register or the ``dim`` x ``dim``
-    output would exceed ``WALK_REGISTER_CAP`` bytes.
+    output, at 16 bytes an amplitude, would pass the ``walk_register`` cap;
+    the select's boolean replica table is 1/16 of the register.
     """
-    if max(size, dim * dim) * np.dtype(complex).itemsize > WALK_REGISTER_CAP:
-        raise CapExceeded(f"walk of {size} amplitudes to a {dim}-column block exceeds the cap")
+    require_cap("walk_register", max(size, dim * dim) * 16, "walk register bytes")
     out = np.empty((dim, dim), dtype=complex)
     for j in range(dim):
         column = np.zeros(size, dtype=complex)

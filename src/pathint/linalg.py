@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, require_cap
 
 # Relative gap below which eigenvalues are treated as one degenerate cluster.
 DEGENERACY_RTOL = 1e-9
@@ -203,8 +203,6 @@ def converged_propagator(
     ham: Callable[[np.ndarray], np.ndarray],
     total_time: float,
     tol: float = 1e-9,
-    start_steps: int = 64,
-    max_steps: int = 1 << 21,
 ) -> np.ndarray:
     """Step-double the midpoint rule until successive refinements agree.
 
@@ -213,19 +211,19 @@ def converged_propagator(
     safe.  Doubling continues until consecutive extrapolants agree to tol;
     the winner is polar-projected back onto the unitary group so downstream
     defect measurements are not polluted by the extrapolation residue.
+    Refinement starts at 64 slices; one past the ``midpoint_slices`` cap
+    is refused.
     """
-    steps = start_steps
+    steps = 64
     coarse = time_ordered_propagator(ham, total_time, steps)
     fine = time_ordered_propagator(ham, total_time, 2 * steps)
     prev = (4.0 * fine - coarse) / 3.0
-    while 2 * steps <= max_steps:
+    while True:
         steps *= 2
+        require_cap("midpoint_slices", 2 * steps, f"midpoint slices (tol {tol:g})")
         coarse = fine
         fine = time_ordered_propagator(ham, total_time, 2 * steps)
         cur = (4.0 * fine - coarse) / 3.0
         if spectral_norm(cur - prev) < tol:
             return _nearest_unitary(cur)
         prev = cur
-    raise InvariantViolation(
-        f"propagator did not converge to {tol:g} within {max_steps} steps"
-    )

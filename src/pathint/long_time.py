@@ -46,7 +46,7 @@ import numpy as np
 
 from . import lcu
 from .decomp import MAX_BITS, QueryCounter, round_to_bits
-from .errors import CapExceeded, InvariantViolation, SpecError
+from .errors import InvariantViolation, SpecError, require_cap
 from .linalg import check_hermitian, converged_propagator, hermitian_eig, spectral_norm
 
 # Ten times the eigensolver degeneracy tolerance; spectra must clear this.
@@ -56,11 +56,6 @@ RATE_PRUNE = 1e-9
 DERIV_CHECK_STEP = 1e-4
 DERIV_CHECK_TOL = 1e-4
 _VALIDATION_SEED = 1719
-# Largest (panels + 1) * dim^2 a sampled grid may hold, checked before any
-# sample is taken: 2^20 complex entries are 16 MB per stacked array.
-# Criterion 08 needs 4049 * 4 at T = 160, an 8192-panel jump_term 8193 * 4,
-# 32 times below it.
-PANEL_CAP = 1 << 20
 
 # Oracle applications charged per select stage: three color lookups, three
 # index lookups, magnitude and comparator queries for both transition
@@ -105,7 +100,7 @@ class TimeDependentHamiltonian:
             raise SpecError("a driven system needs at least two levels")
         if self.grid < 1:
             raise SpecError("grid must be a positive sample count")
-        require_panels(self.grid, self.dim)
+        require_cap("panel_entries", (self.grid + 1) * self.dim**2, "sampled grid entries")
         hams = check_hermitian(self._stack("h", np.linspace(0.0, 1.0, self.grid + 1)))
         values = np.linalg.eigvalsh(hams)
         scale = max(1.0, float(np.max(np.abs(values))))
@@ -155,7 +150,7 @@ class TimeDependentHamiltonian:
         this Hamiltonian; the arrays are read-only.
         """
         if r not in self._frames:
-            require_panels(r, self.dim)
+            require_cap("panel_entries", (r + 1) * self.dim**2, "sampled grid entries")
             s_grid = np.linspace(0.0, 1.0, r + 1)
             eigsys = smooth_eigensystem(self, s_grid)
             rates = _rate_matrices(eigsys, _sample(self.dh, s_grid))
@@ -163,15 +158,6 @@ class TimeDependentHamiltonian:
                 arr.flags.writeable = False
             self._frames[r] = (eigsys, rates)
         return self._frames[r]
-
-
-def require_panels(panels: int, dim: int) -> None:
-    """Refuse a grid of panels + 1 samples of dim x dim above PANEL_CAP."""
-    if (panels + 1) * dim * dim > PANEL_CAP:
-        raise CapExceeded(
-            f"{panels} panels at dimension {dim} hold {(panels + 1) * dim * dim} "
-            f"entries per stacked sample, above cap {PANEL_CAP}"
-        )
 
 
 _SWEEP_SHAPES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], ...]] = {
@@ -547,9 +533,10 @@ def longtime_error(
 
     Refuses to run where the truncation has no business converging: the
     expansion is controlled only once drive_ratio^4 / (gap^2 T^2) < 1/2.
-    A panel count above ``PANEL_CAP`` is refused before any work.
+    A grid past the ``panel_entries`` cap is refused before any work.
     """
-    require_panels(ham.grid if r is None else r, ham.dim)
+    panels = ham.grid if r is None else r
+    require_cap("panel_entries", (panels + 1) * ham.dim**2, "sampled grid entries")
     bounds = ham.bounds
     control = bounds.drive_ratio**4 / (bounds.gap_min**2 * total_time**2)
     if control >= 0.5:

@@ -23,11 +23,9 @@ import numpy as np
 
 from . import lcu
 from .decomp import MAX_BITS, Decomposition, QueryCounter, ScheduleOverlaps
-from .errors import CapExceeded, InvariantViolation, SpecError
+from .errors import InvariantViolation, SpecError, require_cap
 from .linalg import exp_unitary, spectral_norm
 from .trotter import TrotterSchedule, optional_error_bound, schedule
-
-PATH_SUM_CAP = 1 << 20
 
 # Oracle queries consumed by one application of the select operation: the
 # color check runs twice (eight index queries each), the partner index is
@@ -53,8 +51,7 @@ def path_sum_propagator(decomp: Decomposition, sched: TrotterSchedule) -> np.nda
         raise SpecError("schedule term count does not match decomposition")
     dim = decomp.dim
     M = sched.M
-    if dim**M > PATH_SUM_CAP:
-        raise CapExceeded(f"path count {dim}**{M} exceeds brute-force cap")
+    require_cap("path_sum", dim**M, "path count")
     lams = []
     vecs = []
     taus = []
@@ -180,7 +177,7 @@ class BlockEncoding:
     The unitary is applied as structured tensor operations; ``block()`` is
     its closed-form zero-ancilla block, and ``w_matrix`` walks the register
     through ``lcu.system_block``, which refuses a register above
-    ``lcu.WALK_REGISTER_CAP``.  Applying the select stage charges the
+    the ``walk_register`` cap.  Applying the select stage charges the
     per-application oracle budget to the counter.
     """
 

@@ -8,7 +8,7 @@ follow the usual five-block recursion
 
     S_{2k}(w) = S_{2k-2}(s_k w)^2  S_{2k-2}((1-4 s_k) w)  S_{2k-2}(s_k w)^2
 
-with s_k = 1 / (4 - 4^(1/(k+1))).
+with s_k = 1 / (4 - 4^(1/(2k-1))) (Suzuki, Phys. Lett. A 146, 319 (1990)).
 """
 
 from __future__ import annotations
@@ -18,15 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import Decomposition, odd_parity
-from .errors import CapExceeded, SpecError
+from .errors import CapExceeded, SpecError, require_cap
 from .linalg import exp_unitary, spectral_norm
 
-SCHEDULE_ORDER_CAP = 3
-# Most factors a schedule may list; the tests and the benchmark list a few hundred.
-SCHEDULE_FACTOR_CAP = 1 << 20
-# Most nested commutators alpha_comm may form, counting the terms themselves:
-# the unpruned tree of 5 dense terms at k = 3 has 97,655 nodes.
-ALPHA_WORK_CAP = 1 << 17
 # Most matrix entries alpha_comm stacks at once (256 KiB), unless the L
 # children of a single node need more.
 _SLICE_ENTRIES = 1 << 14
@@ -52,8 +46,9 @@ class TrotterSchedule:
 
 
 def suzuki_split(k: int) -> float:
-    """Recursive splitting weight s_k for the order-2k formula."""
-    return 1.0 / (4.0 - 4.0 ** (1.0 / (k + 1)))
+    """Splitting weight s_k that lifts order 2k - 2 to order 2k (Suzuki,
+    Phys. Lett. A 146, 319 (1990))."""
+    return 1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1)))
 
 
 def _one_step(L: int, k: int) -> list[tuple[int, float]]:
@@ -79,11 +74,8 @@ def schedule(L: int, k: int, r: int, t: float) -> TrotterSchedule:
         raise SpecError("step count r must be positive")
     if k < 0:
         raise SpecError("order index k must be non-negative")
-    if k > SCHEDULE_ORDER_CAP:
-        raise CapExceeded(f"order index {k} above cap {SCHEDULE_ORDER_CAP}")
-    step = _one_step(L, k)
-    if len(step) * r > SCHEDULE_FACTOR_CAP:
-        raise CapExceeded(f"schedule of {len(step) * r} factors above cap {SCHEDULE_FACTOR_CAP}")
+    step = _one_step(L, require_cap("schedule_order", k, "order index"))
+    require_cap("schedule_factors", len(step) * r, "schedule factors")
     factors = tuple(ScheduleFactor(term, weight) for term, weight in step * r)
     return TrotterSchedule(L=L, k=k, r=r, t=float(t), factors=factors)
 
@@ -116,10 +108,7 @@ def _leaf_norms(terms: np.ndarray, level: np.ndarray, remaining: int, formed: li
     tuple index; formed[0] counts the nodes made so far."""
     L = len(terms)
     formed[0] += len(level) * L
-    if formed[0] > ALPHA_WORK_CAP:
-        raise CapExceeded(
-            f"alpha_comm would form {formed[0]} nested commutators, above cap {ALPHA_WORK_CAP}"
-        )
+    require_cap("alpha_work", formed[0], "alpha_comm nested commutators")
     per_slice = max(1, _SLICE_ENTRIES // (L * terms[0].size))
     for lo in range(0, len(level), per_slice):
         part = level[lo : lo + per_slice]
@@ -172,7 +161,7 @@ def alpha_comm(decomp: Decomposition, k: int) -> float:
     float sum is that of the loop over every tuple.  A level wider than
     _SLICE_ENTRIES matrix entries is expanded slice by slice, depth first,
     and the last level's norms are taken one slice at a time in one
-    batched call; past ALPHA_WORK_CAP nested commutators it refuses.
+    batched call; past the ``alpha_work`` cap it refuses.
     """
     if k < 1:
         raise SpecError("alpha_comm applies to k >= 1; k = 0 uses the pair bound")
@@ -201,7 +190,9 @@ def _alpha_once(decomp: Decomposition, k: int) -> float:
 
 
 def error_bound(decomp: Decomposition, k: int, t: float, r: int) -> float:
-    """A-priori product-formula error bound for the order indexed by k."""
+    """A-priori product-formula error bound for the order indexed by k; for k >= 1
+    alpha_comm t^(2k+1) / r^(2k), the shape of the commutator-scaling bound of
+    Childs, Su, Tran, Wiebe and Zhu, PRX 11, 011020 (2021)."""
     if r < 1:
         raise SpecError("step count r must be positive")
     t = abs(float(t))

@@ -12,6 +12,35 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
+def lower_cap(monkeypatch, name: str, limit: int) -> None:
+    """Lower the limit of cap ``name`` for one test."""
+    import dataclasses
+
+    from pathint.errors import CAPS
+
+    monkeypatch.setitem(CAPS, name, dataclasses.replace(CAPS[name], limit=limit))
+
+
+def forbid_allocation(monkeypatch, most: int = 0) -> None:
+    """Make np.arange, np.zeros and np.empty raise, before allocating, when
+    asked for more than ``most`` elements."""
+    def shape_size(shape, *rest):
+        return int(np.prod(shape, dtype=object))
+
+    sizes = {
+        "arange": lambda *args: args[0] if len(args) == 1 else args[1] - args[0],
+        "zeros": shape_size,
+        "empty": shape_size,
+    }
+    for name, size in sizes.items():
+        def guarded(*args, _original=getattr(np, name), _size=size, **kwargs):
+            if _size(*args) > most:
+                raise AssertionError(f"np.{_original.__name__} allocated past a cap")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, guarded)
+
+
 def kron_all(*mats: np.ndarray) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for m in mats:

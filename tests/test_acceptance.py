@@ -21,6 +21,7 @@ from pathint import lcu
 from pathint import long_time as lt
 from pathint import short_time as sh
 from pathint import trotter
+from pathint.errors import CAPS
 from pathint.linalg import exp_unitary, spectral_norm
 from pathint.trotter import schedule, trotter_unitary
 
@@ -82,7 +83,7 @@ def test_criterion_01_path_sum_matches_stepped_product():
         r = int(rng.integers(1, 3))
         decomp = dc.build(random_decomposition_terms(rng, n, terms))
         sched = schedule(terms, k, r, float(rng.uniform(0.2, 1.0)))
-        if decomp.dim**sched.M > sh.PATH_SUM_CAP:
+        if decomp.dim**sched.M > CAPS["path_sum"].limit:
             continue
         got = sh.path_sum_propagator(decomp, sched)
         assert spectral_norm(got - trotter_unitary(decomp, sched)) <= 1e-10

@@ -10,9 +10,14 @@ import pytest
 
 from pathint import cli, trotter
 from pathint.decomp import MAX_BITS, decomposition_from_json
-from pathint.errors import CapExceeded, InvariantViolation
-from pathint.lattice import GAUSS_TERMS_CAP
-from support import alpha_comm_oracle, dense_document, lagrangian_csv_oracle
+from pathint.errors import CAPS, CapExceeded, InvariantViolation
+from support import (
+    alpha_comm_oracle,
+    dense_document,
+    forbid_allocation,
+    lagrangian_csv_oracle,
+    lower_cap,
+)
 
 ZX_DECOMP = '{"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "X", "coeff": 1.0}]}'
 COMMUTING_DECOMP = (
@@ -198,9 +203,9 @@ def test_trotter_error_under_the_alpha_cap_writes_pinned_bytes(tmp_path):
     assert code == 0
     assert out.read_bytes() == (
         b"k,r,bound,measured\n"
-        b"3,1,22.501980000000007,9.6436039772881325e-06\n"
-        b"3,2,0.35159343750000011,5.2756343997974763e-07\n"
-        b"3,4,0.0054936474609375016,3.1901710038015994e-08\n"
+        b"3,1,22.501980000000007,9.0456426734499151e-07\n"
+        b"3,2,0.35159343750000011,1.3362682545963359e-08\n"
+        b"3,4,0.0054936474609375016,2.0595666347619136e-10\n"
     )
 
 
@@ -216,9 +221,9 @@ def test_trotter_error_on_pauli_terms_takes_the_symplectic_sum(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()]
     assert rows[0] == ["k", "r", "bound", "measured"]
     assert [row[:2] + row[3:] for row in rows[1:]] == [
-        ["3", "1", "9.6436039772881325e-06"],
-        ["3", "2", "5.2756343997974763e-07"],
-        ["3", "4", "3.1901710038015994e-08"],
+        ["3", "1", "9.0456426734499151e-07"],
+        ["3", "2", "1.3362682545963359e-08"],
+        ["3", "4", "2.0595666347619136e-10"],
     ]
     dense = [22.501980000000007, 0.35159343750000011, 0.0054936474609375016]
     for row, want in zip(rows[1:], dense):
@@ -226,7 +231,7 @@ def test_trotter_error_on_pauli_terms_takes_the_symplectic_sum(tmp_path):
 
 
 # 8 two-qubit terms whose alpha_comm at k = 3 would form 131,720 nested
-# commutators as dense matrices, past trotter.ALPHA_WORK_CAP
+# commutators as dense matrices, past the alpha_work cap
 EIGHT_TERM_DECOMP = json.dumps({
     "n": 2,
     "terms": [
@@ -238,7 +243,7 @@ EIGHT_TERM_DENSE = json.dumps(dense_document(json.loads(EIGHT_TERM_DECOMP)))
 
 def test_bound_past_the_alpha_cap_is_an_empty_cell(tmp_path):
     decomp = decomposition_from_json(json.loads(EIGHT_TERM_DENSE))
-    with pytest.raises(CapExceeded, match="131720 nested commutators"):
+    with pytest.raises(CapExceeded, match="nested commutators 131720 above cap"):
         trotter.error_bound(decomp, 3, 0.1, 1)
     out = tmp_path / "t.csv"
     code = cli.main([
@@ -410,9 +415,7 @@ def test_long_sim_interaction_frame_tracks_once_per_total_time(tmp_path, monkeyp
 def test_long_sim_panel_cap_exits_three_before_sampling(
     tmp_path, monkeypatch, capsys, system, r
 ):
-    from pathint import long_time
-
-    monkeypatch.setattr(long_time, "PANEL_CAP", 4 * 257)
+    lower_cap(monkeypatch, "panel_entries", 4 * 257)
     calls = count_tracking(monkeypatch)
     argv = ["long-sim", "--system", system, "--T-sweep", "20", "--out", str(tmp_path / "c.csv")]
     if r is not None:
@@ -581,7 +584,7 @@ def test_exit_codes(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().err.strip())
     assert doc["error"] == "cap"
     assert doc["module"] == "pathint.trotter"
-    assert doc["message"] == f"order index 4 above cap {trotter.SCHEDULE_ORDER_CAP}"
+    assert doc["message"] == f"order index 4 above cap {CAPS['schedule_order'].limit}"
 
 
 def test_invariant_failures_exit_four(tmp_path, capsys, monkeypatch):
@@ -853,8 +856,8 @@ def _forbidden(*args, **kwargs):
 
 @pytest.mark.parametrize("flags", [
     {"--max-coeff": str(1 << 63)},
-    {"--max-coeff": str(GAUSS_TERMS_CAP + 1)},
-    {"--count": str(cli._GAUSS_ROW_CAP + 1)},
+    {"--max-coeff": str(CAPS["gauss_terms"].limit + 1)},
+    {"--count": str(CAPS["gauss_rows"].limit + 1)},
 ], ids=["max-coeff-past-int64", "max-coeff", "count"])
 def test_gauss_check_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypatch, flags):
     monkeypatch.setattr(cli, "gauss_sum_check", _forbidden)
@@ -863,6 +866,49 @@ def test_gauss_check_sizes_are_capped_before_any_work(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "cap"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _wide(n: int) -> dict:
+    return {"n": n, "terms": [{"pauli": "Z" * n}, {"pauli": "X" * n, "coeff": 0.5}]}
+
+
+# A document past the dense-size cap is refused by its reader before any
+# term is parsed, in a decomposition and in an interaction frame's coupling
+# (its one-qubit generator is read first, so 2 x 2 is allowed).
+@pytest.mark.parametrize("n", [64, 20])
+@pytest.mark.parametrize(("kind", "change"), [
+    ("trotter-error", lambda doc: {"decomp": doc}),
+    ("short-sim", lambda doc: {"decomp": doc}),
+    ("long-sim", lambda doc: {"system": dict(FRAME_SYSTEM, coupling=doc)}),
+], ids=["trotter-error", "short-sim", "frame-coupling"])
+def test_wide_documents_exit_3_before_any_allocation(
+    tmp_path, capsys, monkeypatch, kind, change, n
+):
+    forbid_allocation(monkeypatch, most=4)
+    assert main_with(tmp_path, kind, change(_wide(n))) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "cap" and doc["module"] == "pathint.decomp"
+    assert doc["message"] == f"decomposition 'n' {n} above cap {CAPS['dense_qubits'].limit}"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_lagrangian_trajectory_cap_exits_3_before_stepping(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lagrangian_steps", _forbidden)
+    r = CAPS["trajectory_steps"].limit + 1
+    assert main_with(tmp_path, "lagrangian-sim", {"--r": str(r)}) == 3
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "cap" and doc["module"] == "pathint.cli"
+    assert doc["message"] == f"param 'r' {r} above cap {CAPS['trajectory_steps'].limit}"
+
+
+def test_an_unconverged_reference_propagator_exits_3(tmp_path, capsys, monkeypatch):
+    lower_cap(monkeypatch, "midpoint_slices", 256)
+    assert main_with(tmp_path, "long-sim", {}) == 3
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "cap" and doc["module"] == "pathint.linalg"
     assert not (tmp_path / "x.csv").exists()
 
 

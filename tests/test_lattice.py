@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathint.decomp import QueryCounter
-from pathint.errors import CapExceeded, SpecError
+from pathint.errors import CAPS, CapExceeded, SpecError
 from pathint.lattice import (
-    GAUSS_TERMS_CAP,
     ActionOracle,
     LatticeConfig,
     Potential,
@@ -55,13 +54,15 @@ def test_config_binding_and_validation():
     assert cfg.total_time == 4 * cfg.tau
     for bad in (
         dict(n=0, x_max=1.0, mass=1.0, r=1),
-        dict(n=11, x_max=1.0, mass=1.0, r=1),
         dict(n=3, x_max=0.0, mass=1.0, r=1),
         dict(n=3, x_max=1.0, mass=-1.0, r=1),
         dict(n=3, x_max=1.0, mass=1.0, r=0),
     ):
         with pytest.raises(SpecError):
             LatticeConfig(**bad)
+    # a grid past 2^10 points is a dense size past the cap, not a bad document
+    with pytest.raises(CapExceeded, match="grid exponent n 11 above cap 10$"):
+        LatticeConfig(n=11, x_max=1.0, mass=1.0, r=1)
 
 
 def test_config_refuses_geometry_that_is_not_finite():
@@ -332,9 +333,9 @@ def test_gauss_sum_cap_refuses_before_allocating(monkeypatch):
         raise AssertionError("a Gauss sum above the cap allocated its terms")
 
     monkeypatch.setattr(np, "arange", forbidden)
-    big = GAUSS_TERMS_CAP + 2
-    for a, c in ((1, big), (-big, 1), (1, -(1 << 63))):
-        with pytest.raises(CapExceeded, match=f"above cap {GAUSS_TERMS_CAP}$"):
+    limit = CAPS["gauss_terms"].limit
+    for a, c in ((1, limit + 2), (-limit - 2, 1), (1, -(1 << 63))):
+        with pytest.raises(CapExceeded, match=f"above cap {limit}$"):
             gauss_sum_check(a, 0, c)
 
 

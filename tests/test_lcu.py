@@ -9,7 +9,7 @@ from pathint import decomp as dc
 from pathint import lcu
 from pathint import long_time as lt
 from pathint import short_time as sh
-from pathint.errors import CapExceeded, InvariantViolation
+from pathint.errors import CAPS, CapExceeded, InvariantViolation
 from pathint.trotter import schedule
 
 from support import average_oracle, pauli_string, random_smooth_system, route_oracle
@@ -131,7 +131,7 @@ def test_system_block_refuses_a_register_above_the_cap():
     def walk(vec):
         raise AssertionError("walked a register above the cap")
 
-    amplitudes = lcu.WALK_REGISTER_CAP // np.dtype(complex).itemsize
+    amplitudes = CAPS["walk_register"].limit // np.dtype(complex).itemsize
     with pytest.raises(CapExceeded):
         lcu.system_block(walk, amplitudes + 1, 2)
 
@@ -140,7 +140,7 @@ def test_system_block_refuses_an_output_above_the_cap():
     def walk(vec):
         raise AssertionError("walked into a block above the cap")
 
-    amplitudes = lcu.WALK_REGISTER_CAP // np.dtype(complex).itemsize
+    amplitudes = CAPS["walk_register"].limit // np.dtype(complex).itemsize
     side = math.isqrt(amplitudes) + 1
     with pytest.raises(CapExceeded):
         lcu.system_block(walk, side, side)

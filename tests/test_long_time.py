@@ -15,9 +15,10 @@ from pathint import decomp as dc
 from pathint import lcu
 from pathint import long_time as lt
 from pathint.decomp import QueryCounter
-from pathint.errors import CapExceeded, InvariantViolation, SpecError
+from pathint.errors import CAPS, CapExceeded, InvariantViolation, SpecError
 from pathint.linalg import converged_propagator, spectral_norm
 from support import (
+    lower_cap,
     pauli_string,
     random_hermitian,
     random_smooth_system,
@@ -273,8 +274,8 @@ def test_frames_are_shared_across_total_times_and_read_only(monkeypatch):
 def test_panel_cap_refuses_before_sampling(monkeypatch):
     # the cap itself admits criterion 08's finest grid and 8192 panels
     for panels in (int(np.ceil(2.0 * 160.0**1.5)), 8192):
-        lt.require_panels(panels, 2)
-    monkeypatch.setattr(lt, "PANEL_CAP", 4 * 65)
+        assert (panels + 1) * 4 <= CAPS["panel_entries"].limit
+    lower_cap(monkeypatch, "panel_entries", 4 * 65)
     calls = []
     monkeypatch.setattr(lt, "smooth_eigensystem", lambda *args: calls.append(args))
     ham = lt.two_level_sweep(1.0, 0.2, shape="sine", grid=64)
@@ -475,7 +476,7 @@ def test_encoding_block_identity():
 
 def test_encoding_block_past_the_walk_cap():
     enc = lt.PropagatorEncoding(sine_family(), 20.0, r=8, bits=24)
-    assert enc.size * 16 > lcu.WALK_REGISTER_CAP
+    assert enc.size * 16 > CAPS["walk_register"].limit
     got = enc.block() * enc.subnormalization
     assert spectral_norm(got - enc.rounded_target()) < 1e-9
 

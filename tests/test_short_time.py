@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pathint import decomp as dc
 from pathint import lcu
 from pathint import short_time as sh
-from pathint.errors import CapExceeded, SpecError
+from pathint.errors import CAPS, CapExceeded, SpecError
 from pathint.linalg import exp_unitary, spectral_norm
 from pathint.trotter import schedule, trotter_unitary
 
@@ -80,7 +80,7 @@ def test_path_sum_identity_random(seed, n, terms, k, r):
     rng = np.random.default_rng(seed)
     decomp = dc.build(random_decomposition_terms(rng, n, terms))
     sched = schedule(terms, k, r, 0.9)
-    if decomp.dim**sched.M > sh.PATH_SUM_CAP:
+    if decomp.dim**sched.M > CAPS["path_sum"].limit:
         return
     got = sh.path_sum_propagator(decomp, sched)
     assert spectral_norm(got - trotter_unitary(decomp, sched)) <= 1e-10

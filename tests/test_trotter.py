@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from pathint import decomp as dc
 from pathint import trotter
-from pathint.errors import CapExceeded, SpecError
+from pathint.errors import CAPS, CapExceeded, SpecError
 from pathint.linalg import exp_unitary, spectral_norm
 from support import (
     alpha_comm_oracle,
+    lower_cap,
     pauli_string,
     random_decomposition_terms,
     random_diagonal,
@@ -73,8 +74,9 @@ def test_schedule_factor_cap_refuses_before_building(monkeypatch, k):
     per_step = 3 * (1, 2, 10, 50)[k]
     assert len(trotter.schedule(3, k, 2, 1.0).factors) == 2 * per_step
     monkeypatch.setattr(trotter, "ScheduleFactor", _forbidden)
-    r = trotter.SCHEDULE_FACTOR_CAP // per_step + 1
-    with pytest.raises(CapExceeded, match=f"above cap {trotter.SCHEDULE_FACTOR_CAP}$"):
+    limit = CAPS["schedule_factors"].limit
+    r = limit // per_step + 1
+    with pytest.raises(CapExceeded, match=f"above cap {limit}$"):
         trotter.schedule(3, k, r, 1.0)
     with pytest.raises(CapExceeded):
         trotter.schedule(3, k, 1 << 62, 1.0)
@@ -111,7 +113,7 @@ def test_nested_commutator_sum_pinned_example(monkeypatch):
     five = dc.build([c * pauli_string(p) for p, c in zip(*FIVE_TERMS)])
     assert trotter.alpha_comm(five, 3) == alpha_comm_oracle(five, 3)
     # 2 terms and their 4 children are 6 nodes: a cap of 5 refuses the first level
-    monkeypatch.setattr(trotter, "ALPHA_WORK_CAP", 5)
+    lower_cap(monkeypatch, "alpha_work", 5)
     monkeypatch.setattr(trotter, "commutator", _forbidden_commutator)
     with pytest.raises(CapExceeded, match="above cap 5$"):
         trotter.alpha_comm(d, 3)
@@ -124,9 +126,10 @@ def test_alpha_term_count_cap(monkeypatch):
     assert trotter.alpha_comm(d, 1) == alpha_comm_oracle(d, 1)
     # 362 terms and their 362**2 children exceed the work cap at the first level
     wide = dc.build(random_decomposition_terms(rng, 1, 362))
-    assert 362 + 362**2 > trotter.ALPHA_WORK_CAP
+    limit = CAPS["alpha_work"].limit
+    assert 362 + 362**2 > limit
     monkeypatch.setattr(trotter, "commutator", _forbidden_commutator)
-    with pytest.raises(CapExceeded, match=f"above cap {trotter.ALPHA_WORK_CAP}$"):
+    with pytest.raises(CapExceeded, match=f"above cap {limit}$"):
         trotter.alpha_comm(wide, 1)
 
 
@@ -221,10 +224,12 @@ def test_bound_dominates_measured_error(k):
 def test_measured_error_scales_at_the_designed_order():
     rng = np.random.default_rng(7)
     d = dc.build(random_decomposition_terms(rng, 2, 2))
-    for k, expect in ((0, 1.0), (1, 2.0)):
-        errs = []
-        for r in (8, 16, 32):
-            errs.append(trotter.measured_error(d, trotter.schedule(2, k, r, 1.0)))
+    # slope 1 at k = 0 and 2k above it; r is chosen per k so that the
+    # smallest error (1.2e-2, 9.6e-5, 8.8e-8, 1.9e-10) stays well above rounding
+    for k, expect, rs in ((0, 1.0, (8, 16, 32)), (1, 2.0, (8, 16, 32)),
+                          (2, 4.0, (4, 8, 16)), (3, 6.0, (2, 4, 8))):
+        errs = [trotter.measured_error(d, trotter.schedule(2, k, r, 1.0)) for r in rs]
+        assert min(errs) > 1e-10
         slopes = np.diff(np.log2(errs))
         assert np.all(np.abs(-slopes - expect) < 0.35)
 
