@@ -343,10 +343,12 @@ def brute_force_propagator(cfg: LatticeConfig, potential: Potential) -> np.ndarr
     multiplies the oracle's per-transition action phases along it, and
     accumulates with the prefactor (exp(-i*pi/4)/sqrt(2^n))**r.  The result
     equals the split product with no extra phase.  Only feasible while the interior
-    path count (2^n)**(r-1) stays within the ``brute_force_paths`` cap.
+    path count 2^(n(r-1)) stays within the ``brute_force_paths`` cap.
     """
+    # the count is formed only up to 2^64, far past the cap, so a refusal
+    # costs the same at any r (require_cap shows it as 2^64+)
+    require_cap("brute_force_paths", 1 << min(cfg.n * (cfg.r - 1), 64), "interior path count")
     dim = cfg.dim
-    require_cap("brute_force_paths", dim ** (cfg.r - 1), "interior path count")
     trans = ActionOracle(cfg, potential).phase_table()
     prefactor = (np.exp(-1j * np.pi / 4) / math.sqrt(dim)) ** cfg.r
     out = np.zeros((dim, dim), dtype=complex)

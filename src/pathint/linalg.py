@@ -11,6 +11,7 @@ Everything downstream leans on two guarantees made here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -140,33 +141,54 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
+# Midpoint slices sampled, and exponentiated together, per call of the drive.
+MIDPOINT_CHUNK = 1 << 14
+
+# eigh of one chunk of midpoint slices: (steps, lo) -> (values, vectors).
+MidpointEigensystem = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+
+
+def midpoint_eigensystem(
+    ham: Callable[[np.ndarray], np.ndarray], steps: int, lo: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of the drive at the midpoints s = (j + 1/2)/steps for the
+    up to 2^14 slices j from lo on.
+
+    ``ham`` maps an array of s of shape (n,) to the stack of shape
+    (n, dim, dim); each matrix is checked Hermitian at its own scale.
+    """
+    s = (np.arange(lo, min(lo + MIDPOINT_CHUNK, steps)) + 0.5) / steps
+    hams = np.asarray(ham(s))
+    if hams.shape[:-2] != s.shape:
+        raise InvariantViolation(f"ham gave shape {hams.shape}, expected ({len(s)}, dim, dim)")
+    return np.linalg.eigh(check_hermitian(hams))
+
+
 def time_ordered_propagator(
-    ham: Callable[[np.ndarray], np.ndarray], total_time: float, steps: int
+    ham: Callable[[np.ndarray], np.ndarray],
+    total_time: float,
+    steps: int,
+    eigensystem: MidpointEigensystem | None = None,
 ) -> np.ndarray:
     """Midpoint-rule product approximation of the time-ordered evolution.
 
     The driving Hamiltonian is sampled at s = (j + 1/2)/steps on the unit
     interval and each slice contributes exp(-i H(s) * total_time/steps),
-    with later slices composed on the left.  ``ham`` maps an array of s of
-    shape (n,) to the stack of shape (n, dim, dim); it is called once per
-    chunk of up to 2^14 slices, exponentiated together so reference-grade
+    with later slices composed on the left.  Slices are exponentiated a
+    chunk of up to 2^14 at a time, from ``eigensystem(steps, lo)``, by
+    default ``midpoint_eigensystem(ham, steps, lo)``, so reference-grade
     step counts stay affordable.
     """
     if steps < 1:
         raise InvariantViolation("steps must be positive")
+    if eigensystem is None:
+        eigensystem = partial(midpoint_eigensystem, ham)
     dt = total_time / steps
-    mids = (np.arange(steps) + 0.5) / steps
     out = None
-    chunk = 1 << 14
-    for lo in range(0, steps, chunk):
-        s = mids[lo : lo + chunk]
-        hams = np.asarray(ham(s))
-        if hams.shape[:-2] != s.shape:
-            raise InvariantViolation(f"ham gave shape {hams.shape}, expected ({len(s)}, dim, dim)")
-        hams = check_hermitian(hams)
+    for lo in range(0, steps, MIDPOINT_CHUNK):
+        vals, vecs = eigensystem(steps, lo)
         if out is None:
-            out = np.eye(hams.shape[-1], dtype=complex)
-        vals, vecs = np.linalg.eigh(hams)
+            out = np.eye(vecs.shape[-1], dtype=complex)
         phases = np.exp(-1j * vals * dt)
         # the path optimize=True picks, fixed so that no call plans it again
         slices = np.einsum(
@@ -182,27 +204,11 @@ def _nearest_unitary(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def propagator_self_check(
-    ham: Callable[[np.ndarray], np.ndarray], total_time: float, steps: int
-) -> float:
-    """Richardson-style ratio check for the midpoint rule.
-
-    Returns ||U_steps - U_4steps|| / ||U_2steps - U_4steps||.  A healthy
-    second-order rule gives a ratio of about 4; callers require >= 3.
-    """
-    u1 = time_ordered_propagator(ham, total_time, steps)
-    u2 = time_ordered_propagator(ham, total_time, 2 * steps)
-    u4 = time_ordered_propagator(ham, total_time, 4 * steps)
-    denom = spectral_norm(u2 - u4)
-    if denom == 0.0:
-        return np.inf
-    return spectral_norm(u1 - u4) / denom
-
-
 def converged_propagator(
     ham: Callable[[np.ndarray], np.ndarray],
     total_time: float,
     tol: float = 1e-9,
+    eigensystem: MidpointEigensystem | None = None,
 ) -> np.ndarray:
     """Step-double the midpoint rule until successive refinements agree.
 
@@ -213,16 +219,21 @@ def converged_propagator(
     defect measurements are not polluted by the extrapolation residue.
     Refinement starts at 64 slices; one past the ``midpoint_slices`` cap
     is refused.
+
+    Each refinement's slice eigensystems come from ``eigensystem``, as in
+    ``time_ordered_propagator``: by default sampled and diagonalized anew
+    from ``ham``, and for a ``long_time.TimeDependentHamiltonian`` read from
+    its ``midpoint_eigensystem`` table, which keeps them across total times.
     """
     steps = 64
-    coarse = time_ordered_propagator(ham, total_time, steps)
-    fine = time_ordered_propagator(ham, total_time, 2 * steps)
+    coarse = time_ordered_propagator(ham, total_time, steps, eigensystem)
+    fine = time_ordered_propagator(ham, total_time, 2 * steps, eigensystem)
     prev = (4.0 * fine - coarse) / 3.0
     while True:
         steps *= 2
         require_cap("midpoint_slices", 2 * steps, f"midpoint slices (tol {tol:g})")
         coarse = fine
-        fine = time_ordered_propagator(ham, total_time, 2 * steps)
+        fine = time_ordered_propagator(ham, total_time, 2 * steps, eigensystem)
         cur = (4.0 * fine - coarse) / 3.0
         if spectral_norm(cur - prev) < tol:
             return _nearest_unitary(cur)

@@ -46,8 +46,14 @@ import numpy as np
 
 from . import lcu
 from .decomp import MAX_BITS, QueryCounter, round_to_bits
-from .errors import InvariantViolation, SpecError, require_cap
-from .linalg import check_hermitian, converged_propagator, hermitian_eig, spectral_norm
+from .errors import CAPS, InvariantViolation, SpecError, require_cap
+from .linalg import (
+    check_hermitian,
+    converged_propagator,
+    hermitian_eig,
+    midpoint_eigensystem,
+    spectral_norm,
+)
 
 # Ten times the eigensolver degeneracy tolerance; spectra must clear this.
 GAP_FLOOR = 1e-8
@@ -92,6 +98,9 @@ class TimeDependentHamiltonian:
     dh: Callable[[float | np.ndarray], np.ndarray]
     grid: int = 64
     _frames: dict[int, tuple[SmoothEigensystem, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _midpoints: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -158,6 +167,25 @@ class TimeDependentHamiltonian:
                 arr.flags.writeable = False
             self._frames[r] = (eigsys, rates)
         return self._frames[r]
+
+    def midpoint_eigensystem(self, steps: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """``linalg.midpoint_eigensystem`` of h, kept per (steps, lo) chunk.
+
+        The midpoint grids of a reference propagator depend on the sweep
+        alone, so every total time's ``longtime_error`` reads the same
+        ones.  A chunk is kept, read-only, only while the table's entries
+        stay within the ``panel_entries`` cap; one past it is sampled and
+        diagonalized again on every call.
+        """
+        key = (steps, lo)
+        if key in self._midpoints:
+            return self._midpoints[key]
+        vals, vecs = midpoint_eigensystem(self.h, steps, lo)
+        held = sum(v.size + w.size for v, w in self._midpoints.values())
+        if held + vals.size + vecs.size <= CAPS["panel_entries"].limit:
+            vals.flags.writeable = vecs.flags.writeable = False
+            self._midpoints[key] = (vals, vecs)
+        return vals, vecs
 
 
 _SWEEP_SHAPES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], ...]] = {
@@ -529,7 +557,8 @@ def truncated_propagator(
 def longtime_error(
     ham: TimeDependentHamiltonian, total_time: float, r: int | None = None
 ) -> float:
-    """Spectral-norm distance from the converged reference propagator.
+    """Spectral-norm distance from the converged reference propagator,
+    whose midpoint eigensystems ``ham`` keeps across total times.
 
     Refuses to run where the truncation has no business converging: the
     expansion is controlled only once drive_ratio^4 / (gap^2 T^2) < 1/2.
@@ -543,7 +572,9 @@ def longtime_error(
         raise SpecError(
             f"total time too short for the truncated expansion (control {control:.3g})"
         )
-    reference = converged_propagator(ham.h, total_time, tol=1e-9)
+    reference = converged_propagator(
+        ham.h, total_time, tol=1e-9, eigensystem=ham.midpoint_eigensystem
+    )
     return spectral_norm(reference - truncated_propagator(ham, total_time, r))
 
 

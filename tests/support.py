@@ -41,6 +41,21 @@ def forbid_allocation(monkeypatch, most: int = 0) -> None:
         monkeypatch.setattr(np, name, guarded)
 
 
+def propagator_self_check(ham, total_time: float, steps: int) -> float:
+    """Richardson-style ratio check for the midpoint rule.
+
+    Returns ||U_steps - U_4steps|| / ||U_2steps - U_4steps||.  A healthy
+    second-order rule gives a ratio of about 4; callers require >= 3.
+    """
+    from pathint.linalg import spectral_norm, time_ordered_propagator
+
+    u1, u2, u4 = (time_ordered_propagator(ham, total_time, k * steps) for k in (1, 2, 4))
+    denom = spectral_norm(u2 - u4)
+    if denom == 0.0:
+        return np.inf
+    return spectral_norm(u1 - u4) / denom
+
+
 def kron_all(*mats: np.ndarray) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for m in mats:

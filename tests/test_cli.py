@@ -404,6 +404,65 @@ def test_long_sim_interaction_frame_tracks_once_per_total_time(tmp_path, monkeyp
     assert calls == [129, 65, 129, 65]
 
 
+def count_midpoint_grids(monkeypatch) -> list[tuple[object, int, int]]:
+    """(drive, steps, chunk start) of every midpoint grid long_time samples
+    and diagonalizes from now on."""
+    from pathint import long_time
+
+    calls = []
+    original = long_time.midpoint_eigensystem
+
+    def counting(h, steps, lo):
+        calls.append((h, steps, lo))
+        return original(h, steps, lo)
+
+    monkeypatch.setattr(long_time, "midpoint_eigensystem", counting)
+    return calls
+
+
+def test_long_sim_diagonalizes_each_midpoint_grid_once_for_every_total_time(
+    tmp_path, monkeypatch
+):
+    calls = count_midpoint_grids(monkeypatch)
+    argv = [
+        "long-sim", "--system", "sweep:sine:1.0,0.3", "--T-sweep", "20,30,40,60,80",
+        "--r", "512", "--out",
+    ]
+    assert cli.main(argv + [str(tmp_path / "shared.csv")]) == 0
+    grids = [(steps, lo) for _, steps, lo in calls]
+    assert len({h for h, _, _ in calls}) == 1
+    assert len(grids) == len(set(grids)) and (64, 0) in grids
+    # a fresh Hamiltonian per T samples every grid its T needs again
+    original = cli._system_builder
+    monkeypatch.setattr(cli, "_system_builder", lambda value: lambda t: original(value)(t))
+    calls.clear()
+    assert cli.main(argv + [str(tmp_path / "fresh.csv")]) == 0
+    assert [(steps, lo) for _, steps, lo in calls].count((64, 0)) == 5
+    assert {(steps, lo) for _, steps, lo in calls} == set(grids)
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_long_sim_interaction_frame_samples_its_midpoint_grids_once_per_total_time(
+    tmp_path, monkeypatch
+):
+    calls = count_midpoint_grids(monkeypatch)
+    system = json.dumps({
+        "family": "interaction-frame",
+        "generator": {"n": 1, "terms": [{"pauli": "Z", "coeff": 0.02}]},
+        "coupling": {"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0},
+                                        {"pauli": "X", "coeff": 0.45}]},
+    })
+    code = cli.main([
+        "long-sim", "--system", system, "--T-sweep", "30,40", "--r", "64",
+        "--out", str(tmp_path / "if.csv"),
+    ])
+    assert code == 0
+    # one drive per T, each of whose grids is sampled once
+    assert len({h for h, _, _ in calls}) == 2
+    assert len(calls) == len(set(calls))
+    assert [(steps, lo) for _, steps, lo in calls].count((64, 0)) == 2
+
+
 @pytest.mark.parametrize(
     "system, r",
     [

@@ -277,6 +277,18 @@ def test_brute_force_cap():
         brute_force_propagator(cfg, zero_potential())
 
 
+def test_brute_force_cap_refuses_long_paths_without_forming_their_count(monkeypatch):
+    class NoPower(int):
+        def __pow__(self, other, mod=None):
+            raise AssertionError("formed (2^n)^(r-1)")
+
+    monkeypatch.setattr(LatticeConfig, "dim", property(lambda cfg: NoPower(2**cfg.n)))
+    cfg = LatticeConfig(n=10, x_max=4.0, mass=1.0, r=10**6)
+    limit = CAPS["brute_force_paths"].limit
+    with pytest.raises(CapExceeded, match=rf"interior path count 2\^64\+ above cap {limit}$"):
+        brute_force_propagator(cfg, zero_potential())
+
+
 def test_constant_potential_is_global_phase():
     cfg = LatticeConfig(n=5, x_max=6.0, mass=1.0, r=4)
     level = 0.7

@@ -26,3 +26,31 @@ def test_every_trace_target_is_its_owners_own_attribute():
         for cls in classes:
             owner = getattr(owner, cls)
         assert callable(vars(owner).get(attr)), f"{module_name}.{path}"
+
+
+def test_long_sim_reaches_the_traced_time_ordered_propagator(tmp_path, monkeypatch):
+    # the tracer's slice counter reads ``steps`` from each call of the
+    # module attribute; a sweep must still call it there, steps third
+    import inspect
+
+    from pathint import cli, linalg
+
+    spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    original = linalg.time_ordered_propagator
+    signature = inspect.signature(original)
+    slices = []
+
+    def counting(*args, **kwargs):
+        steps = signature.bind(*args, **kwargs).arguments["steps"]
+        assert layertrace._slices(args, kwargs, None) == steps
+        slices.append(steps)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "time_ordered_propagator", counting)
+    assert cli.main([
+        "long-sim", "--system", "sweep:sine:1.0,0.3", "--T-sweep", "20,40",
+        "--r", "64", "--out", str(tmp_path / "l.csv"),
+    ]) == 0
+    assert slices[:2] == [64, 128] and len(slices) > 4

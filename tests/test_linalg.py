@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pathint import linalg
 from pathint.errors import InvariantViolation
-from support import PAULI_X, PAULI_Z, pauli_string, random_hermitian
+from support import PAULI_X, PAULI_Z, pauli_string, propagator_self_check, random_hermitian
 
 
 def herm_strategy(dim: int):
@@ -118,7 +118,7 @@ def test_midpoint_richardson_ratio():
     def ham(s: np.ndarray) -> np.ndarray:
         return np.multiply.outer(np.cos(s), PAULI_Z) + np.multiply.outer(np.sin(s), PAULI_X)
 
-    ratio = linalg.propagator_self_check(ham, 2.0, 64)
+    ratio = propagator_self_check(ham, 2.0, 64)
     assert ratio >= 3.0
 
 

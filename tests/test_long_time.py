@@ -271,6 +271,63 @@ def test_frames_are_shared_across_total_times_and_read_only(monkeypatch):
         eigsys.values[0, 0] = 0.0
 
 
+def _three_level_system() -> lt.TimeDependentHamiltonian:
+    return random_smooth_system(np.random.default_rng(23), dim=3, grid=16)
+
+
+@pytest.mark.parametrize(
+    "make", [sine_family, linear_family, _three_level_system], ids=["sine", "linear", "3-level"]
+)
+def test_reference_from_the_midpoint_table_is_the_direct_one(make):
+    ham = make()
+    grids = []
+    for total_time in (20.0, 80.0):
+        tabled = converged_propagator(
+            ham.h, total_time, eigensystem=ham.midpoint_eigensystem
+        )
+        assert np.array_equal(tabled, converged_propagator(ham.h, total_time))
+        grids.append(sorted(ham._midpoints))
+    # T = 80 reads the grids T = 20 stored, and refines past them
+    assert grids[1][: len(grids[0])] == grids[0] and len(grids[1]) > len(grids[0])
+
+
+def test_midpoint_table_arrays_are_read_only():
+    ham = sine_family()
+    lt.longtime_error(ham, 20.0, r=64)
+    assert ham._midpoints
+    for vals, vecs in ham._midpoints.values():
+        assert not vals.flags.writeable and not vecs.flags.writeable
+    vals, vecs = ham.midpoint_eigensystem(64, 0)
+    with pytest.raises(ValueError):
+        vecs[0, 0, 0] = 0.0
+
+
+def test_midpoint_table_stores_nothing_past_the_panel_cap(monkeypatch):
+    # a 2-level chunk of k slices holds 2k values and 4k vector entries, so
+    # this limit admits the 64- and 128-slice grids and no later one
+    lower_cap(monkeypatch, "panel_entries", 6 * (64 + 128) + 5)
+    calls = []
+    original = lt.midpoint_eigensystem
+
+    def counting(h, steps, lo):
+        calls.append((steps, lo))
+        return original(h, steps, lo)
+
+    monkeypatch.setattr(lt, "midpoint_eigensystem", counting)
+    ham = sine_family()
+    first = [converged_propagator(ham.h, t, eigensystem=ham.midpoint_eigensystem)
+             for t in (20.0, 80.0)]
+    assert sorted(ham._midpoints) == [(64, 0), (128, 0)]
+    # past the limit, each grid is sampled and diagonalized on every call
+    assert calls.count((64, 0)) == 1 and calls.count((256, 0)) == 2
+    for t, got in zip((20.0, 80.0), first):
+        assert np.array_equal(got, converged_propagator(ham.h, t))
+        assert np.array_equal(got, converged_propagator(
+            ham.h, t, eigensystem=ham.midpoint_eigensystem
+        ))
+    assert sorted(ham._midpoints) == [(64, 0), (128, 0)]
+
+
 def test_panel_cap_refuses_before_sampling(monkeypatch):
     # the cap itself admits criterion 08's finest grid and 8192 panels
     for panels in (int(np.ceil(2.0 * 160.0**1.5)), 8192):
