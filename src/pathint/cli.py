@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 import time
@@ -43,10 +42,9 @@ from .lattice import (
     gauss_sum_check,
     gaussian_packet,
     harmonic_potential,
-    lagrangian_steps,
     require_unit_norms,
-    split_steps,
     square_well_potential,
+    trajectory,
     zero_potential,
 )
 from .long_time import (
@@ -331,21 +329,14 @@ def _run_lagrangian_sim(params: dict[str, Any], seed: int) -> tuple[list[str], l
     potential = _potential_from_param(params["potential"], cfg)
     initial = _initial_state(params["initial"], cfg)
     values = potential.grid_values(cfg)
-    walk = itertools.chain([(initial, initial)], zip(
-        lagrangian_steps(cfg, values, initial, cfg.r), split_steps(cfg, values, initial, cfg.r),
-    ))
     positions = cfg.positions()[:, None]
     momenta = cfg.momenta()[:, None]
     size = max(1, _BLOCK_AMPLITUDES // cfg.dim)
-    states = np.empty((size, cfg.dim), dtype=complex)
-    references = np.empty_like(states)
     header = ["step", "norm", "fidelity", "position_mean", "momentum_mean"]
     rows = []
-    for start in range(0, cfg.r + 1, size):
-        count = min(size, cfg.r + 1 - start)
-        block, refs = states[:count], references[:count]
-        for row in range(count):
-            block[row], refs[row] = next(walk)
+    walk = trajectory(cfg, values, initial, size)
+    for start, pairs in zip(range(0, cfg.r + 1, size), walk):
+        block, refs = pairs[:, 0], pairs[:, 1]
         re, im = block.real, block.imag
         norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
         # every state but the last is the input of a step

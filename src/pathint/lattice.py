@@ -163,8 +163,8 @@ def kinetic_op(cfg: LatticeConfig) -> np.ndarray:
 def split_step_reference(cfg: LatticeConfig, potential: Potential) -> np.ndarray:
     """One split step exp(-i*tau*P^2/2m) @ exp(-i*tau*V), dense.
 
-    The test oracle for :func:`split_steps` and the circuit: its kinetic
-    factor is the dense exponential of ``kinetic_op``.
+    The test oracle for both halves of :func:`trajectory`: its kinetic factor
+    is the dense exponential of ``kinetic_op``.
     """
     v = potential.grid_values(cfg)
     kin = exp_unitary(kinetic_op(cfg), cfg.tau)
@@ -275,25 +275,39 @@ def lagrangian_steps(
         yield state
 
 
-def split_steps(
-    cfg: LatticeConfig, values: np.ndarray, state: np.ndarray, steps: int
+def trajectory(
+    cfg: LatticeConfig, values: np.ndarray, state: np.ndarray, rows: int
 ) -> Iterator[np.ndarray]:
-    """Yield a grid state, or every matrix column, after each of ``steps`` split steps.
+    """Yield the circuit and its split-step reference from ``state``, in blocks.
 
-    Each step is ``split_step_reference`` without a dense matrix: the kinetic
-    factor is diagonal in the Fourier basis (Feit, Fleck and Steiger, J.
-    Comput. Phys. 47, 412 (1982)), with ``cfg.momenta()`` the eigenvalues of
-    ``momentum_op``, so a step is two phase vectors, built once, around a
-    forward and an inverse transform.
+    Each block is a fresh (k, 2, 2**n) array with k <= ``rows``: row j holds
+    the pair (circuit state, reference state) after step start + j, for
+    steps 0 .. r.  The reference is ``split_step_reference`` without a dense
+    matrix: its kinetic factor is diagonal in the Fourier basis (Feit, Fleck
+    and Steiger, J. Comput. Phys. 47, 412 (1982)).  Both halves open with a
+    phase vector and a forward transform, so a step is one stacked product
+    and one stacked transform, then the circuit's second oracle phase and
+    the reference's kinetic phase and inverse transform, each written into
+    its row.  The phases are built once; the circuit half is
+    :func:`lagrangian_steps` bit for bit.
     """
-    potential = np.exp(-1j * cfg.tau * values)
+    q = np.arange(cfg.dim)
+    opening = np.stack([action_phase(cfg, values, q, 0), np.exp(-1j * cfg.tau * values)])
+    second = action_phase(cfg, values, 0, q)
     kinetic = np.exp(-1j * cfg.tau * cfg.momenta() ** 2 / (2.0 * cfg.mass))
-    if state.ndim == 2:
-        potential, kinetic = potential[:, None], kinetic[:, None]
-    for _ in range(steps):
-        modes = np.fft.fft(potential * state, axis=0, norm="ortho")
-        state = np.fft.ifft(kinetic * modes, axis=0, norm="ortho")
-        yield state
+    for start in range(0, cfg.r + 1, rows):
+        block = np.empty((min(rows, cfg.r + 1 - start), 2, cfg.dim), dtype=complex)
+        for step, row in enumerate(block, start):
+            if step == 0:
+                row[...] = state
+            else:
+                np.multiply(opening, pair, out=row)
+                np.fft.fft(row, axis=-1, norm="ortho", out=row)
+                np.multiply(second, row[0], out=row[0])
+                np.multiply(kinetic, row[1], out=row[1])
+                np.fft.ifft(row[1], norm="ortho", out=row[1])
+            pair = row
+        yield block
 
 
 def _last(states: Iterator[np.ndarray]) -> np.ndarray:

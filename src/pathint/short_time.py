@@ -130,23 +130,6 @@ def _step_cells(overlaps: ScheduleOverlaps, m: int, bits: int) -> lcu.SignedPerm
     return lcu.SignedPermutationCells(perm, phase, thr, bits, colors * colors)
 
 
-def signed_permutation(
-    overlaps: ScheduleOverlaps, m: int, b: int, c1: int, c2: int, bits: int
-) -> np.ndarray:
-    """Dense signed permutation for one (b, c1, c2), before the side flip."""
-    if not 0 <= b < (1 << bits):
-        raise SpecError(f"replica index {b} outside B={bits} range")
-    if not 0 <= c1 < overlaps.d or not 0 <= c2 < overlaps.d:
-        raise SpecError("color index out of range")
-    cells = _step_cells(overlaps, m, bits)
-    k = c1 * _pad_colors(overlaps.d) + c2
-    dim = overlaps.decomp.dim
-    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    rows = (cells.perm[k] + dim) % (2 * dim)  # undo the folded side flip
-    u[rows, np.arange(2 * dim)] = cells.phase[k] * lcu.replica_weight(b, cells.thr[k])
-    return u
-
-
 def alternating_sum(overlaps: ScheduleOverlaps, m: int, bits: int) -> np.ndarray:
     """Replica-averaged sum of the flipped signed permutations (2N x 2N).
 
@@ -154,12 +137,6 @@ def alternating_sum(overlaps: ScheduleOverlaps, m: int, bits: int) -> np.ndarray
     leave the forward sector carrying B-bit synthesized magnitudes.
     """
     return _step_cells(overlaps, m, bits).average()
-
-
-def projected_step(overlaps: ScheduleOverlaps, m: int, bits: int) -> np.ndarray:
-    """Side-0 block of the alternating sum (the synthesized transition)."""
-    dim = overlaps.decomp.dim
-    return alternating_sum(overlaps, m, bits)[:dim, :dim]
 
 
 def synthesis_defect_bound(d: int, bits: int) -> float:

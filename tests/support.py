@@ -220,6 +220,53 @@ def alpha_comm_oracle(decomp, k: int) -> float:
     return total
 
 
+def split_steps(cfg, values: np.ndarray, state: np.ndarray, steps: int):
+    """Yield a grid state, or every matrix column, after each of ``steps`` split steps.
+
+    Each step is ``lattice.split_step_reference`` without a dense matrix: the
+    kinetic factor is diagonal in the Fourier basis (Feit, Fleck and Steiger,
+    J. Comput. Phys. 47, 412 (1982)), so a step is two phase vectors, built
+    once, around a forward and an inverse transform.  One state at a time,
+    apart from the stacked walk ``lattice.trajectory``.
+    """
+    potential = np.exp(-1j * cfg.tau * values)
+    kinetic = np.exp(-1j * cfg.tau * cfg.momenta() ** 2 / (2.0 * cfg.mass))
+    if state.ndim == 2:
+        potential, kinetic = potential[:, None], kinetic[:, None]
+    for _ in range(steps):
+        modes = np.fft.fft(potential * state, axis=0, norm="ortho")
+        state = np.fft.ifft(kinetic * modes, axis=0, norm="ortho")
+        yield state
+
+
+def signed_permutation(overlaps, m: int, b: int, c1: int, c2: int, bits: int) -> np.ndarray:
+    """Dense signed permutation of short-time select cell (c1, c2) at replica b,
+    before the side flip."""
+    from pathint import lcu
+    from pathint.errors import SpecError
+    from pathint.short_time import _pad_colors, _step_cells
+
+    if not 0 <= b < (1 << bits):
+        raise SpecError(f"replica index {b} outside B={bits} range")
+    if not 0 <= c1 < overlaps.d or not 0 <= c2 < overlaps.d:
+        raise SpecError("color index out of range")
+    cells = _step_cells(overlaps, m, bits)
+    k = c1 * _pad_colors(overlaps.d) + c2
+    dim = overlaps.decomp.dim
+    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    rows = (cells.perm[k] + dim) % (2 * dim)  # undo the folded side flip
+    u[rows, np.arange(2 * dim)] = cells.phase[k] * lcu.replica_weight(b, cells.thr[k])
+    return u
+
+
+def projected_step(overlaps, m: int, bits: int) -> np.ndarray:
+    """Side-0 block of the alternating sum (the synthesized transition)."""
+    from pathint.short_time import alternating_sum
+
+    dim = overlaps.decomp.dim
+    return alternating_sum(overlaps, m, bits)[:dim, :dim]
+
+
 def lagrangian_csv_oracle(params: dict) -> bytes:
     """lagrangian-sim's CSV from a plain loop: one row of numpy calls per step.
 
@@ -227,7 +274,7 @@ def lagrangian_csv_oracle(params: dict) -> bytes:
     these bytes exactly.
     """
     from pathint import cli
-    from pathint.lattice import LatticeConfig, lagrangian_steps, require_normalized, split_steps
+    from pathint.lattice import LatticeConfig, lagrangian_steps, require_normalized
 
     cfg = LatticeConfig(n=params["n"], x_max=params["xmax"], mass=params["mass"], r=params["r"])
     potential = cli._potential_from_param(params["potential"], cfg)

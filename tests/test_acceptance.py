@@ -25,7 +25,13 @@ from pathint.errors import CAPS
 from pathint.linalg import exp_unitary, spectral_norm
 from pathint.trotter import schedule, trotter_unitary
 
-from support import class_edges, pauli_string, random_decomposition_terms, random_smooth_system
+from support import (
+    class_edges,
+    pauli_string,
+    projected_step,
+    random_decomposition_terms,
+    random_smooth_system,
+)
 
 
 def criterion(number: int, label: str, budget_s: float):
@@ -130,7 +136,7 @@ def test_criterion_03_rounding_defect_bound_and_halving():
         exact = sh.transition_operator(overlaps, 0)
         defects = []
         for bits in BITS_GRID:
-            defect = spectral_norm(sh.projected_step(overlaps, 0, bits) - exact)
+            defect = spectral_norm(projected_step(overlaps, 0, bits) - exact)
             assert defect <= sh.synthesis_defect_bound(d, bits)
             defects.append(defect)
         assert defects[-1] > 0

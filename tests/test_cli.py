@@ -546,6 +546,24 @@ def test_lagrangian_sim_builds_step_phases_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_lagrangian_sim_makes_two_transforms_per_step(tmp_path, monkeypatch):
+    # the circuit and its reference share one stacked forward transform per
+    # step; the reference adds one inverse, and each block one forward
+    # transform for the momentum column
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        def counting(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    r = 50
+    assert cli._BLOCK_AMPLITUDES // 2**5 >= r + 1  # one block holds every row
+    out = tmp_path / "long.csv"
+    assert cli.main(LAGRANGIAN_ARGS + ["--n", "5", "--r", str(r), "--out", str(out)]) == 0
+    assert calls == {"fft": r + 1, "ifft": r}
+
+
 # The first state to lose norm is row 1: inside the default block, alone in
 # a one-row block, and last in a two-row block.  With r = 2 it is also the
 # last state the check covers, as the input of the last step.
@@ -955,7 +973,7 @@ def test_wide_documents_exit_3_before_any_allocation(
 
 
 def test_lagrangian_trajectory_cap_exits_3_before_stepping(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "lagrangian_steps", _forbidden)
+    monkeypatch.setattr(cli, "trajectory", _forbidden)
     r = CAPS["trajectory_steps"].limit + 1
     assert main_with(tmp_path, "lagrangian-sim", {"--r": str(r)}) == 3
     doc = json.loads(capsys.readouterr().err)

@@ -34,9 +34,9 @@ from pathint.lattice import (
     position_op,
     propagator_global_phase,
     split_step_reference,
-    split_steps,
     square_well_potential,
     step_global_phase,
+    trajectory,
     zero_potential,
 )
 from pathint.linalg import exp_unitary, qft_matrix, spectral_norm
@@ -196,15 +196,18 @@ def test_step_identity_property(n, omega, mass):
 
 
 def test_split_steps_match_the_dense_split_step():
-    # split_step_reference exponentiates tau*P^2/2m by eigh.  Its rounding
-    # scales as 2^n * eps * tau*p_max^2/2m, and that largest kinetic phase is
+    # The reference half of the stacked walk against split_step_reference,
+    # which exponentiates tau*P^2/2m by eigh.  Its rounding scales as
+    # 2^n * eps * tau*p_max^2/2m, and that largest kinetic phase is
     # pi*(2^n - 1)^2/2^n for any geometry, so past n = 6 the oracle itself is
     # off by more than 1e-12 (6.9e-12 at n = 8).  The product F diag F^dag,
-    # with F from qft_matrix, holds split_steps to 1e-12 at every n.
+    # with F from qft_matrix, holds the walk to 1e-12 at every n.  The
+    # circuit half is lagrangian_steps bit for bit, across block boundaries.
     eps = np.finfo(float).eps
     rng = np.random.default_rng(7)
     for n in range(1, 9):
         cfg = LatticeConfig(n=n, x_max=8.0, mass=1.0, r=1)
+        three = LatticeConfig(n=n, x_max=8.0, mass=1.0, r=3)
         f = qft_matrix(n)
         kinetic = cfg.tau * cfg.momenta() ** 2 / (2.0 * cfg.mass)
         tol = max(1e-12, cfg.dim * eps * kinetic[-1])
@@ -215,15 +218,24 @@ def test_split_steps_match_the_dense_split_step():
             square_well_potential(1.5, 2.0, 6.0),
         ):
             values = pot.grid_values(cfg)
-            (got,) = split_steps(cfg, values, np.eye(cfg.dim, dtype=complex), 1)
+            reference = []
+            for column in np.eye(cfg.dim, dtype=complex):
+                (block,) = trajectory(cfg, values, column, 2)
+                assert np.array_equal(block[0], [column, column])
+                (step,) = lagrangian_steps(cfg, values, column, 1)
+                assert np.array_equal(block[1, 0], step)
+                reference.append(block[1, 1])
+            got = np.array(reference).T
             assert spectral_norm(got - split_step_reference(cfg, pot)) < tol
             explicit = (f * np.exp(-1j * kinetic)) @ f.conj().T * np.exp(-1j * cfg.tau * values)
             assert spectral_norm(got - explicit) < 1e-12
             psi = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
             psi /= np.linalg.norm(psi)
             want = np.linalg.matrix_power(explicit, 3) @ psi
-            *_, last = split_steps(cfg, values, psi, 3)
-            assert np.linalg.norm(last - want) < 1e-12
+            pairs = np.concatenate(list(trajectory(three, values, psi, 2)))
+            assert pairs.shape == (4, 2, cfg.dim)
+            assert np.linalg.norm(pairs[-1, 1] - want) < 1e-12
+            assert np.array_equal(pairs[1:, 0], list(lagrangian_steps(three, values, psi, 3)))
 
 
 def test_step_rejects_bad_states():

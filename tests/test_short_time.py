@@ -11,7 +11,14 @@ from pathint.errors import CAPS, CapExceeded, SpecError
 from pathint.linalg import exp_unitary, spectral_norm
 from pathint.trotter import schedule, trotter_unitary
 
-from support import class_edges, pauli_string, random_decomposition_terms, tilted_example_pair
+from support import (
+    class_edges,
+    pauli_string,
+    projected_step,
+    random_decomposition_terms,
+    signed_permutation,
+    tilted_example_pair,
+)
 
 
 def zz_zx():
@@ -192,11 +199,11 @@ def test_signed_permutation_unitary_and_fixed_points():
     overlaps = dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 0.8))
     dim = decomp.dim
     for b in (0, 1, 5):
-        u = sh.signed_permutation(overlaps, 0, b, 0, 1, bits=3)
+        u = signed_permutation(overlaps, 0, b, 0, 1, bits=3)
         assert spectral_norm(u @ u.conj().T - np.eye(2 * dim)) <= 1e-10
     sources = {j for j, _ in class_edges(sh.BlockEncoding(overlaps, 0, 3).cells, 0)}
     sign = -1.0
-    u = sh.signed_permutation(overlaps, 0, 1, 0, 0, bits=3)
+    u = signed_permutation(overlaps, 0, 1, 0, 0, bits=3)
     for j in range(dim):
         if j not in sources:
             assert u[j, j] == sign
@@ -207,7 +214,7 @@ def test_signed_permutation_forward_phase():
     overlaps = dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 0.8))
     table = overlaps.pair_for_step(0)
     lam = decomp.eigensystems[0].values
-    u = sh.signed_permutation(overlaps, 0, 0, 0, 0, bits=6)
+    u = signed_permutation(overlaps, 0, 0, 0, 0, bits=6)
     dim = decomp.dim
     for j, q in class_edges(sh.BlockEncoding(overlaps, 0, 6).cells, 0):
         got = u[dim + q, j]
@@ -227,7 +234,7 @@ def test_alternating_sum_matches_definitional_average():
     for b in range(1 << bits):
         for c1 in range(d):
             for c2 in range(d):
-                u = sh.signed_permutation(overlaps, 0, b, c1, c2, bits)
+                u = signed_permutation(overlaps, 0, b, c1, c2, bits)
                 flipped = np.vstack([u[dim:], u[:dim]])
                 acc += flipped
     acc /= 1 << bits
@@ -250,7 +257,7 @@ def test_select_applies_the_signed_permutations():
             for c2 in range(enc.d_pad):
                 col = x[b, c1, c2].reshape(2 * dim)
                 if c1 < enc.d and c2 < enc.d:
-                    u = sh.signed_permutation(overlaps, 0, b, c1, c2, bits)
+                    u = signed_permutation(overlaps, 0, b, c1, c2, bits)
                     want = np.vstack([u[dim:], u[:dim]]) @ col
                 else:  # padding colors: the signed side flip
                     want = (-1.0) ** b * np.concatenate([col[dim:], col[:dim]])
@@ -268,7 +275,7 @@ def test_alternating_sum_defect_bound():
     exact = sh.transition_operator(overlaps, 0)
     d = dc.sparsity(decomp, sched)
     for bits in (4, 6, 8, 10):
-        approx = sh.projected_step(overlaps, 0, bits)
+        approx = projected_step(overlaps, 0, bits)
         defect = spectral_norm(approx - exact)
         assert 0 < defect <= sh.synthesis_defect_bound(d, bits)
 
@@ -288,7 +295,7 @@ def test_alternating_sum_identity_step_defect_is_exact():
     overlaps = dc.ScheduleOverlaps(decomp, schedule(1, 0, 1, 1.0))
     exact = sh.transition_operator(overlaps, 0)
     for bits in (2, 5, 9):
-        approx = sh.projected_step(overlaps, 0, bits)
+        approx = projected_step(overlaps, 0, bits)
         defect = spectral_norm(approx - exact)
         assert defect == pytest.approx(2.0 / (1 << bits), abs=1e-13)
 
