@@ -50,7 +50,7 @@ from .lattice import (
 from .long_time import (
     TimeDependentHamiltonian,
     interaction_frame,
-    jump_bounds,
+    jump_estimate,
     longtime_error,
     two_level_sweep,
 )
@@ -301,14 +301,9 @@ def _run_long_sim(params: dict[str, Any], seed: int) -> tuple[list[str], list[li
         # measured first: longtime_error refuses a panel count above the
         # cap before the bounds sample anything
         meas = longtime_error(ham, total_time, r)
-        bounds = ham.bounds
-        # first omitted orders: the odd three-transition term, then the
-        # full next even/odd pair
-        _, odd1 = jump_bounds(bounds, total_time, 1)
-        even2, odd2 = jump_bounds(bounds, total_time, 2)
         r_used = r if r is not None else ham.grid
         rows.append([
-            _fmt(total_time), _fmt(r_used), _fmt(meas), _fmt(odd1 + even2 + odd2),
+            _fmt(total_time), _fmt(r_used), _fmt(meas), _fmt(jump_estimate(ham.bounds, total_time)),
         ])
     return ["T", "r", "measured_error", "truncation_bound"], rows
 

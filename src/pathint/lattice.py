@@ -62,6 +62,14 @@ class LatticeConfig:
             raise SpecError("mass must be positive and finite")
         if not np.isfinite(self.tau):
             raise SpecError("timestep tau must be finite")
+        # tau p^2 over the grid's momenta is 2 pi mass (2^n - 1)^2 / 2^n, but
+        # its float factors can each leave range while it stays finite
+        try:
+            p_top = (2.0 * np.pi * (self.dim - 1) / self.x_max) ** 2
+        except OverflowError:
+            p_top = np.inf
+        if not 0 < self.tau * p_top < np.inf:
+            raise SpecError("grid geometry puts the kinetic phase tau p^2 past float range")
         if self.r < 1:
             raise SpecError("step count r must be a positive integer")
 
@@ -124,7 +132,12 @@ def harmonic_potential(mass: float, omega: float, center: float, x_max: float) -
     if mass <= 0 or omega <= 0:
         raise SpecError("harmonic potential needs positive mass and frequency")
     reach = max(abs(center), abs(x_max - center))
-    bound = 0.5 * mass * omega**2 * reach**2
+    try:
+        bound = 0.5 * mass * omega**2 * reach**2
+    except OverflowError:  # a float power past range
+        bound = np.inf
+    if bound == np.inf:
+        raise SpecError("harmonic potential's bound is past float range")
     return Potential(energy=lambda x: 0.5 * mass * omega**2 * (x - center) ** 2, v_max=bound)
 
 
@@ -411,8 +424,12 @@ def gaussian_packet(
     """Normalized Gaussian on the grid with a momentum boost."""
     if width <= 0:
         raise SpecError("gaussian packet needs positive width")
+    try:
+        spread = 4.0 * width**2
+    except OverflowError:
+        raise SpecError("gaussian packet width is past float range") from None
     x = cfg.positions()
-    psi = np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * momentum * x)
+    psi = np.exp(-((x - center) ** 2) / spread + 1j * momentum * x)
     norm = np.linalg.norm(psi)
     if not 0.0 < norm < np.inf:
         raise SpecError("gaussian packet does not normalize on the grid")

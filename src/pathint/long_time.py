@@ -90,7 +90,7 @@ class TimeDependentHamiltonian:
     the caller's algebra, and the sampled spectrum must stay non-degenerate.
 
     ``h`` and ``dh`` are array-valued: an array of s of shape S gives the
-    stack of shape S + (dim, dim), a float s one matrix.
+    stack of shape S + (dim, dim), a float s one matrix; ``sample`` reads them.
     """
 
     dim: int
@@ -110,11 +110,9 @@ class TimeDependentHamiltonian:
         if self.grid < 1:
             raise SpecError("grid must be a positive sample count")
         require_cap("panel_entries", (self.grid + 1) * self.dim**2, "sampled grid entries")
-        hams = check_hermitian(self._stack("h", np.linspace(0.0, 1.0, self.grid + 1)))
-        values = np.linalg.eigvalsh(hams)
-        scale = max(1.0, float(np.max(np.abs(values))))
-        gap_min = float(np.min(np.diff(values, axis=1)))
-        if gap_min <= GAP_FLOOR * scale:
+        hams = self.sample("h", np.linspace(0.0, 1.0, self.grid + 1))
+        gap_min, floor = spectral_gap(np.linalg.eigvalsh(hams))
+        if gap_min <= floor:
             raise SpecError(
                 f"spectral gap {gap_min:.3e} is below the tolerance floor; "
                 "the transition-rate picture needs a non-degenerate sweep"
@@ -122,12 +120,13 @@ class TimeDependentHamiltonian:
         rng = np.random.default_rng(_VALIDATION_SEED)
         step = DERIV_CHECK_STEP
         probe = rng.uniform(step, 1.0 - step, size=5)
-        claimed = self._stack("dh", probe)
+        claimed = self.sample("dh", probe)
         # Richardson-extrapolated central difference, so fast drives with
         # large higher derivatives are not rejected spuriously
-        coarse = (self._stack("h", probe + step) - self._stack("h", probe - step)) / (2.0 * step)
-        half = step / 2.0
-        fine = (self._stack("h", probe + half) - self._stack("h", probe - half)) / (2.0 * half)
+        shifts = np.add.outer((step, -step, step / 2.0, -step / 2.0), probe)
+        up, down, up_half, down_half = self.sample("h", shifts)
+        coarse = (up - down) / (2.0 * step)
+        fine = (up_half - down_half) / step
         fd = (4.0 * fine - coarse) / 3.0
         defect = np.max(np.abs(fd - claimed), axis=(1, 2))
         scale = np.maximum(1.0, np.max(np.abs(claimed), axis=(1, 2)))
@@ -138,13 +137,17 @@ class TimeDependentHamiltonian:
                 f"(defect {defect[i]:.3e} at s={probe[i]:.4f})"
             )
 
-    def _stack(self, name: str, s: np.ndarray) -> np.ndarray:
-        """h or dh on the points s, refused unless shaped s.shape + (dim, dim)."""
-        out = np.asarray(getattr(self, name)(s))
-        want = s.shape + (self.dim, self.dim)
+    def sample(self, name: str, s: float | np.ndarray) -> np.ndarray:
+        """h or dh at s, symmetrized, refused unless shaped np.shape(s) + (dim, dim),
+        finite and Hermitian; the drive runs with float warnings off, as NaN or inf is refused."""
+        with np.errstate(all="ignore"):
+            out = np.asarray(getattr(self, name)(s))
+        want = np.shape(s) + (self.dim, self.dim)
         if out.shape != want:
             raise SpecError(f"{name}(s) returned shape {out.shape}, expected {want}")
-        return out
+        if not np.all(np.isfinite(out)):
+            raise SpecError(f"{name}(s) is not finite")
+        return check_hermitian(out)
 
     @cached_property
     def bounds(self) -> AdiabaticBounds:
@@ -162,7 +165,7 @@ class TimeDependentHamiltonian:
             require_cap("panel_entries", (r + 1) * self.dim**2, "sampled grid entries")
             s_grid = np.linspace(0.0, 1.0, r + 1)
             eigsys = smooth_eigensystem(self, s_grid)
-            rates = _rate_matrices(eigsys, _sample(self.dh, s_grid))
+            rates = _rate_matrices(eigsys, self.sample("dh", s_grid))
             for arr in (s_grid, eigsys.values, eigsys.vectors, rates):
                 arr.flags.writeable = False
             self._frames[r] = (eigsys, rates)
@@ -231,11 +234,8 @@ def interaction_frame(
     bop = check_hermitian(bop)
     if a.shape != bop.shape:
         raise SpecError("frame generator and coupling must share a dimension")
-    bvals = np.linalg.eigvalsh(bop)
-    scale = max(1.0, float(np.max(np.abs(bvals))))
-    if float(np.min(np.diff(bvals))) <= GAP_FLOOR * scale:
-        raise SpecError("coupling operator is degenerate; the rotated sweep has no gap")
-    comm = a @ bop - bop @ a
+    with np.errstate(all="ignore"):  # a commutator past float range fails dh's sample
+        comm = a @ bop - bop @ a
     frame = hermitian_eig(a)
 
     def conjugate(op: np.ndarray, s: float | np.ndarray) -> np.ndarray:
@@ -255,6 +255,13 @@ def interaction_frame(
 
 # ---------------------------------------------------------------------------
 # smooth eigensystems and transition rates
+
+
+def spectral_gap(values: np.ndarray) -> tuple[float, float]:
+    """(gap, floor) of spectra on the last axis: gap, the least step between sorted
+    levels, is the least distance of any two, as rounding is monotone; it must pass floor."""
+    gap = float(np.min(np.diff(np.sort(values, axis=-1), axis=-1)))
+    return gap, GAP_FLOOR * max(1.0, float(np.max(np.abs(values))))
 
 
 @dataclass(frozen=True)
@@ -279,15 +286,11 @@ class SmoothEigensystem:
     @property
     def gap_min(self) -> float:
         """Smallest distance between two curves at any grid point."""
-        pair_gaps = np.abs(self.values[:, :, None] - self.values[:, None, :])
-        big = 10.0 * max(1.0, float(np.max(np.abs(self.values))))
-        return float(np.min(pair_gaps + np.eye(self.dim)[None] * big))
+        return spectral_gap(self.values)[0]
 
     def step_overlaps(self) -> np.ndarray:
         """Same-curve overlaps <chi_j(s_i)|chi_j(s_{i+1})>, shape (steps, dim)."""
-        return np.einsum(
-            "iaj,iaj->ij", self.vectors[:-1].conj(), self.vectors[1:]
-        )
+        return np.einsum("iaj,iaj->ij", self.vectors[:-1].conj(), self.vectors[1:])
 
     def diagonal_rate_defect(self) -> float:
         """Largest discrete diagonal transition rate left by the gauge.
@@ -320,7 +323,7 @@ def smooth_eigensystem(
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or len(s_grid) < 2:
         raise SpecError("need at least two grid points to transport a gauge")
-    hams = _sample(ham.h, s_grid)
+    hams = ham.sample("h", s_grid)
     raw_vals, raw_vecs = np.linalg.eigh(hams)
     anchor = hermitian_eig(hams[0])
     raw_vals[0], raw_vecs[0] = anchor.values, anchor.vectors
@@ -344,10 +347,10 @@ def smooth_eigensystem(
     values = np.take_along_axis(raw_vals, column, axis=1)
     vectors = np.take_along_axis(raw_vecs, column[:, None, :], axis=2)
     vectors[1:] *= phase[:, None, :]
-    eigsys = SmoothEigensystem(s_grid=s_grid, values=values, vectors=vectors)
-    if eigsys.gap_min <= GAP_FLOOR * max(1.0, float(np.max(np.abs(values)))):
+    gap, floor = spectral_gap(values)
+    if gap <= floor:
         raise InvariantViolation("spectral gap collapsed below tolerance mid-grid")
-    return eigsys
+    return SmoothEigensystem(s_grid=s_grid, values=values, vectors=vectors)
 
 
 def transition_rate(ham: TimeDependentHamiltonian, s: float, j: int, k: int) -> complex:
@@ -362,20 +365,15 @@ def transition_rate(ham: TimeDependentHamiltonian, s: float, j: int, k: int) -> 
             "the transport gauge pins the diagonal rate to zero; "
             "request off-diagonal indices"
         )
-    eig = hermitian_eig(ham.h(float(s)))
+    eig = hermitian_eig(ham.sample("h", float(s)))
     if not (0 <= j < ham.dim and 0 <= k < ham.dim):
         raise SpecError(f"level indices ({j}, {k}) out of range for dim {ham.dim}")
     gap = float(eig.values[j] - eig.values[k])
     scale = max(1.0, float(np.max(np.abs(eig.values))))
     if abs(gap) < GAP_FLOOR * scale:
         raise InvariantViolation(f"levels {j} and {k} are degenerate at s={s}")
-    deriv = check_hermitian(ham.dh(float(s)))
+    deriv = ham.sample("dh", float(s))
     return complex(eig.vectors[:, j].conj() @ deriv @ eig.vectors[:, k] / gap)
-
-
-def _sample(fn: Callable[[np.ndarray], np.ndarray], s_grid: np.ndarray) -> np.ndarray:
-    """fn on the whole grid in one call, each matrix checked Hermitian."""
-    return check_hermitian(fn(s_grid))
 
 
 def _rate_matrices(eigsys: SmoothEigensystem, derivs: np.ndarray) -> np.ndarray:
@@ -411,6 +409,8 @@ class AdiabaticBounds:
         for name in ("gap_min", "drive_ratio", "jump_constant", "max_drive"):
             if getattr(self, name) < 0:
                 raise InvariantViolation(f"{name} must be nonnegative")
+            if getattr(self, name) == math.inf:
+                raise SpecError(f"the sweep's {name} is past float range")
 
 
 def adiabatic_bounds(ham: TimeDependentHamiltonian) -> AdiabaticBounds:
@@ -426,23 +426,35 @@ def adiabatic_bounds(ham: TimeDependentHamiltonian) -> AdiabaticBounds:
 
     delta = 1e-3
     inner = np.clip(pts, delta, 1.0 - delta)
-    d_mid, d_plus, d_minus = (
-        np.asarray(ham.dh(s), dtype=complex) for s in (inner, inner + delta, inner - delta)
-    )
+    grids = np.stack([pts, inner, inner + delta, inner - delta])
+    d_pts, d_mid, d_plus, d_minus = ham.sample("dh", grids)
 
     def max_norm(stack: np.ndarray) -> float:
         return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
 
-    m1 = max_norm(np.asarray(ham.dh(pts), dtype=complex))
+    m1 = max_norm(d_pts)
     m2 = max_norm((d_plus - d_minus) / (2.0 * delta))
     m3 = max_norm((d_plus - 2.0 * d_mid + d_minus) / delta**2)
-    jump_constant = 6.0 * m1**3 / gap_min**3 + (m1 * m2 + 2.0 * m1**2) / gap_min**2
+    try:
+        jump_constant = 6.0 * m1**3 / gap_min**3 + (m1 * m2 + 2.0 * m1**2) / gap_min**2
+    except OverflowError:  # a float power past range
+        jump_constant = math.inf
     return AdiabaticBounds(
         gap_min=gap_min,
         drive_ratio=max(m1, m2, m3) / gap_min,
         jump_constant=jump_constant,
         max_drive=m1,
     )
+
+
+def jump_estimate(bounds: AdiabaticBounds, total_time: float) -> float:
+    """long-sim's ``truncation_bound``: the path-sum bounds of the odd
+    three-transition term and the next even/odd pair.  An estimate, not yet a
+    bound: it omits the integration-by-parts remainder between the nested
+    sums and ``Truncation.label``, and can sit below the measured error."""
+    _, odd1 = jump_bounds(bounds, total_time, 1)
+    even2, odd2 = jump_bounds(bounds, total_time, 2)
+    return odd1 + even2 + odd2
 
 
 def jump_bounds(
@@ -538,20 +550,12 @@ def truncation(
     )
 
 
-def eigenframe_propagator(
-    ham: TimeDependentHamiltonian, total_time: float, r: int | None = None
-) -> tuple[np.ndarray, SmoothEigensystem]:
-    """Label-space truncated propagator plus the frames that define it."""
-    trunc = truncation(ham, total_time, r)
-    return trunc.label(), trunc.eigsys
-
-
 def truncated_propagator(
     ham: TimeDependentHamiltonian, total_time: float, r: int | None = None
 ) -> np.ndarray:
     """Two-transition truncated propagator in the computational basis."""
-    label, eigsys = eigenframe_propagator(ham, total_time, r)
-    return eigsys.vectors[-1] @ label @ eigsys.vectors[0].conj().T
+    trunc = truncation(ham, total_time, r)
+    return trunc.eigsys.vectors[-1] @ trunc.label() @ trunc.eigsys.vectors[0].conj().T
 
 
 def longtime_error(
@@ -562,12 +566,18 @@ def longtime_error(
 
     Refuses to run where the truncation has no business converging: the
     expansion is controlled only once drive_ratio^4 / (gap^2 T^2) < 1/2.
-    A grid past the ``panel_entries`` cap is refused before any work.
+    A grid past the ``panel_entries`` cap, or a ratio past float range, is
+    refused before any work.
     """
     panels = ham.grid if r is None else r
     require_cap("panel_entries", (panels + 1) * ham.dim**2, "sampled grid entries")
     bounds = ham.bounds
-    control = bounds.drive_ratio**4 / (bounds.gap_min**2 * total_time**2)
+    try:
+        control = bounds.drive_ratio**4 / (bounds.gap_min**2 * total_time**2)
+    except ZeroDivisionError:  # T^2 underflowed
+        control = math.inf
+    except OverflowError:
+        raise SpecError(f"the control ratio at T = {total_time:.3g} is past float range") from None
     if control >= 0.5:
         raise SpecError(
             f"total time too short for the truncated expansion (control {control:.3g})"
@@ -686,11 +696,7 @@ class PropagatorEncoding:
         scale = max(1.0, float(np.max(np.abs(trunc.rates))))
         present = np.abs(trunc.rates) > RATE_PRUNE * scale
         self.d = max(1, int(np.max(np.sum(present, axis=2))))
-        top = max(
-            float(np.max(np.abs(trunc.eta_start))),
-            float(np.max(np.abs(trunc.eta_end))),
-            float(np.max(np.abs(trunc.zeta))),
-        )
+        top = max(float(np.max(np.abs(a))) for a in (trunc.eta_start, trunc.eta_end, trunc.zeta))
         if top > 1.0:
             raise InvariantViolation(
                 "transition magnitudes exceed one; the replica encoding assumes "
@@ -704,9 +710,9 @@ class PropagatorEncoding:
 
         w0 = 1.0 / (math.sqrt(r + 1.0) * self.d)
         first = np.array([w0, 1.0, 1.0, 0.0])
-        self._branch = _branch_unitary(first / np.linalg.norm(first))
-        self._step_prep = _dft(r + 1)
-        self._color_prep = _dft(self.d)
+        # the preparations of the step, branch and two color axes (0, 1, 3, 4)
+        color = _dft(self.d)
+        self._preps = (_dft(r + 1), _branch_unitary(first / np.linalg.norm(first)), color, color)
         self.cells = self._build_cells(present)
 
     # -- construction helpers -----------------------------------------------
@@ -723,9 +729,7 @@ class PropagatorEncoding:
         returns it to j with the returning-path amplitude.
         """
         dim, trunc = self.dim, self.truncation
-        cell = np.arange((self.r + 1) * 4 * self.d * self.d).reshape(
-            self.r + 1, 4, self.d, self.d
-        )
+        cell = np.arange((self.r + 1) * 4 * self.d**2).reshape(self.r + 1, 4, self.d, self.d)
         perm, phase, thr = lcu.blank_cells(cell.size, dim)
         stay = cell[:, 0].ravel()
         perm[stay] = np.arange(2 * dim)
@@ -745,13 +749,9 @@ class PropagatorEncoding:
 
     def prep(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         v = vec.reshape(self.shape)
-        mats = [self._step_prep, self._branch, self._color_prep, self._color_prep]
-        axes = [0, 1, 3, 4]
-        for mat, axis in zip(mats, axes):
-            use = mat.conj().T if adjoint else mat
-            v = _apply_axis(v, use, axis)
-        v = lcu.hadamard_axes(v, (2,))
-        return v.reshape(vec.shape)
+        for mat, axis in zip(self._preps, (0, 1, 3, 4)):
+            v = _apply_axis(v, mat.conj().T if adjoint else mat, axis)
+        return lcu.hadamard_axes(v, (2,)).reshape(vec.shape)
 
     def apply_select(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         for name, cost in LONGTIME_SELECT_BUDGET.items():
@@ -765,8 +765,7 @@ class PropagatorEncoding:
 
     def block(self) -> np.ndarray:
         """System block of Pi W Pi, with the cell weights the class docstring gives."""
-        preps = (self._step_prep, self._branch, self._color_prep, self._color_prep)
-        weights = reduce(np.multiply.outer, [np.abs(mat[:, 0]) ** 2 for mat in preps])
+        weights = reduce(np.multiply.outer, [np.abs(mat[:, 0]) ** 2 for mat in self._preps])
         return self.cells.average(weights.ravel())[: self.dim, : self.dim]
 
     # -- reference targets ---------------------------------------------------

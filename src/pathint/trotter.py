@@ -166,7 +166,8 @@ def alpha_comm(decomp: Decomposition, k: int) -> float:
     if k < 1:
         raise SpecError("alpha_comm applies to k >= 1; k = 0 uses the pair bound")
     if decomp.paulis is not None:
-        return _symplectic_alpha(decomp.paulis, decomp.n, k)
+        with np.errstate(over="ignore"):  # a sum past float range comes out inf
+            return _symplectic_alpha(decomp.paulis, decomp.n, k)
     terms = np.stack(decomp.terms)
     # a plain float loop: builtin sum compensates on Python >= 3.12
     total = 0.0
@@ -192,7 +193,8 @@ def _alpha_once(decomp: Decomposition, k: int) -> float:
 def error_bound(decomp: Decomposition, k: int, t: float, r: int) -> float:
     """A-priori product-formula error bound for the order indexed by k; for k >= 1
     alpha_comm t^(2k+1) / r^(2k), the shape of the commutator-scaling bound of
-    Childs, Su, Tran, Wiebe and Zhu, PRX 11, 011020 (2021)."""
+    Childs, Su, Tran, Wiebe and Zhu, PRX 11, 011020 (2021).  A commutator
+    past float range gives inf; a power of t past it raises OverflowError."""
     if r < 1:
         raise SpecError("step count r must be positive")
     t = abs(float(t))
@@ -200,18 +202,24 @@ def error_bound(decomp: Decomposition, k: int, t: float, r: int) -> float:
         acc = 0.0
         for b in range(decomp.term_count):
             for a in range(b):
-                acc += spectral_norm(commutator(decomp.terms[b], decomp.terms[a]))
+                with np.errstate(all="ignore"):
+                    comm = commutator(decomp.terms[b], decomp.terms[a])
+                if not np.isfinite(comm).all():
+                    return np.inf
+                acc += spectral_norm(comm)
         return t**2 / (2 * r) * acc
     return _alpha_once(decomp, k) * t ** (2 * k + 1) / r ** (2 * k)
 
 
 def optional_error_bound(decomp: Decomposition, k: int, t: float, r: int) -> float | None:
-    """``error_bound``, or None when alpha_comm's work cap trips: the bound is
-    optional output, so a run past the cap reports it as absent."""
+    """``error_bound``, or None when alpha_comm's work cap trips or the bound
+    is past float range: the bound is optional output, so such a run reports
+    it as absent."""
     try:
-        return error_bound(decomp, k, t, r)
-    except CapExceeded:
+        bound = error_bound(decomp, k, t, r)
+    except (CapExceeded, OverflowError):
         return None
+    return bound if np.isfinite(bound) else None
 
 
 def measured_error(decomp: Decomposition, sched: TrotterSchedule) -> float:

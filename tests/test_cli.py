@@ -914,6 +914,56 @@ def test_document_terms_and_bits_are_checked(tmp_path, capsys, case):
     assert not (tmp_path / "x.csv").exists()
 
 
+# Finite numbers far out of range, as flags changing the criterion-14
+# invocation, with the exit code each gives: a derived number past float
+# range is a bad document (2), a bound past it an empty cell (0).
+def _pauli_flag(*terms: tuple[str, float]) -> str:
+    return json.dumps({"n": len(terms[0][0]),
+                       "terms": [{"pauli": p, "coeff": c} for p, c in terms]})
+
+
+FRAME_OVERFLOW = json.dumps(dict(
+    FRAME_SYSTEM, grid=16,
+    generator={"n": 1, "terms": [{"pauli": "Z", "coeff": 1e160}]},
+    coupling={"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0}, {"pauli": "X", "coeff": 1e160}]},
+))
+FAR_OUT = {
+    "frame-commutator": ("long-sim", {"--system": FRAME_OVERFLOW, "--T-sweep": "30",
+                                      "--r": "16"}, 2),
+    "sweep-splitting": ("long-sim", {"--system": "sweep:linear:1e300,1"}, 2),
+    "T-sweep-huge": ("long-sim", {"--system": "sweep:linear:1.0,0.2",
+                                  "--T-sweep": "20,1e300"}, 2),
+    "T-sweep-tiny": ("long-sim", {"--T-sweep": "1e-300"}, 2),
+    "trotter-t": ("trotter-error", {"--t": "1e300"}, 0),
+    "short-t": ("short-sim", {"--t": "1e300"}, 0),
+    "trotter-coeff": ("trotter-error", {"--decomp": _pauli_flag(("Z", 1e300), ("X", 1.0))}, 0),
+    "short-coeff": ("short-sim", {"--decomp": _pauli_flag(("Z", 1e300), ("X", 1.0))}, 0),
+    "trotter-k0-commutator": ("trotter-error", {"--k": "0", "--decomp": _pauli_flag(
+        ("ZZ", 1e200), ("XX", 1e200), ("YZ", 1.0))}, 0),
+    "harmonic-omega": ("lagrangian-sim", {"--potential": "harmonic:1e300,1"}, 2),
+    "gaussian-width": ("lagrangian-sim", {"--initial": "gaussian:0,1e300,0"}, 2),
+    "xmax-tiny": ("lagrangian-sim", {"--n": "4", "--xmax": "1e-300"}, 2),
+}
+BOUND_COLUMNS = {"bound", "truncation_bound"}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_OUT))
+def test_numbers_past_float_range_exit_cleanly(tmp_path, capsys, case):
+    kind, flags, code = FAR_OUT[case]
+    assert main_with(tmp_path, kind, flags) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "spec"
+        return
+    assert err == ""
+    lines = (tmp_path / "x.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        for name, cell in zip(header, line.split(",")):
+            assert (cell == "" and name in BOUND_COLUMNS) or np.isfinite(float(cell))
+
+
 def test_frame_operators_are_sums_in_any_term_order(tmp_path):
     """Only a frame operator's sum is used, so its terms may come in any order."""
     csvs = []

@@ -114,6 +114,62 @@ def test_batched_drive_matches_pointwise(make):
             assert np.array_equal(stack[i], fn(float(s)))
 
 
+def test_sample_is_shaped_by_s():
+    ham = lt.two_level_sweep(1.0, 0.2, shape="sine")
+    assert ham.sample("h", 0.3).shape == (2, 2)
+    assert ham.sample("dh", np.zeros((3, 4))).shape == (3, 4, 2, 2)
+    assert np.array_equal(ham.sample("h", 0.3), ham.h(0.3))
+
+
+def test_drive_past_float_range_rejected():
+    good = lt.two_level_sweep(1.0, 0.2, shape="linear")
+
+    def h(s):  # past float range above s = 1/2
+        return good.h(s) * np.where(np.asarray(s) > 0.5, np.inf, 1.0)[..., None, None]
+
+    with pytest.raises(SpecError, match=r"h\(s\) is not finite"):
+        lt.TimeDependentHamiltonian(dim=2, h=h, dh=good.dh, grid=8)
+    # the commutator of a frame overflows; the construction's first dh
+    # sample refuses it, with no floating-point warning
+    z, x = pauli_string("Z"), pauli_string("X")
+    with pytest.raises(SpecError, match=r"dh\(s\) is not finite"):
+        lt.interaction_frame(1e160 * z, z + 1e160 * x, 30.0, grid=16)
+
+
+@pytest.mark.parametrize("bad", ["shape", "hermitian", "nan"])
+def test_adiabatic_bounds_refuse_a_bad_derivative_sample(bad):
+    # dh is right at the construction's five probes, but not at s = 1/2, a
+    # point of the bounds' 129-point grid
+    good = lt.two_level_sweep(1.0, 0.2, shape="linear")
+
+    def dh(s):
+        out = np.array(good.dh(s))
+        at = np.asarray(s) == 0.5
+        if not at.any():
+            return out
+        if bad == "shape":
+            return out[..., :1, :]
+        out[at] = {"hermitian": [[0.0, 1.0], [-1.0, 0.0]], "nan": np.nan}[bad]
+        return out
+
+    ham = lt.TimeDependentHamiltonian(dim=2, h=good.h, dh=dh, grid=8)
+    with pytest.raises((SpecError, InvariantViolation)):
+        lt.adiabatic_bounds(ham)
+
+
+def test_spectral_gap_is_the_least_pairwise_distance():
+    rng = np.random.default_rng(5)
+    for dim in (2, 3, 5):
+        values = rng.normal(size=(50, dim)) * 10.0 ** rng.integers(-3, 4, size=(50, 1))
+        values[7, 1] = values[7, 0]  # one exact tie
+        pairs = np.abs(values[:, :, None] - values[:, None, :])
+        pairs[:, np.arange(dim), np.arange(dim)] = np.inf
+        gap, floor = lt.spectral_gap(values)
+        assert gap == np.min(pairs) and gap == 0.0
+        assert lt.spectral_gap(values[:7])[0] == np.min(pairs[:7])
+        assert floor == lt.GAP_FLOOR * max(1.0, float(np.max(np.abs(values))))
+
+
 def test_sweep_validation():
     with pytest.raises(SpecError):
         lt.two_level_sweep(1.0, 0.2, shape="step")
@@ -377,7 +433,8 @@ def test_interaction_frame_rejects_degenerate_coupling():
 def test_truncation_matches_path_sum_series():
     ham = sine_family()
     total_time = 20.0
-    label, eigsys = lt.eigenframe_propagator(ham, total_time, r=2048)
+    trunc = lt.truncation(ham, total_time, r=2048)
+    label, eigsys = trunc.label(), trunc.eigsys
     ref = converged_propagator(ham.h, total_time, tol=1e-11)
     exact_label = eigsys.vectors[-1].conj().T @ ref @ eigsys.vectors[0]
 
@@ -400,7 +457,8 @@ def test_truncation_matches_path_sum_series():
 def test_offdiagonal_magnitudes_bounded():
     ham = sine_family()
     total_time = 15.0
-    label, eigsys = lt.eigenframe_propagator(ham, total_time, r=64)
+    trunc = lt.truncation(ham, total_time, r=64)
+    label, eigsys = trunc.label(), trunc.eigsys
     rate_max = max(
         abs(lt.transition_rate(ham, s, 1, 0)) for s in np.linspace(0, 1, 33)
     )
@@ -487,6 +545,30 @@ def test_jump_bounds_formula():
     assert lt.jump_bounds(silent, 10.0, 3) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [sine_family, linear_family, lambda: _frame("Z", {"Z": 1.0, "X": 0.45})],
+    ids=["sine", "linear", "frame"],
+)
+def test_jump_estimate_is_the_sum_long_sim_printed(make):
+    bounds = make().bounds
+    for total_time in (20.0, 30.0, 80.0):
+        _, odd1 = lt.jump_bounds(bounds, total_time, 1)
+        even2, odd2 = lt.jump_bounds(bounds, total_time, 2)
+        assert lt.jump_estimate(bounds, total_time) == odd1 + even2 + odd2
+
+
+def test_bounds_past_float_range_are_refused():
+    # the gap of a 1e300 splitting cubed leaves float range
+    with pytest.raises(SpecError, match="past float range"):
+        lt.two_level_sweep(1e300, 1.0, shape="linear").bounds
+    ham = linear_family()
+    with pytest.raises(SpecError, match="past float range"):
+        lt.longtime_error(ham, 1e300, r=64)
+    with pytest.raises(SpecError, match="too short"):
+        lt.longtime_error(ham, 1e-300, r=64)
+
+
 def test_jump_dominance():
     cases = [sine_family()]
     for seed in (100, 101):
@@ -541,7 +623,7 @@ def test_encoding_block_past_the_walk_cap():
 def test_encoding_exact_target_is_the_propagator():
     for ham in (sine_family(), random_smooth_system(np.random.default_rng(21), grid=32)):
         enc = lt.PropagatorEncoding(ham, 20.0, r=8, bits=6)
-        label, _ = lt.eigenframe_propagator(ham, 20.0, r=8)
+        label = lt.truncation(ham, 20.0, r=8).label()
         assert np.array_equal(enc.exact_target(), label)
 
 
