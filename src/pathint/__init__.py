@@ -8,29 +8,4 @@ oracles are classical callables with query counters, so the query-model
 costs can be measured rather than estimated.
 """
 
-from .errors import CapExceeded, InvariantViolation, SpecError
-from .linalg import (
-    EigenSystem,
-    converged_propagator,
-    exp_unitary,
-    hermitian_eig,
-    qft_matrix,
-    spectral_norm,
-    time_ordered_propagator,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapExceeded",
-    "EigenSystem",
-    "InvariantViolation",
-    "SpecError",
-    "__version__",
-    "converged_propagator",
-    "exp_unitary",
-    "hermitian_eig",
-    "qft_matrix",
-    "spectral_norm",
-    "time_ordered_propagator",
-]

@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -102,12 +102,8 @@ def spec_from_dict(doc: object) -> ExperimentSpec:
     return ExperimentSpec(kind=kind, params=params, seed=doc["seed"], output=output)
 
 
-def spec_to_dict(spec: ExperimentSpec) -> dict[str, Any]:
-    return asdict(spec)
-
-
 def spec_hash(spec: ExperimentSpec) -> str:
-    canon = json.dumps(spec_to_dict(spec), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(asdict(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -535,8 +531,15 @@ def run(spec: ExperimentSpec) -> None:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``SpecError``; its sub-parsers are too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise SpecError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathint",
         description="Run reproducible simulation experiments; one CSV per run.",
     )
@@ -578,7 +581,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
                 f"spec kind {spec.kind!r} does not match subcommand {args.kind!r}"
             )
         if args.seed is not None or args.out is not None:
-            doc = spec_to_dict(spec)
+            doc = asdict(spec)
             if args.seed is not None:
                 doc["seed"] = args.seed
             if args.out is not None:
@@ -618,10 +621,8 @@ def _fail(category: str, exc: BaseException, code: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        spec = _spec_from_args(args)
+        spec = _spec_from_args(build_parser().parse_args(argv))
         run(spec)
     except SpecError as exc:
         return _fail("spec", exc, 2)

@@ -270,11 +270,6 @@ def _pair_overlap(decomp: Decomposition, cur: int, nxt: int) -> PairOverlap:
     return PairOverlap(overlap=overlap, genuine=np.abs(overlap) > decomp.zero_tol)
 
 
-def sparsity(decomp: Decomposition, schedule: "TrotterSchedule") -> int:
-    """Largest genuine overlap count in any row or column of the schedule's tables."""
-    return ScheduleOverlaps(decomp, schedule).d
-
-
 class ScheduleOverlaps:
     """Overlap tables for every transition step of a schedule.
 
@@ -318,9 +313,6 @@ class QueryCounter:
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.counts)
-
-    def reset(self) -> None:
-        self.counts.clear()
 
 
 # Most magnitude bits B: round_to_bits clamps to 2^B - 1, a float64 integer

@@ -36,13 +36,9 @@ def replica_flip(b: np.ndarray | int, thr: np.ndarray | int) -> np.ndarray:
     return np.greater_equal(b, thr) & (np.mod(b, 2) == 1)
 
 
-def replica_weight(b: np.ndarray | int, thr: np.ndarray | int) -> np.ndarray:
-    """Sign that replica ``b`` gives a column of rounded magnitude ``thr``."""
-    return np.where(replica_flip(b, thr), -1.0, 1.0)
-
-
 def replica_average(thr: np.ndarray | int, bits: int) -> np.ndarray:
-    """Closed form of ``replica_weight`` averaged over all 2^bits replicas."""
+    """Closed form of the replica sign (-1 where ``replica_flip``, else 1)
+    averaged over all 2^bits replicas."""
     return (thr - (thr & 1)) / float(1 << bits)
 
 

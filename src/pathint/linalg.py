@@ -44,10 +44,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
 
 def _fix_phase(column: np.ndarray) -> np.ndarray:
     # Largest-magnitude entry made real positive; first index wins ties so the

@@ -130,15 +130,6 @@ def _step_cells(overlaps: ScheduleOverlaps, m: int, bits: int) -> lcu.SignedPerm
     return lcu.SignedPermutationCells(perm, phase, thr, bits, colors * colors)
 
 
-def alternating_sum(overlaps: ScheduleOverlaps, m: int, bits: int) -> np.ndarray:
-    """Replica-averaged sum of the flipped signed permutations (2N x 2N).
-
-    The replica signs cancel the backward and fixed-point sectors exactly and
-    leave the forward sector carrying B-bit synthesized magnitudes.
-    """
-    return _step_cells(overlaps, m, bits).average()
-
-
 def synthesis_defect_bound(d: int, bits: int) -> float:
     """Worst-case distance of the synthesized step from the exact one."""
     return 2.0 * d * d / (1 << bits)
@@ -152,9 +143,9 @@ class BlockEncoding:
     """Uniform-PREP block encoding of one synthesized transition step.
 
     The unitary is applied as structured tensor operations; ``block()`` is
-    its closed-form zero-ancilla block, and ``w_matrix`` walks the register
-    through ``lcu.system_block``, which refuses a register above
-    the ``walk_register`` cap.  Applying the select stage charges the
+    its closed-form zero-ancilla block, which ``lcu.system_block`` checks by
+    walking ``apply_w`` over the register (refused above the
+    ``walk_register`` cap).  Applying the select stage charges the
     per-application oracle budget to the counter.
     """
 
@@ -203,9 +194,6 @@ class BlockEncoding:
     def block(self) -> np.ndarray:
         """System block of Pi W Pi; PREP|0> is uniform over the d_pad^2 cells."""
         return self.cells.average()[: self.dim, : self.dim] / self.subnormalization
-
-    def w_matrix(self) -> np.ndarray:
-        return lcu.system_block(self.apply_w, self.size, self.size)
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +301,16 @@ class AmplifiedStep:
         boosted = np.sin((2 * self.p + 1) * angles)
         return (u * boosted[None, :]) @ vh
 
-    def amplified(self, method: str = "svd") -> tuple[np.ndarray, float]:
+    def amplified(self) -> tuple[np.ndarray, float]:
         """Amplified system block and the worst-column success weight.
 
-        Returns the zero-ancilla block of R^p W' together with the smallest
-        squared norm retained in the measured subspace over basis columns.
-        ``svd`` is the exact singular-value form, which ``simulate`` uses;
-        ``iterate`` applies the reflections to the register, and the tests
-        pin the singular-value form against it.
+        Returns the zero-ancilla block of R^p W' in its exact singular-value
+        form together with the smallest squared norm retained in the
+        measured subspace over basis columns.  ``_amplified_iterate``
+        applies the reflections to the register; the tests pin this form
+        against it.
         """
-        if method == "iterate":
-            out = self._amplified_iterate()
-        elif method == "svd":
-            out = self._amplified_svd()
-        else:
-            raise SpecError(f"unknown amplification method {method!r}")
+        out = self._amplified_svd()
         weights = np.sum(np.abs(out) ** 2, axis=0)
         return out, float(weights.min())
 
@@ -369,15 +352,13 @@ def simulate(
     r: int,
     t: float,
     bits: int,
-    counter: QueryCounter | None = None,
 ) -> SimulationResult:
     """Compose every amplified transition step into the full propagator.
 
     Amplified blocks are cached per (term pair, weight) step type; the oracle
     budget is charged per step application: 2p+1 select applications each.
     """
-    if counter is None:
-        counter = QueryCounter()
+    counter = QueryCounter()
     sched = schedule(decomp.term_count, k, r, t)
     overlaps = ScheduleOverlaps(decomp, sched)
     cache: dict[tuple[int, int, float], tuple[np.ndarray, float]] = {}

@@ -113,8 +113,12 @@ def _leaf_norms(terms: np.ndarray, level: np.ndarray, remaining: int, formed: li
     for lo in range(0, len(level), per_slice):
         part = level[lo : lo + per_slice]
         children = np.empty((len(part), L) + terms.shape[1:], dtype=complex)
-        for a in range(L):
-            children[:, a] = commutator(terms[a], part)
+        with np.errstate(all="ignore"):
+            for a in range(L):
+                children[:, a] = commutator(terms[a], part)
+        if not np.isfinite(children).all():  # past float range: alpha_comm is inf
+            yield np.inf
+            return
         children = children.reshape((-1,) + terms.shape[1:])
         children = children[_nonzero(children)]
         if remaining == 1:
@@ -161,7 +165,8 @@ def alpha_comm(decomp: Decomposition, k: int) -> float:
     float sum is that of the loop over every tuple.  A level wider than
     _SLICE_ENTRIES matrix entries is expanded slice by slice, depth first,
     and the last level's norms are taken one slice at a time in one
-    batched call; past the ``alpha_work`` cap it refuses.
+    batched call; past the ``alpha_work`` cap it refuses.  A commutator
+    past float range makes the sum inf.
     """
     if k < 1:
         raise SpecError("alpha_comm applies to k >= 1; k = 0 uses the pair bound")

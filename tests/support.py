@@ -255,16 +255,24 @@ def signed_permutation(overlaps, m: int, b: int, c1: int, c2: int, bits: int) ->
     dim = overlaps.decomp.dim
     u = np.zeros((2 * dim, 2 * dim), dtype=complex)
     rows = (cells.perm[k] + dim) % (2 * dim)  # undo the folded side flip
-    u[rows, np.arange(2 * dim)] = cells.phase[k] * lcu.replica_weight(b, cells.thr[k])
+    sign = np.where(lcu.replica_flip(b, cells.thr[k]), -1.0, 1.0)
+    u[rows, np.arange(2 * dim)] = cells.phase[k] * sign
     return u
 
 
 def projected_step(overlaps, m: int, bits: int) -> np.ndarray:
     """Side-0 block of the alternating sum (the synthesized transition)."""
-    from pathint.short_time import alternating_sum
+    from pathint.short_time import _step_cells
 
     dim = overlaps.decomp.dim
-    return alternating_sum(overlaps, m, bits)[:dim, :dim]
+    return _step_cells(overlaps, m, bits).average()[:dim, :dim]
+
+
+def applied_amplification(step) -> tuple[np.ndarray, float]:
+    """``step.amplified()`` through the reflections applied to the register:
+    the amplified block and its worst-column success weight."""
+    block = step._amplified_iterate()
+    return block, float(np.sum(np.abs(block) ** 2, axis=0).min())
 
 
 def lagrangian_csv_oracle(params: dict) -> bytes:

@@ -26,6 +26,7 @@ from pathint.linalg import exp_unitary, spectral_norm
 from pathint.trotter import schedule, trotter_unitary
 
 from support import (
+    applied_amplification,
     class_edges,
     pauli_string,
     projected_step,
@@ -130,7 +131,7 @@ def test_criterion_02_coloring_is_a_covering_matching():
 def test_criterion_03_rounding_defect_bound_and_halving():
     for decomp in rounding_instances():
         sched = schedule(decomp.term_count, 0, 1, 1.0)
-        d = dc.sparsity(decomp, sched)
+        d = dc.ScheduleOverlaps(decomp, sched).d
         assert d <= 4
         overlaps = dc.ScheduleOverlaps(decomp, sched)
         exact = sh.transition_operator(overlaps, 0)
@@ -154,7 +155,7 @@ def test_criterion_04_projected_encoding_reproduces_the_step():
         dim = decomp.dim
         for bits in BITS_GRID:
             enc = sh.BlockEncoding(overlaps, 0, bits)
-            synth = sh.alternating_sum(overlaps, 0, bits)[:dim, :dim]
+            synth = sh._step_cells(overlaps, 0, bits).average()[:dim, :dim]
             got = lcu.system_block(enc.apply_w, enc.size, dim)
             assert np.max(np.abs(got - synth / enc.subnormalization)) <= 1e-10
 
@@ -163,7 +164,7 @@ def test_criterion_04_projected_encoding_reproduces_the_step():
 def test_criterion_05_amplified_block_and_success_weight():
     for decomp in rounding_instances():
         sched = schedule(decomp.term_count, 0, 1, 1.0)
-        d = dc.sparsity(decomp, sched)
+        d = dc.ScheduleOverlaps(decomp, sched).d
         overlaps = dc.ScheduleOverlaps(decomp, sched)
         exact = sh.transition_operator(overlaps, 0)
         for bits in BITS_GRID:
@@ -171,8 +172,8 @@ def test_criterion_05_amplified_block_and_success_weight():
             # the applied reflections on registers of up to 2^17 amplitudes;
             # one larger walk takes about 25 s, so those check the
             # singular-value form
-            method = "iterate" if step.size <= 1 << 17 else "svd"
-            block, weight = step.amplified(method=method)
+            iterate = step.size <= 1 << 17
+            block, weight = applied_amplification(step) if iterate else step.amplified()
             assert spectral_norm(block - exact) <= sh.amplified_defect_bound(d, bits)
             assert weight >= sh.success_weight_bound(d, bits)
 
@@ -244,7 +245,7 @@ def test_criterion_10_phase_corrected_propagator_and_path_sum():
         for pot in (harmonic, well):
             counter = dc.QueryCounter()
             u = lat.lagrangian_propagator(cfg, pot, counter=counter)
-            u = u * lat.propagator_global_phase(cfg, pot)
+            u = u * lat.step_global_phase(cfg, pot) ** cfg.r
             ref = np.linalg.matrix_power(lat.split_step_reference(cfg, pot), cfg.r)
             assert spectral_norm(u - ref) <= 1e-9
             assert counter.snapshot()["action"] == 2 * cfg.r

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +43,7 @@ def test_spec_round_trip():
         seed=123456789,
         output="out.csv",
     )
-    wire = json.loads(json.dumps(cli.spec_to_dict(spec)))
+    wire = json.loads(json.dumps(dataclasses.asdict(spec)))
     assert cli.spec_from_dict(wire) == spec
 
 
@@ -697,6 +701,27 @@ def test_malformed_inline_flags(tmp_path):
         assert cli.main(argv) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["short-sim", "--k", "abc"],
+    ["long-sim", "--r", "3.5"],
+    ["short-sim", "--bogus", "1"],
+    [],
+], ids=["k-not-int", "r-fraction", "unknown-flag", "empty"])
+def test_unparsable_flags_exit_2_with_one_json_line(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == "spec"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pathint")
+
+
 def test_long_sim_interaction_frame_system(tmp_path):
     # the frame's drift scales with total time, so the generator must be
     # weak for the slow-sweep expansion to stay controlled at T = 40
@@ -774,6 +799,25 @@ def test_inline_flags_match_the_written_document(tmp_path, kind):
     ))
     assert cli.main([kind, "--spec", str(spec_path)]) == 0
     assert (out.read_bytes(), json.loads(manifest.read_text())["spec_hash"]) == from_flags
+
+
+@pytest.mark.parametrize("kind", ["short-sim", "trotter-error", "long-sim"])
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, kind):
+    """One and two BLAS threads write the same CSV.  Each run is a new
+    process, since the thread count is read when numpy loads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"x{threads}.csv"
+        env = dict(
+            os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        argv = flag_argv(kind, INVOCATIONS[kind][0]) + ["--out", str(out)]
+        subprocess.run([sys.executable, "-m", "pathint.cli", *argv], env=env, check=True,
+                       timeout=60)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_required_flags_cover_every_document_parameter():
@@ -938,10 +982,15 @@ FAR_OUT = {
     "short-t": ("short-sim", {"--t": "1e300"}, 0),
     "trotter-coeff": ("trotter-error", {"--decomp": _pauli_flag(("Z", 1e300), ("X", 1.0))}, 0),
     "short-coeff": ("short-sim", {"--decomp": _pauli_flag(("Z", 1e300), ("X", 1.0))}, 0),
+    "trotter-dense-commutator": ("trotter-error", {"--decomp": json.dumps({"n": 1, "terms": [
+        [[[1e200, 0], [0, 0]], [[0, 0], [-1e200, 0]]],
+        [[[0, 0], [1e200, 0]], [[1e200, 0], [0, 0]]],
+    ]})}, 0),
     "trotter-k0-commutator": ("trotter-error", {"--k": "0", "--decomp": _pauli_flag(
         ("ZZ", 1e200), ("XX", 1e200), ("YZ", 1.0))}, 0),
     "harmonic-omega": ("lagrangian-sim", {"--potential": "harmonic:1e300,1"}, 2),
     "gaussian-width": ("lagrangian-sim", {"--initial": "gaussian:0,1e300,0"}, 2),
+    "gaussian-center": ("lagrangian-sim", {"--initial": "gaussian:1e300,1,0"}, 2),
     "xmax-tiny": ("lagrangian-sim", {"--n": "4", "--xmax": "1e-300"}, 2),
 }
 BOUND_COLUMNS = {"bound", "truncation_bound"}

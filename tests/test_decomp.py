@@ -51,25 +51,25 @@ def test_build_example_eigenbases_as_sets():
 
 def test_sparsity_examples():
     zzx = dc.build([pauli_string("ZZ"), pauli_string("ZX")])
-    assert dc.sparsity(zzx, two_term_schedule()) == 2
+    assert dc.ScheduleOverlaps(zzx, two_term_schedule()).d == 2
     zxy = dc.build([pauli_string("Z"), pauli_string("X"), pauli_string("Y")])
-    assert dc.sparsity(zxy, trotter.schedule(3, 1, 1, 1.0)) == 2
+    assert dc.ScheduleOverlaps(zxy, trotter.schedule(3, 1, 1, 1.0)).d == 2
     # Degenerate X.X spectrum: the deterministic gauge picks the sparse
     # (|00> +- |11>)/sqrt(2), (|01> +- |10>)/sqrt(2) combinations, so each
     # state couples to exactly two computational states.
     zzxx = dc.build([pauli_string("ZZ"), pauli_string("XX")])
-    assert dc.sparsity(zzxx, two_term_schedule()) == 2
+    assert dc.ScheduleOverlaps(zzxx, two_term_schedule()).d == 2
     # Lifting the degeneracy restores the dense product eigenbasis |+->|+->
     # and with it full coupling to the computational basis.
     dense = dc.build([pauli_string("ZZ"), pauli_string("XX") + 0.5 * pauli_string("XI")])
-    assert dc.sparsity(dense, two_term_schedule()) == 4
+    assert dc.ScheduleOverlaps(dense, two_term_schedule()).d == 4
 
 
 def test_sparsity_trivial_cases():
     single = dc.build([pauli_string("Z")])
-    assert dc.sparsity(single, trotter.schedule(1, 0, 1, 1.0)) == 1
+    assert dc.ScheduleOverlaps(single, trotter.schedule(1, 0, 1, 1.0)).d == 1
     diag_pair = dc.build([pauli_string("Z"), np.diag([0.3, -0.2]).astype(complex)])
-    assert dc.sparsity(diag_pair, two_term_schedule()) == 1
+    assert dc.ScheduleOverlaps(diag_pair, two_term_schedule()).d == 1
     ov = dc.ScheduleOverlaps(diag_pair, two_term_schedule())
     assert ov.d == 1
     for m in range(4):

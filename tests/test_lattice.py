@@ -32,7 +32,6 @@ from pathint.lattice import (
     momentum_mode_mask,
     momentum_op,
     position_op,
-    propagator_global_phase,
     split_step_reference,
     square_well_potential,
     step_global_phase,
@@ -261,7 +260,7 @@ def test_propagator_matches_split_power():
     cfg = LatticeConfig(n=6, x_max=12.0, mass=1.0, r=8)
     pot = harmonic_mid(cfg)
     u = lagrangian_propagator(cfg, pot)
-    g = propagator_global_phase(cfg, pot)
+    g = step_global_phase(cfg, pot) ** cfg.r
     ref = np.linalg.matrix_power(split_step_reference(cfg, pot), 8)
     assert spectral_norm(u * g - ref) < 1e-9
     assert spectral_norm(u.conj().T @ u - np.eye(64)) < 1e-10
@@ -277,7 +276,7 @@ def test_brute_force_path_sum_agreement():
     cfg = LatticeConfig(n=2, x_max=4.0, mass=1.0, r=3)
     pot = harmonic_mid(cfg, omega=1.0)
     brute = brute_force_propagator(cfg, pot)
-    stepped = lagrangian_propagator(cfg, pot) * propagator_global_phase(cfg, pot)
+    stepped = lagrangian_propagator(cfg, pot) * step_global_phase(cfg, pot) ** cfg.r
     assert spectral_norm(brute - stepped) < 1e-8
     ref = np.linalg.matrix_power(split_step_reference(cfg, pot), 3)
     assert spectral_norm(brute - ref) < 1e-10
@@ -305,9 +304,9 @@ def test_constant_potential_is_global_phase():
     cfg = LatticeConfig(n=5, x_max=6.0, mass=1.0, r=4)
     level = 0.7
     shifted = lagrangian_propagator(cfg, constant_potential(level))
-    shifted = shifted * propagator_global_phase(cfg, constant_potential(level))
+    shifted = shifted * step_global_phase(cfg, constant_potential(level)) ** cfg.r
     free = lagrangian_propagator(cfg, zero_potential())
-    free = free * propagator_global_phase(cfg, zero_potential())
+    free = free * step_global_phase(cfg, zero_potential()) ** cfg.r
     assert spectral_norm(shifted - free * np.exp(-1j * level * cfg.total_time)) < 1e-10
 
 
@@ -317,7 +316,7 @@ def test_query_accounting():
     counter = QueryCounter()
     lagrangian_propagator(cfg, pot, counter=counter)
     assert counter.snapshot() == {"action": 10, "qft": 5}
-    counter.reset()
+    counter = QueryCounter()
     state = gaussian_packet(cfg, cfg.x_max / 2, 0.8, 0.0)
     lagrangian_step(cfg, pot, state, counter=counter)
     assert counter.snapshot() == {"action": 2, "qft": 1}

@@ -20,7 +20,7 @@ def test_replica_average_is_the_mean_of_the_weight_rule():
         width = 1 << bits
         replicas = np.arange(width)
         for thr in (0, 1, 2, 5, width - 1, width):
-            explicit = np.mean(lcu.replica_weight(replicas, thr))
+            explicit = np.mean(np.where(lcu.replica_flip(replicas, thr), -1.0, 1.0))
             assert lcu.replica_average(thr, bits) == explicit
 
 

@@ -12,6 +12,7 @@ from pathint.linalg import exp_unitary, spectral_norm
 from pathint.trotter import schedule, trotter_unitary
 
 from support import (
+    applied_amplification,
     class_edges,
     pauli_string,
     projected_step,
@@ -238,7 +239,7 @@ def test_alternating_sum_matches_definitional_average():
                 flipped = np.vstack([u[dim:], u[:dim]])
                 acc += flipped
     acc /= 1 << bits
-    got = sh.alternating_sum(overlaps, 0, bits)
+    got = sh._step_cells(overlaps, 0, bits).average()
     assert np.max(np.abs(acc - got)) <= 1e-12
 
 
@@ -273,7 +274,7 @@ def test_alternating_sum_defect_bound():
     sched = schedule(2, 0, 1, 1.0)
     overlaps = dc.ScheduleOverlaps(decomp, sched)
     exact = sh.transition_operator(overlaps, 0)
-    d = dc.sparsity(decomp, sched)
+    d = dc.ScheduleOverlaps(decomp, sched).d
     for bits in (4, 6, 8, 10):
         approx = projected_step(overlaps, 0, bits)
         defect = spectral_norm(approx - exact)
@@ -283,7 +284,7 @@ def test_alternating_sum_defect_bound():
 def test_alternating_sum_block_structure():
     decomp = zz_zx()
     dim = decomp.dim
-    full = sh.alternating_sum(dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 1.0)), 0, 5)
+    full = sh._step_cells(dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 1.0)), 0, 5).average()
     assert np.all(full[:, dim:] == 0)
     assert np.all(full[dim:, :dim] == 0)
 
@@ -315,7 +316,7 @@ def test_block_identity_examples():
         overlaps = dc.ScheduleOverlaps(decomp, sched)
         enc = sh.BlockEncoding(overlaps, m, bits)
         dim = decomp.dim
-        synth = sh.alternating_sum(overlaps, m, bits)[:dim, :dim]
+        synth = sh._step_cells(overlaps, m, bits).average()[:dim, :dim]
         got = lcu.system_block(enc.apply_w, enc.size, dim) * enc.subnormalization
         assert np.max(np.abs(got - synth)) <= 1e-10
 
@@ -323,14 +324,14 @@ def test_block_identity_examples():
 def test_block_identity_with_padded_colors():
     decomp = three_sparse_pair()
     sched = schedule(2, 0, 1, 0.9)
-    assert dc.sparsity(decomp, sched) == 3
+    assert dc.ScheduleOverlaps(decomp, sched).d == 3
     overlaps = dc.ScheduleOverlaps(decomp, sched)
     assert overlaps.d == 3
     enc = sh.BlockEncoding(overlaps, 0, 5)
     assert enc.d_pad == 4
     assert enc.subnormalization == 16.0
     dim = decomp.dim
-    synth = sh.alternating_sum(overlaps, 0, 5)[:dim, :dim]
+    synth = sh._step_cells(overlaps, 0, 5).average()[:dim, :dim]
     got = lcu.system_block(enc.apply_w, enc.size, dim) * enc.subnormalization
     assert np.max(np.abs(got - synth)) <= 1e-10
 
@@ -339,7 +340,7 @@ def test_block_encoding_w_unitary_small():
     decomp = z_x()
     sched = schedule(2, 0, 1, 1.0)
     enc = sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), 0, 3)
-    w = enc.w_matrix()
+    w = lcu.system_block(enc.apply_w, enc.size, enc.size)
     assert spectral_norm(w @ w.conj().T - np.eye(enc.size)) <= 1e-10
 
 
@@ -348,7 +349,7 @@ def test_block_encoding_dense_cap():
     sched = schedule(2, 0, 1, 1.0)
     enc = sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), 0, 12)
     with pytest.raises(CapExceeded):
-        enc.w_matrix()
+        lcu.system_block(enc.apply_w, enc.size, enc.size)
 
 
 def test_block_encoding_apply_is_isometric():
@@ -390,7 +391,7 @@ def test_amplified_single_color_is_block_itself():
     step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, 0, 6))
     assert step.p == 0
     assert step.a_prime == pytest.approx(1.0)
-    block, weight = step.amplified(method="iterate")
+    block, weight = applied_amplification(step)
     flat = step.flagged_block()
     assert np.max(np.abs(block - flat)) <= 1e-12
     exact = sh.transition_operator(overlaps, 0)
@@ -406,8 +407,8 @@ def test_amplified_svd_matches_applied_reflections():
     ]
     for decomp, sched, m, bits in cases:
         step = sh.AmplifiedStep(sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), m, bits))
-        by_iter, w_iter = step.amplified(method="iterate")
-        by_svd, w_svd = step.amplified(method="svd")
+        by_iter, w_iter = applied_amplification(step)
+        by_svd, w_svd = step.amplified()
         assert np.max(np.abs(by_iter - by_svd)) <= 1e-11
         assert w_iter == pytest.approx(w_svd, abs=1e-11)
 
@@ -431,11 +432,11 @@ def test_amplified_accuracy_and_success_weight():
     sched = schedule(2, 0, 1, 1.0)
     overlaps = dc.ScheduleOverlaps(decomp, sched)
     exact = sh.transition_operator(overlaps, 0)
-    d = dc.sparsity(decomp, sched)
+    d = dc.ScheduleOverlaps(decomp, sched).d
     for bits in (6, 8, 10):
         step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, 0, bits))
         assert step.p == 3
-        block, weight = step.amplified(method="iterate")
+        block, weight = applied_amplification(step)
         assert spectral_norm(block - exact) <= sh.amplified_defect_bound(d, bits)
         assert weight >= sh.success_weight_bound(d, bits)
 
@@ -459,18 +460,15 @@ def test_simulate_query_accounting():
     decomp = z_x()
     counts = {}
     for r in (2, 4):
-        counter = dc.QueryCounter()
-        res = sh.simulate(decomp, k=0, r=r, t=0.8, bits=6, counter=counter)
+        res = sh.simulate(decomp, k=0, r=r, t=0.8, bits=6)
         assert res.p == 3
         per_step = 2 * res.p + 1
         want = {name: res.M * per_step * cost for name, cost in sh.SELECT_BUDGET.items()}
-        assert counter.snapshot() == want
-        counts[r] = counter.snapshot()
+        assert res.queries == want
+        counts[r] = res.queries
     assert counts[4]["index"] == 2 * counts[2]["index"]
     # query totals do not depend on the evolution time
-    counter = dc.QueryCounter()
-    sh.simulate(decomp, k=0, r=2, t=2.5, bits=6, counter=counter)
-    assert counter.snapshot() == counts[2]
+    assert sh.simulate(decomp, k=0, r=2, t=2.5, bits=6).queries == counts[2]
 
 
 # (decomposition, k, bits) whose flagged registers hold at most 2^17 amplitudes
@@ -485,14 +483,13 @@ def test_simulate_charges_what_the_applied_walk_counts(make, k, bits):
     enc = sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), 0, bits, counted)
     step = sh.AmplifiedStep(enc)
     assert step.size <= 1 << 17
-    step.amplified(method="iterate")
+    step._amplified_iterate()
     # one select per application of W: 2p+1 for each of the dim columns
     per_column = {name: (2 * step.p + 1) * cost for name, cost in sh.SELECT_BUDGET.items()}
     assert counted.snapshot() == {name: enc.dim * v for name, v in per_column.items()}
-    charged = dc.QueryCounter()
-    res = sh.simulate(decomp, k=k, r=2, t=0.8, bits=bits, counter=charged)
+    res = sh.simulate(decomp, k=k, r=2, t=0.8, bits=bits)
     assert res.p == step.p
-    assert charged.snapshot() == {
+    assert res.queries == {
         name: res.M * total // enc.dim for name, total in counted.snapshot().items()
     }
 
@@ -557,9 +554,3 @@ def test_simulate_builds_one_overlap_table(monkeypatch):
     sh.simulate(zz_xx_yz(), k=1, r=2, t=0.7, bits=4)
     assert len(built) == 1
 
-
-def test_simulate_rejects_unknown_method():
-    overlaps = dc.ScheduleOverlaps(z_x(), schedule(2, 0, 1, 1.0))
-    step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, 0, 4))
-    with pytest.raises(SpecError):
-        step.amplified(method="qr")
