@@ -554,6 +554,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, refusing by name a flag before
+    the subcommand: argparse would set it aside and read the value after it
+    as the subcommand."""
+    argv = sys.argv[1:] if argv is None else argv
+    first = argv[0] if argv else ""
+    if first.startswith("-") and first != "-h" and not "--help".startswith(first):
+        raise SpecError(f"unrecognized arguments: {first} (flags follow the subcommand)")
+    return build_parser().parse_args(argv)
+
+
 def _inline_params(args: argparse.Namespace) -> dict[str, Any]:
     params: dict[str, Any] = {}
     for param in _KIND_TABLE[args.kind].params:
@@ -622,7 +633,7 @@ def _fail(category: str, exc: BaseException, code: int) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        spec = _spec_from_args(build_parser().parse_args(argv))
+        spec = _spec_from_args(_parse(argv))
         run(spec)
     except SpecError as exc:
         return _fail("spec", exc, 2)

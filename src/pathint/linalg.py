@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -140,15 +140,31 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
 # Midpoint slices sampled, and exponentiated together, per call of the drive.
 MIDPOINT_CHUNK = 1 << 14
 
-# eigh of one chunk of midpoint slices: (steps, lo) -> (values, vectors).
-MidpointEigensystem = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+
+class MidpointChunk(NamedTuple):
+    """The slices j = lo..lo+k-1 of a midpoint grid, in the factored form
+    ``time_ordered_propagator`` composes; none of it depends on total time.
+
+    With slice j = V_j diag(lambda_j) V_j^H, ``values[j]`` is lambda_j,
+    ``overlaps[j]`` is V_j^H V_{j-1} (V_{-1} = 1, so ``overlaps[0]`` is
+    V_0^H) and ``last`` is V_{k-1}.  A 2-level chunk holds 6k + 4 numbers.
+    """
+
+    values: np.ndarray
+    overlaps: np.ndarray
+    last: np.ndarray
+
+
+# The chunk of a midpoint grid: (steps, lo) -> MidpointChunk.
+MidpointEigensystem = Callable[[int, int], MidpointChunk]
 
 
 def midpoint_eigensystem(
     ham: Callable[[np.ndarray], np.ndarray], steps: int, lo: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> MidpointChunk:
     """``eigh`` of the drive at the midpoints s = (j + 1/2)/steps for the
-    up to 2^14 slices j from lo on.
+    up to 2^14 slices j from lo on, with the overlaps of neighbouring
+    eigenvector frames.
 
     ``ham`` maps an array of s of shape (n,) to the stack of shape
     (n, dim, dim); each matrix is checked Hermitian at its own scale.
@@ -157,7 +173,10 @@ def midpoint_eigensystem(
     hams = np.asarray(ham(s))
     if hams.shape[:-2] != s.shape:
         raise InvariantViolation(f"ham gave shape {hams.shape}, expected ({len(s)}, dim, dim)")
-    return np.linalg.eigh(check_hermitian(hams))
+    values, vectors = np.linalg.eigh(check_hermitian(hams))
+    adj = np.swapaxes(vectors, -1, -2).conj()
+    overlaps = np.concatenate([adj[:1], adj[1:] @ vectors[:-1]])
+    return MidpointChunk(values, overlaps, vectors[-1].copy())
 
 
 def time_ordered_propagator(
@@ -170,10 +189,13 @@ def time_ordered_propagator(
 
     The driving Hamiltonian is sampled at s = (j + 1/2)/steps on the unit
     interval and each slice contributes exp(-i H(s) * total_time/steps),
-    with later slices composed on the left.  Slices are exponentiated a
-    chunk of up to 2^14 at a time, from ``eigensystem(steps, lo)``, by
-    default ``midpoint_eigensystem(ham, steps, lo)``, so reference-grade
-    step counts stay affordable.
+    with later slices composed on the left.  Slices are taken a chunk of up
+    to 2^14 at a time, from ``eigensystem(steps, lo)``, by default
+    ``midpoint_eigensystem(ham, steps, lo)``, so reference-grade step
+    counts stay affordable.  A chunk is composed as
+    V_last · Π_j (diag(p_j) · overlaps[j]) with the phases
+    p_j = exp(-i lambda_j dt) scaling rows, so the only work that depends on
+    total time is the phases and one ordered product of the chunk's factors.
     """
     if steps < 1:
         raise InvariantViolation("steps must be positive")
@@ -182,15 +204,10 @@ def time_ordered_propagator(
     dt = total_time / steps
     out = None
     for lo in range(0, steps, MIDPOINT_CHUNK):
-        vals, vecs = eigensystem(steps, lo)
-        if out is None:
-            out = np.eye(vecs.shape[-1], dtype=complex)
-        phases = np.exp(-1j * vals * dt)
-        # the path optimize=True picks, fixed so that no call plans it again
-        slices = np.einsum(
-            "sij,sj,skj->sik", vecs, phases, vecs.conj(), optimize=["einsum_path", (0, 1), (0, 1)]
-        )
-        out = _ordered_product(slices) @ out
+        chunk = eigensystem(steps, lo)
+        phases = np.exp(-1j * chunk.values * dt)
+        block = chunk.last @ _ordered_product(phases[:, :, None] * chunk.overlaps)
+        out = block if out is None else block @ out
     return out
 
 
@@ -216,10 +233,12 @@ def converged_propagator(
     Refinement starts at 64 slices; one past the ``midpoint_slices`` cap
     is refused.
 
-    Each refinement's slice eigensystems come from ``eigensystem``, as in
-    ``time_ordered_propagator``: by default sampled and diagonalized anew
-    from ``ham``, and for a ``long_time.TimeDependentHamiltonian`` read from
-    its ``midpoint_eigensystem`` table, which keeps them across total times.
+    Each refinement's chunks of slice eigenvalues and frame overlaps come
+    from ``eigensystem``, as in ``time_ordered_propagator``: by default
+    sampled and diagonalized anew from ``ham``, and for a
+    ``long_time.TimeDependentHamiltonian`` read from its
+    ``midpoint_eigensystem`` table, which keeps them across total times, so
+    a later total time pays only the phases and the ordered products.
     """
     steps = 64
     coarse = time_ordered_propagator(ham, total_time, steps, eigensystem)

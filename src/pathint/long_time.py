@@ -48,8 +48,10 @@ from . import lcu
 from .decomp import MAX_BITS, QueryCounter, round_to_bits
 from .errors import CAPS, InvariantViolation, SpecError, require_cap
 from .linalg import (
+    MidpointChunk,
     check_hermitian,
     converged_propagator,
+    exp_unitary,
     hermitian_eig,
     midpoint_eigensystem,
     spectral_norm,
@@ -91,16 +93,20 @@ class TimeDependentHamiltonian:
 
     ``h`` and ``dh`` are array-valued: an array of s of shape S gives the
     stack of shape S + (dim, dim), a float s one matrix; ``sample`` reads them.
+    ``exact_propagator``, where the system has one, maps a total time T to
+    the exact U(1) of i dU/ds = T h(s) U, U(0) = 1; ``longtime_error``
+    measures against it instead of the converged midpoint rule.
     """
 
     dim: int
     h: Callable[[float | np.ndarray], np.ndarray]
     dh: Callable[[float | np.ndarray], np.ndarray]
     grid: int = 64
+    exact_propagator: Callable[[float], np.ndarray] | None = None
     _frames: dict[int, tuple[SmoothEigensystem, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _midpoints: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
+    _midpoints: dict[tuple[int, int], MidpointChunk] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -171,11 +177,11 @@ class TimeDependentHamiltonian:
             self._frames[r] = (eigsys, rates)
         return self._frames[r]
 
-    def midpoint_eigensystem(self, steps: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    def midpoint_eigensystem(self, steps: int, lo: int) -> MidpointChunk:
         """``linalg.midpoint_eigensystem`` of h, kept per (steps, lo) chunk.
 
-        The midpoint grids of a reference propagator depend on the sweep
-        alone, so every total time's ``longtime_error`` reads the same
+        A chunk's eigenvalues, frame overlaps and last frame depend on the
+        sweep alone, so every total time's ``longtime_error`` reads the same
         ones.  A chunk is kept, read-only, only while the table's entries
         stay within the ``panel_entries`` cap; one past it is sampled and
         diagonalized again on every call.
@@ -183,12 +189,13 @@ class TimeDependentHamiltonian:
         key = (steps, lo)
         if key in self._midpoints:
             return self._midpoints[key]
-        vals, vecs = midpoint_eigensystem(self.h, steps, lo)
-        held = sum(v.size + w.size for v, w in self._midpoints.values())
-        if held + vals.size + vecs.size <= CAPS["panel_entries"].limit:
-            vals.flags.writeable = vecs.flags.writeable = False
-            self._midpoints[key] = (vals, vecs)
-        return vals, vecs
+        chunk = midpoint_eigensystem(self.h, steps, lo)
+        held = sum(arr.size for kept in self._midpoints.values() for arr in kept)
+        if held + sum(arr.size for arr in chunk) <= CAPS["panel_entries"].limit:
+            for arr in chunk:
+                arr.flags.writeable = False
+            self._midpoints[key] = chunk
+        return chunk
 
 
 _SWEEP_SHAPES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], ...]] = {
@@ -228,7 +235,9 @@ def interaction_frame(
     h(s) = e^{i a s T} bop e^{-i a s T}; the instantaneous spectrum is the
     spectrum of bop at every s, so the sweep is gapped iff bop is.  The
     derivative is the conjugated commutator i T [a, bop], supplied
-    analytically.
+    analytically.  The propagator has a closed form: run for a total time
+    t, U = e^{i a s T} W obeys i dW/ds = (T a + t bop) W, a constant
+    drive, so U(1) = e^{i a T} e^{-i (T a + t bop)}.
     """
     a = check_hermitian(a)
     bop = check_hermitian(bop)
@@ -238,10 +247,13 @@ def interaction_frame(
         comm = a @ bop - bop @ a
     frame = hermitian_eig(a)
 
-    def conjugate(op: np.ndarray, s: float | np.ndarray) -> np.ndarray:
-        # exp_unitary(a, -s T) at every s from one eigensystem, applied to op
+    def rotation(s: float | np.ndarray) -> np.ndarray:
+        # exp_unitary(a, -s T) at every s from one eigensystem
         phases = np.exp(np.multiply.outer(-s * total_time, -1j * frame.values))
-        u = (frame.vectors * phases[..., None, :]) @ frame.vectors.conj().T
+        return (frame.vectors * phases[..., None, :]) @ frame.vectors.conj().T
+
+    def conjugate(op: np.ndarray, s: float | np.ndarray) -> np.ndarray:
+        u = rotation(s)
         return u @ op @ np.swapaxes(u, -1, -2).conj()
 
     def h(s: float | np.ndarray) -> np.ndarray:
@@ -250,7 +262,12 @@ def interaction_frame(
     def dh(s: float | np.ndarray) -> np.ndarray:
         return 1j * total_time * conjugate(comm, s)
 
-    return TimeDependentHamiltonian(dim=a.shape[0], h=h, dh=dh, grid=grid)
+    def exact_propagator(t: float) -> np.ndarray:
+        return rotation(1.0) @ exp_unitary(total_time * a + t * bop, 1.0)
+
+    return TimeDependentHamiltonian(
+        dim=a.shape[0], h=h, dh=dh, grid=grid, exact_propagator=exact_propagator
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +578,9 @@ def truncated_propagator(
 def longtime_error(
     ham: TimeDependentHamiltonian, total_time: float, r: int | None = None
 ) -> float:
-    """Spectral-norm distance from the converged reference propagator,
-    whose midpoint eigensystems ``ham`` keeps across total times.
+    """Spectral-norm distance from the reference propagator: ``ham``'s
+    exact propagator where it has one (an interaction frame), else the
+    converged midpoint rule, whose chunks ``ham`` keeps across total times.
 
     Refuses to run where the truncation has no business converging: the
     expansion is controlled only once drive_ratio^4 / (gap^2 T^2) < 1/2.
@@ -582,9 +600,12 @@ def longtime_error(
         raise SpecError(
             f"total time too short for the truncated expansion (control {control:.3g})"
         )
-    reference = converged_propagator(
-        ham.h, total_time, tol=1e-9, eigensystem=ham.midpoint_eigensystem
-    )
+    if ham.exact_propagator is not None:
+        reference = ham.exact_propagator(total_time)
+    else:
+        reference = converged_propagator(
+            ham.h, total_time, tol=1e-9, eigensystem=ham.midpoint_eigensystem
+        )
     return spectral_norm(reference - truncated_propagator(ham, total_time, r))
 
 

@@ -56,6 +56,27 @@ def propagator_self_check(ham, total_time: float, steps: int) -> float:
     return spectral_norm(u1 - u4) / denom
 
 
+def ode_propagator(h, total_time: float) -> np.ndarray:
+    """U(1) for i dU/ds = T h(s) U, U(0) = 1, by scipy's DOP853 at rtol 1e-13.
+
+    ``h`` maps a float s to one matrix.  The oracle shares nothing with the
+    midpoint rule of ``linalg.converged_propagator``.
+    """
+    from scipy.integrate import solve_ivp
+
+    dim = h(0.0).shape[0]
+
+    def rhs(s: float, y: np.ndarray) -> np.ndarray:
+        return (-1j * total_time * (h(s) @ y.reshape(dim, dim))).reshape(-1)
+
+    sol = solve_ivp(
+        rhs, (0.0, 1.0), np.eye(dim, dtype=complex).reshape(-1),
+        method="DOP853", rtol=1e-13, atol=1e-13,
+    )
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(dim, dim)
+
+
 def kron_all(*mats: np.ndarray) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for m in mats:

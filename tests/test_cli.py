@@ -446,10 +446,11 @@ def test_long_sim_diagonalizes_each_midpoint_grid_once_for_every_total_time(
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
-def test_long_sim_interaction_frame_samples_its_midpoint_grids_once_per_total_time(
-    tmp_path, monkeypatch
-):
+def test_long_sim_interaction_frame_samples_no_midpoint_grid(tmp_path, monkeypatch):
     calls = count_midpoint_grids(monkeypatch)
+    from pathint import long_time
+
+    monkeypatch.setattr(long_time, "converged_propagator", None)
     system = json.dumps({
         "family": "interaction-frame",
         "generator": {"n": 1, "terms": [{"pauli": "Z", "coeff": 0.02}]},
@@ -461,10 +462,9 @@ def test_long_sim_interaction_frame_samples_its_midpoint_grids_once_per_total_ti
         "--out", str(tmp_path / "if.csv"),
     ])
     assert code == 0
-    # one drive per T, each of whose grids is sampled once
-    assert len({h for h, _, _ in calls}) == 2
-    assert len(calls) == len(set(calls))
-    assert [(steps, lo) for _, steps, lo in calls].count((64, 0)) == 2
+    # each T's frame is measured against its closed-form propagator: no
+    # midpoint grid is sampled, and the converged rule is not called
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -705,14 +705,19 @@ def test_malformed_inline_flags(tmp_path):
     ["short-sim", "--k", "abc"],
     ["long-sim", "--r", "3.5"],
     ["short-sim", "--bogus", "1"],
+    ["--bogus", "1"],
     [],
-], ids=["k-not-int", "r-fraction", "unknown-flag", "empty"])
+], ids=["k-not-int", "r-fraction", "unknown-flag", "unknown-flag-first", "empty"])
 def test_unparsable_flags_exit_2_with_one_json_line(capsys, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert json.loads(captured.err)["error"] == "spec"
+    error = json.loads(captured.err)
+    assert error["error"] == "spec"
+    if "--bogus" in argv:
+        # the unknown flag is named, not the value after it
+        assert "--bogus" in error["message"] and "invalid choice" not in error["message"]
 
 
 def test_help_exits_0(capsys):

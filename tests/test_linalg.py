@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from pathint import linalg
 from pathint.errors import InvariantViolation
-from support import PAULI_X, PAULI_Z, pauli_string, propagator_self_check, random_hermitian
+from support import (
+    PAULI_X,
+    PAULI_Z,
+    ode_propagator,
+    pauli_string,
+    propagator_self_check,
+    random_hermitian,
+    random_smooth_system,
+)
 
 
 def herm_strategy(dim: int):
@@ -132,6 +140,41 @@ def test_converged_propagator_agrees_with_refined_midpoint():
     fine = linalg.time_ordered_propagator(ham, 1.5, 1 << 14)
     npt.assert_allclose(ref, fine, atol=1e-7)
     npt.assert_allclose(ref.conj().T @ ref, np.eye(2), atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", ["sine", "linear"])
+@pytest.mark.parametrize("total_time", [20.0, 80.0])
+def test_converged_propagator_matches_an_ode_oracle(shape, total_time):
+    # the long-sim sweeps, h(s) = a Z + b f(s) X, written apart from pathint
+    a, b = 1.0, 0.3 if shape == "sine" else 0.2
+    f = {"sine": lambda s: np.sin(np.pi * s), "linear": lambda s: s}[shape]
+
+    def ham(s):
+        return a * PAULI_Z + np.multiply.outer(b * f(s), PAULI_X)
+
+    got = linalg.converged_propagator(ham, total_time, tol=1e-9)
+    assert linalg.spectral_norm(got - ode_propagator(ham, total_time)) < 1e-9
+
+
+@pytest.mark.parametrize("steps", [9, 4, 1])
+def test_time_ordered_chunk_boundaries_match_the_slice_product(monkeypatch, steps):
+    # with chunks of 4 slices, 9 steps compose chunks of 4, 4 and 1
+    monkeypatch.setattr(linalg, "MIDPOINT_CHUNK", 4)
+    ham = random_smooth_system(np.random.default_rng(5), dim=3, grid=8)
+    total_time = 3.0
+    want = np.eye(3, dtype=complex)
+    for j in range(steps):
+        want = linalg.exp_unitary(ham.h((j + 0.5) / steps), total_time / steps) @ want
+    direct = linalg.time_ordered_propagator(ham.h, total_time, steps)
+    assert linalg.spectral_norm(direct - want) < 1e-13
+    tabled = linalg.time_ordered_propagator(
+        ham.h, total_time, steps, eigensystem=ham.midpoint_eigensystem
+    )
+    assert np.array_equal(tabled, direct)
+    assert sorted(ham._midpoints) == [(steps, lo) for lo in range(0, steps, 4)]
+    assert [len(chunk.values) for chunk in ham._midpoints.values()] == [
+        min(4, steps - lo) for lo in range(0, steps, 4)
+    ]
 
 
 def test_time_ordered_checks_each_slice_at_its_own_scale():

@@ -351,17 +351,23 @@ def test_midpoint_table_arrays_are_read_only():
     ham = sine_family()
     lt.longtime_error(ham, 20.0, r=64)
     assert ham._midpoints
-    for vals, vecs in ham._midpoints.values():
-        assert not vals.flags.writeable and not vecs.flags.writeable
-    vals, vecs = ham.midpoint_eigensystem(64, 0)
-    with pytest.raises(ValueError):
-        vecs[0, 0, 0] = 0.0
+    for chunk in ham._midpoints.values():
+        assert all(not arr.flags.writeable for arr in chunk)
+        # the kept frame is not a view holding the whole eigenvector stack
+        assert chunk.last.base is None
+    chunk = ham.midpoint_eigensystem(64, 0)
+    assert chunk.values.shape == (64, 2) and chunk.overlaps.shape == (64, 2, 2)
+    assert chunk.last.shape == (2, 2)
+    for arr, index in zip(chunk, ((0, 0), (0, 0, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            arr[index] = 0.0
 
 
 def test_midpoint_table_stores_nothing_past_the_panel_cap(monkeypatch):
-    # a 2-level chunk of k slices holds 2k values and 4k vector entries, so
-    # this limit admits the 64- and 128-slice grids and no later one
-    lower_cap(monkeypatch, "panel_entries", 6 * (64 + 128) + 5)
+    # a 2-level chunk of k slices holds 2k values, 4k overlap entries and
+    # a 4-entry frame, so this limit admits the 64- and 128-slice grids and
+    # no later one
+    lower_cap(monkeypatch, "panel_entries", (6 * 64 + 4) + (6 * 128 + 4) + 5)
     calls = []
     original = lt.midpoint_eigensystem
 
@@ -418,6 +424,27 @@ def test_interaction_frame_spectrum_static():
         assert np.max(np.abs(got - want)) < 1e-10
     lim = 2.0 * spectral_norm(gen) * spectral_norm(coupling) * total_time
     assert spectral_norm(np.asarray(ham.dh(0.3))) <= lim + 1e-9
+
+
+def _random_frame(dim: int, built_at: float) -> lt.TimeDependentHamiltonian:
+    # a weak random generator and a gapped tridiagonal coupling
+    rng = np.random.default_rng(dim)
+    gen = 0.05 * random_hermitian(rng, dim)
+    off = np.diag(rng.uniform(0.2, 0.5, dim - 1), 1)
+    coupling = np.diag(np.arange(dim, dtype=float)) + off + off.T
+    return lt.interaction_frame(gen, coupling.astype(complex), built_at)
+
+
+@pytest.mark.parametrize(
+    "dim, built_at, total_time",
+    [(2, 30.0, 30.0), (2, 80.0, 80.0), (4, 30.0, 30.0), (4, 80.0, 80.0), (2, 30.0, 50.0)],
+)
+def test_interaction_frame_exact_propagator_is_the_converged_one(dim, built_at, total_time):
+    ham = _random_frame(dim, built_at)
+    exact = ham.exact_propagator(total_time)
+    ref = converged_propagator(ham.h, total_time, tol=1e-11)
+    assert spectral_norm(exact - ref) < 1e-9
+    assert spectral_norm(exact.conj().T @ exact - np.eye(dim)) < 1e-12
 
 
 def test_interaction_frame_rejects_degenerate_coupling():
