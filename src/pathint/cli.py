@@ -557,8 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, refusing by name a flag before
     the subcommand: argparse would set it aside and read the value after it
-    as the subcommand."""
+    as the subcommand.  One leading ``--`` end-of-options marker is dropped,
+    since argparse would read it as the subcommand."""
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--"]:
+        argv = argv[1:]
     first = argv[0] if argv else ""
     if first.startswith("-") and first != "-h" and not "--help".startswith(first):
         raise SpecError(f"unrecognized arguments: {first} (flags follow the subcommand)")

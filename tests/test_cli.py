@@ -154,6 +154,23 @@ def test_short_sim_sweep_over_bits(tmp_path):
         assert row[5] <= row[6]
 
 
+def test_short_sim_rounding_error_falls_at_least_at_first_order(tmp_path):
+    # the rounding charge d^2/2^B assumes first order: two more bits cut the
+    # error by 4 at least.  B stays well above the k = 2, r = 8 Trotter floor
+    # (1.1e-6 here), which B = 14 would near.
+    out = tmp_path / "bits.csv"
+    decomp = json.dumps({"n": 1, "terms": [{"pauli": "Z", "coeff": 1.0},
+                                           {"pauli": "X", "coeff": 0.6}]})
+    assert cli.main([
+        "short-sim", "--decomp", decomp, "--k", "2", "--r", "8", "--t", "1",
+        "--bits", "6", "--sweep", "bits:6,8,10,12", "--out", str(out),
+    ]) == 0
+    _, rows = read_rows(out)
+    assert [int(row[2]) for row in rows] == [6, 8, 10, 12]
+    meas = [row[5] for row in rows]
+    assert all(coarse >= 4.0 * fine for coarse, fine in zip(meas, meas[1:]))
+
+
 def test_short_sim_at_twenty_bits(tmp_path):
     out = tmp_path / "b20.csv"
     code = cli.main([
@@ -707,7 +724,9 @@ def test_malformed_inline_flags(tmp_path):
     ["short-sim", "--bogus", "1"],
     ["--bogus", "1"],
     [],
-], ids=["k-not-int", "r-fraction", "unknown-flag", "unknown-flag-first", "empty"])
+    ["--"],
+], ids=["k-not-int", "r-fraction", "unknown-flag", "unknown-flag-first", "empty",
+        "end-of-options-only"])
 def test_unparsable_flags_exit_2_with_one_json_line(capsys, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -718,6 +737,19 @@ def test_unparsable_flags_exit_2_with_one_json_line(capsys, argv):
     if "--bogus" in argv:
         # the unknown flag is named, not the value after it
         assert "--bogus" in error["message"] and "invalid choice" not in error["message"]
+    if argv == ["--"]:
+        # the marker is not read as the subcommand
+        assert "invalid choice" not in error["message"]
+
+
+def test_leading_end_of_options_marker_is_dropped(tmp_path):
+    argv = flag_argv("short-sim", INVOCATIONS["short-sim"][0])
+    csvs = []
+    for name, prefix in (("plain", []), ("marked", ["--"])):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(prefix + argv + ["--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_help_exits_0(capsys):

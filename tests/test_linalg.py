@@ -142,18 +142,55 @@ def test_converged_propagator_agrees_with_refined_midpoint():
     npt.assert_allclose(ref.conj().T @ ref, np.eye(2), atol=1e-10)
 
 
-@pytest.mark.parametrize("shape", ["sine", "linear"])
-@pytest.mark.parametrize("total_time", [20.0, 80.0])
-def test_converged_propagator_matches_an_ode_oracle(shape, total_time):
-    # the long-sim sweeps, h(s) = a Z + b f(s) X, written apart from pathint
-    a, b = 1.0, 0.3 if shape == "sine" else 0.2
-    f = {"sine": lambda s: np.sin(np.pi * s), "linear": lambda s: s}[shape]
+def _drive(name):
+    # the long-sim sweeps, h(s) = a Z + b f(s) X, written apart from pathint,
+    # or a seeded 3-level system
+    if name.startswith("3-level"):
+        return random_smooth_system(np.random.default_rng(int(name[-1])), dim=3).h
+    a, b = 1.0, 0.3 if name == "sine" else 0.2
+    f = {"sine": lambda s: np.sin(np.pi * s), "linear": lambda s: s}[name]
 
     def ham(s):
         return a * PAULI_Z + np.multiply.outer(b * f(s), PAULI_X)
 
+    return ham
+
+
+@pytest.mark.parametrize("shape", ["sine", "linear", "3-level-0", "3-level-1"])
+@pytest.mark.parametrize("total_time", [20.0, 40.0, 80.0])
+def test_converged_propagator_matches_an_ode_oracle(shape, total_time):
+    ham = _drive(shape)
     got = linalg.converged_propagator(ham, total_time, tol=1e-9)
     assert linalg.spectral_norm(got - ode_propagator(ham, total_time)) < 1e-9
+
+
+@pytest.mark.parametrize("shape", ["sine", "linear"])
+@pytest.mark.parametrize("total_time", [20.0, 80.0])
+def test_once_extrapolated_midpoint_rule_is_fourth_order(shape, total_time):
+    # the midpoint rule's error is even in the step, so after the h^2 term
+    # is eliminated the next is h^4: each doubling cuts the differences of
+    # the once-extrapolated values by 16
+    ham = _drive(shape)
+    grids = [linalg.time_ordered_propagator(ham, total_time, n) for n in (512, 1024, 2048, 4096)]
+    once = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(grids, grids[1:])]
+    first, second = (linalg.spectral_norm(b - a) for a, b in zip(once, once[1:]))
+    assert 12.0 <= first / second <= 20.0
+
+
+@pytest.mark.parametrize("shape", ["sine", "linear"])
+def test_converged_propagator_grids_with_two_eliminations(shape):
+    # removing the h^4 term as well lets the sweeps converge on grids of at
+    # most 512, 1024 and 2048 slices at T = 20, 40 and 80
+    ham = _drive(shape)
+    for total_time, finest in ((20.0, 512), (40.0, 1024), (80.0, 2048)):
+        steps = []
+
+        def counting(n, lo):
+            steps.append(n)
+            return linalg.midpoint_eigensystem(ham, n, lo)
+
+        linalg.converged_propagator(ham, total_time, eigensystem=counting)
+        assert steps[:3] == [64, 128, 256] and max(steps) <= finest
 
 
 @pytest.mark.parametrize("steps", [9, 4, 1])
