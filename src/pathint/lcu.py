@@ -14,9 +14,11 @@ The select register is viewed as ``(lead, 2^B, colors, 2N)`` with the
 cells stacked in ``(lead, colors)`` order, so the leading axes and the
 color axes together index the cells.  By the LCU lemma an encoding's
 zero-ancilla block is the cell sum weighted by |PREP[k, 0]|^2 and averaged
-over replicas (``SignedPermutationCells.average``); walking the register
-(``system_block``) is the oracle the tests check it against.  ``route`` is
-the one rule that writes a colored edge of either encoding into a cell.
+over replicas (``SignedPermutationCells.average``), which is also the sum
+of the routed edges alone, each at its replica average times its phase;
+walking the register (``system_block``) is the oracle the tests check both
+against.  ``edge_rule`` gives a colored edge of either encoding its phase
+and threshold, and ``route`` writes edges into a cell with it.
 """
 
 from __future__ import annotations
@@ -77,27 +79,37 @@ def _times(a: np.ndarray | complex, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def edge_rule(
+    amp: np.ndarray, carried: np.ndarray | complex, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase and threshold of colored edges given as columns.
+
+    The one edge rule of both encodings: an edge of amplitude ``amp`` that
+    carries the phase ``carried`` gets phase ``carried`` times
+    ``unit_phase(amp)`` and threshold ``round_to_bits(|amp|, bits)``.
+    |amp| is ``hypot(re, im)`` and the phase product is written out in real
+    arithmetic, so every entry has the bits of the same edge written as
+    numpy scalars one at a time.
+    """
+    return _times(carried, unit_phase(amp)), round_to_bits(np.hypot(amp.real, amp.imag), bits)
+
+
 def route(
     perm: np.ndarray, phase: np.ndarray, thr: np.ndarray, bits: int,
     k: np.ndarray, j: np.ndarray, to: np.ndarray, amp: np.ndarray, carried: np.ndarray | complex,
 ) -> None:
     """Write colored edges into the select columns of ``(perm, phase, thr)``.
 
-    The one edge rule of both encodings, for edges given as columns: edge
-    ``(k, j, to, amp, carried)`` maps column j of cell k to row ``to`` and
-    the mirrored column N + ``to`` to row N + j, with phase ``carried``
-    times ``unit_phase(amp)`` and threshold ``round_to_bits(|amp|, bits)``
-    on column j.  Two edges of one cell that share a target leave a row
-    that is not a permutation, which ``SignedPermutationCells`` refuses.
-    |amp| is ``hypot(re, im)`` and the phase product is written out in real
-    arithmetic, so every entry has the bits of the same edge written as
-    numpy scalars one at a time.
+    Edge ``(k, j, to, amp, carried)`` maps column j of cell k to row ``to``
+    and the mirrored column N + ``to`` to row N + j, with the phase and
+    threshold of ``edge_rule`` on column j.  Two edges of one cell that
+    share a target leave a row that is not a permutation, which
+    ``SignedPermutationCells`` refuses.
     """
     dim = perm.shape[1] // 2
     perm[k, j] = to
     perm[k, dim + to] = dim + j
-    phase[k, j] = _times(carried, unit_phase(amp))
-    thr[k, j] = round_to_bits(np.hypot(amp.real, amp.imag), bits)
+    phase[k, j], thr[k, j] = edge_rule(amp, carried, bits)
 
 
 def hadamard_axes(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:

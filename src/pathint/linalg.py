@@ -100,10 +100,14 @@ def hermitian_eig(h: np.ndarray) -> EigenSystem:
 
 
 def exp_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H via eigendecomposition."""
-    eig = hermitian_eig(h)
-    phases = np.exp(-1j * eig.values * t)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+    """exp(-i H t) for Hermitian H as V diag(e^{-i lambda t}) V^H from one ``eigh``.
+
+    The product does not depend on the basis ``eigh`` picks inside a
+    degenerate cluster, so no gauge is fixed: ``hermitian_eig`` is for
+    callers that read the eigenvectors.
+    """
+    values, vectors = np.linalg.eigh(check_hermitian(h))
+    return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
 
 
 def qft_matrix(n: int) -> np.ndarray:

@@ -18,6 +18,7 @@ axis in front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,15 +108,13 @@ def _pad_colors(d: int) -> int:
     return p
 
 
-def _step_cells(overlaps: ScheduleOverlaps, m: int, bits: int) -> lcu.SignedPermutationCells:
-    """Select cells of one step: the d^2-coloring of its overlap graph.
+def _step_edges(overlaps: ScheduleOverlaps, m: int):
+    """Colored edges of one step, as ``lcu.route`` columns ``(k, j, q, amp, carried)``.
 
     The genuine edge j -> q, where q is the c1-th genuine partner of j and
     j the c2-th genuine partner of q (both counted in ascending order), goes
-    to cell (c1, c2) and carries the overlap phase times the eigenphase of
-    j and the rounded overlap magnitude.  Every other column keeps the
-    folded side flip with threshold 0 and cancels in the replica average;
-    padding colors hold no edges.
+    to cell k = c1 * d_pad + c2 and carries the overlap amplitude and the
+    eigenphase of j.
     """
     table = overlaps.pair_for_step(m)
     values, _, tau = _factor_eigendata(overlaps.decomp, overlaps.schedule, m)
@@ -124,10 +123,22 @@ def _step_cells(overlaps: ScheduleOverlaps, m: int, bits: int) -> lcu.SignedPerm
     q, j = np.nonzero(genuine)
     c1 = np.cumsum(genuine, axis=0)[q, j] - 1
     c2 = np.cumsum(genuine, axis=1)[q, j] - 1
-    perm, phase, thr = lcu.blank_cells(colors * colors, overlaps.decomp.dim)
     eigenphase = np.exp(-1j * values * tau)
-    lcu.route(perm, phase, thr, bits, c1 * colors + c2, j, q, table.overlap[q, j], eigenphase[j])
-    return lcu.SignedPermutationCells(perm, phase, thr, bits, colors * colors)
+    return c1 * colors + c2, j, q, table.overlap[q, j], eigenphase[j]
+
+
+def _step_cells(overlaps: ScheduleOverlaps, m: int, bits: int) -> lcu.SignedPermutationCells:
+    """Select cells of one step: the d^2-coloring of its overlap graph.
+
+    Each edge of ``_step_edges`` is routed into its cell with its phase and
+    rounded overlap magnitude.  Every other column keeps the folded side
+    flip with threshold 0 and cancels in the replica average; padding
+    colors hold no edges.
+    """
+    cells = _pad_colors(overlaps.d) ** 2
+    perm, phase, thr = lcu.blank_cells(cells, overlaps.decomp.dim)
+    lcu.route(perm, phase, thr, bits, *_step_edges(overlaps, m))
+    return lcu.SignedPermutationCells(perm, phase, thr, bits, cells)
 
 
 def synthesis_defect_bound(d: int, bits: int) -> float:
@@ -142,11 +153,13 @@ def synthesis_defect_bound(d: int, bits: int) -> float:
 class BlockEncoding:
     """Uniform-PREP block encoding of one synthesized transition step.
 
-    The unitary is applied as structured tensor operations; ``block()`` is
-    its closed-form zero-ancilla block, which ``lcu.system_block`` checks by
-    walking ``apply_w`` over the register (refused above the
-    ``walk_register`` cap).  Applying the select stage charges the
-    per-application oracle budget to the counter.
+    The encoding keeps its step's colored edges.  ``block()`` is its
+    closed-form zero-ancilla block, summed from those edges; the register
+    walks (``prep``, ``apply_select``, ``apply_w``) apply the unitary as
+    structured tensor operations on select ``cells`` built on first use,
+    and ``lcu.system_block`` checks ``block()`` by walking ``apply_w``
+    (refused above the ``walk_register`` cap).  Applying the select stage
+    charges the per-application oracle budget to the counter.
     """
 
     def __init__(
@@ -167,7 +180,13 @@ class BlockEncoding:
         self.subnormalization = float(self.d_pad**2)
         self.shape = (self.width, self.d_pad, self.d_pad, 2, self.dim)
         self.size = int(np.prod(self.shape))
-        self.cells = _step_cells(overlaps, m, bits)
+        self._overlaps, self._m = overlaps, m
+        self.edges = _step_edges(overlaps, m)
+
+    @cached_property
+    def cells(self) -> lcu.SignedPermutationCells:
+        """Select cells of the register walks, built on first use."""
+        return _step_cells(self._overlaps, self._m, self.bits)
 
     # -- structured applications --------------------------------------------
 
@@ -192,8 +211,19 @@ class BlockEncoding:
         return self.prep(v)
 
     def block(self) -> np.ndarray:
-        """System block of Pi W Pi; PREP|0> is uniform over the d_pad^2 cells."""
-        return self.cells.average()[: self.dim, : self.dim] / self.subnormalization
+        """System block of Pi W Pi, summed from the step's edges.
+
+        PREP|0> is uniform over the d_pad^2 cells and each genuine edge
+        (q, j) lies in one of them, so by the LCU lemma entry (q, j) is its
+        replica average times its phase over d_pad^2: bit for bit the
+        side-0 block of ``cells.average()`` over the subnormalization.
+        """
+        _, j, q, amp, carried = self.edges
+        phase, thr = lcu.edge_rule(amp, carried, self.bits)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        # added to zero as in the cell sum, which turns a -0.0 into +0.0
+        out[q, j] += lcu.replica_average(thr, self.bits) * phase
+        return out / self.subnormalization
 
 
 # ---------------------------------------------------------------------------

@@ -224,9 +224,9 @@ def test_trotter_error_under_the_alpha_cap_writes_pinned_bytes(tmp_path):
     assert code == 0
     assert out.read_bytes() == (
         b"k,r,bound,measured\n"
-        b"3,1,22.501980000000007,9.0456426734499151e-07\n"
-        b"3,2,0.35159343750000011,1.3362682545963359e-08\n"
-        b"3,4,0.0054936474609375016,2.0595666347619136e-10\n"
+        b"3,1,22.501980000000007,9.0456426740309913e-07\n"
+        b"3,2,0.35159343750000011,1.3362683609203811e-08\n"
+        b"3,4,0.0054936474609375016,2.0595540358602595e-10\n"
     )
 
 
@@ -242,9 +242,9 @@ def test_trotter_error_on_pauli_terms_takes_the_symplectic_sum(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()]
     assert rows[0] == ["k", "r", "bound", "measured"]
     assert [row[:2] + row[3:] for row in rows[1:]] == [
-        ["3", "1", "9.0456426734499151e-07"],
-        ["3", "2", "1.3362682545963359e-08"],
-        ["3", "4", "2.0595666347619136e-10"],
+        ["3", "1", "9.0456426740309913e-07"],
+        ["3", "2", "1.3362683609203811e-08"],
+        ["3", "4", "2.0595540358602595e-10"],
     ]
     dense = [22.501980000000007, 0.35159343750000011, 0.0054936474609375016]
     for row, want in zip(rows[1:], dense):
@@ -855,6 +855,19 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, kind):
                        timeout=60)
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_cli_import_leaves_scipy_out():
+    """A fresh process that imports the CLI loads no scipy, whose import
+    time would land in every run's set-up."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    probe = "import sys, pathint.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=60,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_required_flags_cover_every_document_parameter():

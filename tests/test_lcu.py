@@ -12,7 +12,13 @@ from pathint import short_time as sh
 from pathint.errors import CAPS, CapExceeded, InvariantViolation
 from pathint.trotter import schedule
 
-from support import average_oracle, pauli_string, random_smooth_system, route_oracle
+from support import (
+    average_oracle,
+    pauli_string,
+    random_decomposition_terms,
+    random_smooth_system,
+    route_oracle,
+)
 
 
 def test_replica_average_is_the_mean_of_the_weight_rule():
@@ -111,6 +117,34 @@ def short_encodings(bits):
     return out
 
 
+def edge_sum_decompositions():
+    """The three decompositions above, a 5-qubit Pauli document of the
+    short-wide shape and a dense-matrix decomposition."""
+    wide = dc.decomposition_from_json({"n": 5, "terms": [
+        {"pauli": "ZZIII", "coeff": 0.8}, {"pauli": "XXIII", "coeff": 0.45},
+        {"pauli": "IIYZI", "coeff": 0.6},
+    ]})
+    dense = dc.build(random_decomposition_terms(np.random.default_rng(30), 2, 3))
+    return [
+        dc.build([pauli_string(label) for label in labels])
+        for labels in (("Z", "X"), ("ZZ", "ZX"), ("ZZ", "XX", "YZ"))
+    ] + [wide, dense]
+
+
+@pytest.mark.parametrize("bits", [3, 8, 12])
+def test_edge_sum_is_the_cell_average(bits):
+    """block() sums the step's edges; the cells' replica average over the
+    subnormalization gives the same bits on every step, the final
+    identity-pair step included."""
+    for decomp in edge_sum_decompositions():
+        for k in (0, 1, 2):
+            overlaps = dc.ScheduleOverlaps(decomp, schedule(decomp.term_count, k, 1, 0.7))
+            for m in range(overlaps.schedule.M):
+                enc = sh.BlockEncoding(overlaps, m, bits)
+                want = enc.cells.average()[: enc.dim, : enc.dim] / enc.subnormalization
+                assert np.array_equal(enc.block(), want)
+
+
 def test_closed_form_block_is_the_walked_block():
     for bits in (3, 6):
         for enc in long_encodings(bits) + short_encodings(bits):
@@ -175,7 +209,7 @@ def pinned_to_the_loops(monkeypatch):
 @pytest.mark.parametrize("bits", [3, 8])
 def test_short_cells_match_the_loops(pinned_to_the_loops, bits):
     for enc in short_encodings(bits):
-        enc.block()
+        enc.cells.average()
     # one encoding per factor of the k = 1, r = 1 schedules: 4 + 4 + 6
     assert pinned_to_the_loops.count("route") == pinned_to_the_loops.count("average") == 14
 

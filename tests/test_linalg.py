@@ -89,6 +89,24 @@ def test_exp_unitary_pauli_z_half():
     npt.assert_allclose(u, np.diag([np.exp(-0.5j), np.exp(0.5j)]), atol=1e-12)
 
 
+@pytest.mark.parametrize("h", [
+    pauli_string("ZZ") + pauli_string("XX"),
+    pauli_string("ZZIIII") + pauli_string("XXIIII") + pauli_string("IIYZII"),
+    random_hermitian(np.random.default_rng(12), 8),
+], ids=["zz-xx", "six-qubits", "dense"])
+def test_exp_unitary_needs_no_gauge(h):
+    """exp(-iHt) on degenerate spectra from one plain eigh: the same matrix
+    as scipy's expm and as the gauge-fixed eigensystem, within 1e-13."""
+    from scipy.linalg import expm
+
+    eig = linalg.hermitian_eig(h)
+    for t in (0.3, 1.1):
+        got = linalg.exp_unitary(h, t)
+        gauged = (eig.vectors * np.exp(-1j * eig.values * t)) @ eig.vectors.conj().T
+        assert np.max(np.abs(got - expm(-1j * t * h))) <= 1e-13
+        assert np.max(np.abs(got - gauged)) <= 1e-13
+
+
 def test_qft_unitary_and_entries():
     for n in (1, 2, 3):
         q = linalg.qft_matrix(n)

@@ -532,6 +532,21 @@ def test_simulate_does_not_walk_the_register(monkeypatch):
     assert res.measured_error <= 4 * (res.rounding_bound + res.trotter_bound)
 
 
+def test_simulate_builds_no_select_cells(monkeypatch):
+    """Only the register walks build select cells; simulate sums edges."""
+    def refuse(*args):
+        raise AssertionError("simulate built select cells")
+
+    monkeypatch.setattr(sh, "_step_cells", refuse)
+    decomp = dc.decomposition_from_json({"n": 5, "terms": [
+        {"pauli": "ZZIII", "coeff": 0.8}, {"pauli": "XXIII", "coeff": 0.45},
+        {"pauli": "IIYZI", "coeff": 0.6},
+    ]})
+    res = sh.simulate(decomp, k=1, r=2, t=0.6, bits=8)
+    assert res.d == 4
+    assert res.measured_error <= 4 * (res.rounding_bound + res.trotter_bound)
+
+
 def test_simulate_reports_the_one_p_of_its_schedule():
     decomp = zz_xx_yz()
     sched = schedule(decomp.term_count, 1, 2, 0.7)
