@@ -5,9 +5,12 @@ Each Trotter factor becomes a transition operator on the eigenstate index
 register; the transition operator is synthesized as a linear combination of
 signed permutation unitaries (one per magnitude replica b and color class
 (c1, c2)), block encoded with uniform PREP, and boosted to near-unit success
-amplitude with oblivious amplitude amplification.  Everything is computed
-with dense or structured matrices; oracle use is accounted through the
-query counter at the published per-application budget.
+amplitude with oblivious amplitude amplification.  ``simulate`` takes the
+amplified block as an odd polynomial of the encoded block
+(``lcu.amplified_block``) and multiplies one repetition's steps once, then
+raises their product to the r-th repetition.  Everything is computed with
+dense or structured matrices; oracle use is accounted through the query
+counter at the published per-application budget.
 
 Register layout for one encoded step (slowest to fastest axis):
 ``b`` magnitude replica (2^B), ``c1``/``c2`` color indices (d padded to a
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import lcu
 from .decomp import MAX_BITS, Decomposition, QueryCounter, ScheduleOverlaps
-from .errors import InvariantViolation, SpecError, require_cap
+from .errors import SpecError, require_cap
 from .linalg import exp_unitary, spectral_norm
 from .trotter import TrotterSchedule, optional_error_bound, schedule
 
@@ -230,29 +233,22 @@ class BlockEncoding:
 # robust oblivious amplitude amplification
 
 
-def rounds_for(subnormalization: float) -> int:
-    """Smallest p with sin(pi / (2(2p+1))) <= 1/a."""
-    if subnormalization < 1:
-        raise SpecError("subnormalization below one")
-    p = 0
-    while np.sin(np.pi / (2 * (2 * p + 1))) > 1.0 / subnormalization + 1e-15:
-        p += 1
-    return p
-
-
 class AmplifiedStep:
     """Flag-padded amplitude amplification around one block encoding.
 
     One flag qubit dilutes the encoded block from 1/a to exactly
     sin(pi/(2(2p+1))) so p reflection rounds rotate the success amplitude to
     one; the flagged branch flips the side qubit, leaving the measured
-    zero-ancilla subspace untouched.
+    zero-ancilla subspace untouched.  ``amplified`` forms the result from the
+    flagged block alone, as the polynomial sin((2p+1) arcsin sigma) of its
+    singular values; ``_amplified_iterate`` applies the reflections to the
+    register and is the oracle the tests pin it against.
     """
 
     def __init__(self, encoding: BlockEncoding):
         self.encoding = encoding
         a = encoding.subnormalization
-        self.p = rounds_for(a)
+        self.p = lcu.rounds_for(a)
         self.a_prime = 1.0 / np.sin(np.pi / (2 * (2 * self.p + 1)))
         ratio = min(1.0, a / self.a_prime)
         self._cos = np.sqrt(ratio)
@@ -320,25 +316,22 @@ class AmplifiedStep:
 
         The reflections act as a rotation by 2*arcsin(sigma) in each
         singular-direction plane, so p rounds map every singular value of the
-        flagged block to sin((2p+1) arcsin(sigma)).  This is an exact
-        identity; the unit test checks it against the applied reflections.
+        flagged block to sin((2p+1) arcsin(sigma)): the odd polynomial of
+        ``lcu.amplified_block``, formed from matrix products with no SVD.
+        The name is older than that form and stays, because the benchmark's
+        layer trace times this method; the unit tests check it against the
+        applied reflections.
         """
-        a = self.flagged_block()
-        u, sig, vh = np.linalg.svd(a)
-        if np.any(sig > 1.0 + 1e-9):
-            raise InvariantViolation("encoded block has singular value above one")
-        angles = np.arcsin(np.minimum(sig, 1.0))
-        boosted = np.sin((2 * self.p + 1) * angles)
-        return (u * boosted[None, :]) @ vh
+        return lcu.amplified_block(self.flagged_block(), self.p)
 
     def amplified(self) -> tuple[np.ndarray, float]:
         """Amplified system block and the worst-column success weight.
 
-        Returns the zero-ancilla block of R^p W' in its exact singular-value
-        form together with the smallest squared norm retained in the
-        measured subspace over basis columns.  ``_amplified_iterate``
-        applies the reflections to the register; the tests pin this form
-        against it.
+        Returns the zero-ancilla block of R^p W' as the odd polynomial of
+        the flagged block (``_amplified_svd``) together with the smallest
+        squared norm retained in the measured subspace over basis columns.
+        ``_amplified_iterate`` applies the reflections to the register; the
+        tests pin this form against it.
         """
         out = self._amplified_svd()
         weights = np.sum(np.abs(out) ** 2, axis=0)
@@ -385,29 +378,39 @@ def simulate(
 ) -> SimulationResult:
     """Compose every amplified transition step into the full propagator.
 
-    Amplified blocks are cached per (term pair, weight) step type; the oracle
-    budget is charged per step application: 2p+1 select applications each.
+    The schedule is one repetition of S factors written r times, so only
+    the S steps of one repetition and the final identity-pair step are
+    amplified, one per (term pair, weight) step type.  With Q the product of
+    a repetition's first S - 1 blocks and B_cross the block whose next term
+    opens the next repetition, the product is B_final Q (B_cross Q)^(r-1).
+    The oracle budget is charged per step application: 2p+1 select
+    applications for each of the M = rS steps.
     """
     counter = QueryCounter()
     sched = schedule(decomp.term_count, k, r, t)
     overlaps = ScheduleOverlaps(decomp, sched)
-    cache: dict[tuple[int, int, float], tuple[np.ndarray, float]] = {}
-    u = np.eye(decomp.dim, dtype=complex)
-    min_weight = 1.0
-    for m in range(sched.M):
+    amplified: dict[tuple[int, int, float], tuple[np.ndarray, float, int]] = {}
+
+    def block(m: int) -> np.ndarray:
         factor = sched.factors[m]
         nxt = sched.factors[m + 1].term if m + 1 < sched.M else factor.term
         key = (factor.term, nxt, factor.weight)
-        if key not in cache:
-            encoding = BlockEncoding(overlaps, m, bits)
-            step = AmplifiedStep(encoding)
-            cache[key] = step.amplified()
-            p = step.p  # rounds_for(d_pad^2) of the schedule-wide d: one p for all
-        block, weight = cache[key]
-        min_weight = min(min_weight, weight)
-        for name, cost in SELECT_BUDGET.items():
-            counter.tick(name, (2 * p + 1) * cost)
-        u = block @ u
+        if key not in amplified:
+            step = AmplifiedStep(BlockEncoding(overlaps, m, bits))
+            amplified[key] = step.amplified() + (step.p,)
+        return amplified[key][0]
+
+    S = sched.M // r
+    q = np.eye(decomp.dim, dtype=complex)
+    for m in range(S - 1):
+        q = block(m) @ q
+    u = block(sched.M - 1) @ q
+    if r > 1:
+        u = u @ np.linalg.matrix_power(block(S - 1) @ q, r - 1)
+    (p,) = {p for _, _, p in amplified.values()}  # one d_pad: every step has one p
+    for name, cost in SELECT_BUDGET.items():
+        counter.tick(name, sched.M * (2 * p + 1) * cost)
+    min_weight = min([1.0] + [weight for _, weight, _ in amplified.values()])
     v_first = decomp.eigensystems[sched.factors[0].term].vectors
     v_last = decomp.eigensystems[sched.factors[-1].term].vectors
     result = v_last @ u @ v_first.conj().T

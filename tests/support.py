@@ -296,6 +296,43 @@ def applied_amplification(step) -> tuple[np.ndarray, float]:
     return block, float(np.sum(np.abs(block) ** 2, axis=0).min())
 
 
+def amplified_svd_oracle(block: np.ndarray, p: int) -> np.ndarray:
+    """``lcu.amplified_block`` by a dense SVD: sin((2p+1) arcsin sigma) on
+    each singular value sigma (clipped to one)."""
+    u, sig, vh = np.linalg.svd(block)
+    return (u * np.sin((2 * p + 1) * np.arcsin(np.minimum(sig, 1.0)))) @ vh
+
+
+def step_loop_simulation(decomp, k: int, r: int, t: float, bits: int):
+    """``short_time.simulate``'s unitary, queries, p and worst success weight
+    from a loop that multiplies all M amplified step blocks in schedule order,
+    amplifying each step type where it first occurs."""
+    from pathint import short_time as sh
+    from pathint.decomp import QueryCounter, ScheduleOverlaps
+    from pathint.trotter import schedule
+
+    sched = schedule(decomp.term_count, k, r, t)
+    overlaps = ScheduleOverlaps(decomp, sched)
+    counter = QueryCounter()
+    steps = {}
+    u = np.eye(decomp.dim, dtype=complex)
+    weights = []
+    for m, factor in enumerate(sched.factors):
+        nxt = sched.factors[m + 1].term if m + 1 < sched.M else factor.term
+        key = (factor.term, nxt, factor.weight)
+        if key not in steps:
+            step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, m, bits))
+            steps[key] = step.amplified() + (step.p,)
+        block, weight, p = steps[key]
+        weights.append(weight)
+        for name, cost in sh.SELECT_BUDGET.items():
+            counter.tick(name, (2 * p + 1) * cost)
+        u = block @ u
+    v_first = decomp.eigensystems[sched.factors[0].term].vectors
+    v_last = decomp.eigensystems[sched.factors[-1].term].vectors
+    return v_last @ u @ v_first.conj().T, counter.snapshot(), p, min([1.0] + weights)
+
+
 def lagrangian_csv_oracle(params: dict) -> bytes:
     """lagrangian-sim's CSV from a plain loop: one row of numpy calls per step.
 

@@ -127,3 +127,19 @@ def test_only_the_table_writes_a_cap_message():
     # _alpha_once re-raises the error it stored for a later k
     assert found.pop("trotter.py") == [("_alpha_once", True)]
     assert not any(found.values()), found
+
+
+def _readme_limit(text: str) -> int:
+    """A README limit: ``N``, ``2^k`` or ``N MiB``."""
+    if text.endswith(" MiB"):
+        return int(text[:-4]) << 20
+    base, _, power = text.partition("^")
+    return int(base) ** int(power or 1)
+
+
+def test_readme_cap_table_matches_the_caps():
+    readme = (SRC.parents[1] / "README.md").read_text()
+    section = readme.split("| cap | limit | unit | what it guards |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \|", section, flags=re.M)
+    table = [(name, _readme_limit(limit.strip()), unit.strip()) for name, limit, unit in rows]
+    assert sorted(table) == sorted((c.name, c.limit, c.unit) for c in CAPS.values())

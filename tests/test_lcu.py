@@ -10,9 +10,11 @@ from pathint import lcu
 from pathint import long_time as lt
 from pathint import short_time as sh
 from pathint.errors import CAPS, CapExceeded, InvariantViolation
+from pathint.linalg import qft_matrix, spectral_norm
 from pathint.trotter import schedule
 
 from support import (
+    amplified_svd_oracle,
     average_oracle,
     pauli_string,
     random_decomposition_terms,
@@ -244,3 +246,45 @@ def test_random_edges_match_the_loops(pinned_to_the_loops, bits):
     weights = rng.uniform(size=cells)
     lcu.SignedPermutationCells(perm, phase, thr, bits, cells).average(weights)
     assert pinned_to_the_loops == ["route", "average"]
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 9, 27, 101, 403, 1609])
+def test_amplified_block_matches_the_svd_oracle_on_random_blocks(m):
+    """The degrees of d_pad = 1, 2, 4, 8, 16 and 32, plus 3 and 9; 1609 is
+    prime, so one ladder runs over all eleven of its bits."""
+    rng = np.random.default_rng(m)
+    for dim in (2, 16, 64):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for top in (0.058, 0.5, 0.9, 1.0):
+            block = a * (top / spectral_norm(a))
+            # one ulp of sigma moves either form by the map's slope times
+            # 1e-16, and the slope is m / cos(arcsin sigma) below one and
+            # about m^2 at one; the bound allows ten ulps
+            slope = m / math.sqrt(1.0 - top * top) if top < 1.0 else m * m
+            got = lcu.amplified_block(block, (m - 1) // 2)
+            want = amplified_svd_oracle(block, (m - 1) // 2)
+            assert np.max(np.abs(got - want)) <= max(1e-13, slope * 1e-15)
+
+
+def test_amplified_block_measures_what_the_schur_bound_does_not_clear(monkeypatch):
+    """A scaled Fourier matrix has every singular value 0.9 and Schur bound
+    0.9 * sqrt(dim), so its norm is measured, and it passes."""
+    block = 0.9 * qft_matrix(4)
+    measured = []
+
+    def counted(a):
+        measured.append(a)
+        return spectral_norm(a)
+
+    monkeypatch.setattr(lcu, "spectral_norm", counted)
+    for p in (3, 13):
+        want = amplified_svd_oracle(block, p)
+        assert np.max(np.abs(lcu.amplified_block(block, p) - want)) <= 1e-13
+    assert len(measured) == 2
+
+
+@pytest.mark.parametrize("unit", [np.eye(4), qft_matrix(4)])
+def test_amplified_block_refuses_a_singular_value_above_one(unit):
+    """Schur bounds 1 + 1e-6 and 4 (1 + 1e-6): both are measured, and refused."""
+    with pytest.raises(InvariantViolation, match="singular value above one"):
+        lcu.amplified_block((1 + 1e-6) * unit, 13)

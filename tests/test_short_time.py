@@ -12,12 +12,14 @@ from pathint.linalg import exp_unitary, spectral_norm
 from pathint.trotter import schedule, trotter_unitary
 
 from support import (
+    amplified_svd_oracle,
     applied_amplification,
     class_edges,
     pauli_string,
     projected_step,
     random_decomposition_terms,
     signed_permutation,
+    step_loop_simulation,
     tilted_example_pair,
 )
 
@@ -28,6 +30,18 @@ def zz_zx():
 
 def z_x():
     return dc.build([pauli_string("Z"), pauli_string("X")])
+
+
+def zz_xx_yz():
+    return dc.build([pauli_string("ZZ"), pauli_string("XX"), pauli_string("YZ")])
+
+
+def wide_zz_xx_yz():
+    """A 5-qubit short-wide label set: d = 4, so p = 13 and 2p+1 = 27."""
+    return dc.decomposition_from_json({"n": 5, "terms": [
+        {"pauli": "ZZIII", "coeff": 0.8}, {"pauli": "XXIII", "coeff": 0.45},
+        {"pauli": "IIYZI", "coeff": 0.6},
+    ]})
 
 
 def givens(dim, i, j, theta):
@@ -380,9 +394,9 @@ def test_select_budget_is_constant():
 
 
 def test_rounds_for_pinned_values():
-    assert sh.rounds_for(1.0) == 0
-    assert sh.rounds_for(4.0) == 3
-    assert sh.rounds_for(16.0) == 13
+    assert lcu.rounds_for(1.0) == 0
+    assert lcu.rounds_for(4.0) == 3
+    assert lcu.rounds_for(16.0) == 13
 
 
 def test_amplified_single_color_is_block_itself():
@@ -411,6 +425,37 @@ def test_amplified_svd_matches_applied_reflections():
         by_svd, w_svd = step.amplified()
         assert np.max(np.abs(by_iter - by_svd)) <= 1e-11
         assert w_iter == pytest.approx(w_svd, abs=1e-11)
+
+
+@pytest.mark.parametrize("make", [z_x, zz_zx, zz_xx_yz, wide_zz_xx_yz])
+def test_amplified_block_matches_the_svd_oracle_on_every_step(make):
+    decomp = make()
+    for k in (0, 1, 2):
+        # r = 2, so the step that crosses into the next repetition is here too
+        sched = schedule(decomp.term_count, k, 2, 0.7)
+        overlaps = dc.ScheduleOverlaps(decomp, sched)
+        for bits in (3, 8):
+            for m in range(sched.M):
+                step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, m, bits))
+                want = amplified_svd_oracle(step.flagged_block(), step.p)
+                assert np.max(np.abs(step._amplified_svd() - want)) <= 1e-14
+
+
+def test_amplified_takes_no_svd(monkeypatch):
+    """The Schur bound clears every encoded block, so no decomposition runs."""
+    overlaps = dc.ScheduleOverlaps(wide_zz_xx_yz(), schedule(3, 1, 2, 0.6))
+    step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, 0, 8))
+    want = amplified_svd_oracle(step.flagged_block(), step.p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("amplification took a decomposition")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(lcu, "spectral_norm", refuse)
+    block, weight = step.amplified()
+    assert step.p == 13
+    assert np.max(np.abs(block - want)) <= 1e-14
+    assert weight == pytest.approx(float(np.sum(np.abs(want) ** 2, axis=0).min()), abs=1e-14)
 
 
 def test_reflection_preserves_norm():
@@ -508,10 +553,6 @@ def test_simulate_error_envelope_point():
     assert res.measured_error <= envelope
 
 
-def zz_xx_yz():
-    return dc.build([pauli_string("ZZ"), pauli_string("XX"), pauli_string("YZ")])
-
-
 def test_simulate_matches_applied_reflections(monkeypatch):
     cases = [(z_x(), 1, 2, 6), (zz_xx_yz(), 0, 2, 3)]
     closed = [sh.simulate(decomp, k=k, r=r, t=0.7, bits=bits) for decomp, k, r, bits in cases]
@@ -521,6 +562,19 @@ def test_simulate_matches_applied_reflections(monkeypatch):
         assert np.max(np.abs(got.unitary - want.unitary)) <= 1e-11
         assert got.measured_error == pytest.approx(want.measured_error, abs=1e-11)
         assert got.queries == want.queries
+
+
+@pytest.mark.parametrize("make", [z_x, zz_xx_yz])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_simulate_composes_repetitions_as_the_step_loop(make, k):
+    decomp = make()
+    for r in range(1, 6):
+        res = sh.simulate(decomp, k=k, r=r, t=0.7, bits=6)
+        unitary, queries, p, weight = step_loop_simulation(decomp, k, r, 0.7, 6)
+        assert np.max(np.abs(res.unitary - unitary)) <= 1e-13
+        assert res.queries == queries
+        assert res.p == p
+        assert res.min_success_weight == weight
 
 
 def test_simulate_does_not_walk_the_register(monkeypatch):
@@ -538,11 +592,7 @@ def test_simulate_builds_no_select_cells(monkeypatch):
         raise AssertionError("simulate built select cells")
 
     monkeypatch.setattr(sh, "_step_cells", refuse)
-    decomp = dc.decomposition_from_json({"n": 5, "terms": [
-        {"pauli": "ZZIII", "coeff": 0.8}, {"pauli": "XXIII", "coeff": 0.45},
-        {"pauli": "IIYZI", "coeff": 0.6},
-    ]})
-    res = sh.simulate(decomp, k=1, r=2, t=0.6, bits=8)
+    res = sh.simulate(wide_zz_xx_yz(), k=1, r=2, t=0.6, bits=8)
     assert res.d == 4
     assert res.measured_error <= 4 * (res.rounding_bound + res.trotter_bound)
 
