@@ -157,15 +157,14 @@ def position_op(cfg: LatticeConfig) -> np.ndarray:
 
 
 def momentum_op(cfg: LatticeConfig) -> np.ndarray:
-    """Momentum as the Fourier conjugate of position.
+    """Momentum as the Fourier conjugate of position, F diag(momenta()) F^H.
 
-    Eigenvectors are the Fourier columns, with eigenvalue 2*pi*q/x_max on
-    column q.  The spectrum is one-sided by construction; shifting by delta_x
-    is the cyclic permutation of the grid.
+    Eigenvectors are the Fourier columns, with eigenvalue ``momenta()[q]``
+    on column q, so the grid is read from ``momenta()`` alone; shifting by
+    delta_x is the cyclic permutation of the grid.
     """
     f = qft_matrix(cfg.n)
-    scale = 2.0 * np.pi / (cfg.x_max * cfg.delta_x)
-    return scale * (f @ position_op(cfg) @ f.conj().T)
+    return (f * cfg.momenta()) @ f.conj().T
 
 
 def kinetic_op(cfg: LatticeConfig) -> np.ndarray:

@@ -5,17 +5,17 @@ Each Trotter factor becomes a transition operator on the eigenstate index
 register; the transition operator is synthesized as a linear combination of
 signed permutation unitaries (one per magnitude replica b and color class
 (c1, c2)), block encoded with uniform PREP, and boosted to near-unit success
-amplitude with oblivious amplitude amplification.  ``simulate`` takes the
-amplified block as an odd polynomial of the encoded block
-(``lcu.amplified_block``) and multiplies one repetition's steps once, then
-raises their product to the r-th repetition.  Everything is computed with
-dense or structured matrices; oracle use is accounted through the query
-counter at the published per-application budget.
+amplitude with oblivious amplitude amplification (``lcu.AmplifiedStep``,
+shared with the long-time encoding).  ``simulate`` takes the amplified
+block as an odd polynomial of the encoded block (``lcu.amplified_block``)
+and multiplies one repetition's steps once, then raises their product to
+the r-th repetition.  Everything is computed with dense or structured
+matrices; oracle use is charged at the published per-application budget.
 
 Register layout for one encoded step (slowest to fastest axis):
 ``b`` magnitude replica (2^B), ``c1``/``c2`` color indices (d padded to a
-power of two), ``side`` (2), ``state`` (2^n).  Amplification adds one flag
-axis in front.
+power of two), ``side`` (2), ``state`` (2^n).  ``lcu.AmplifiedStep`` adds
+one flag axis in front, and its flagged branch flips the side axis.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from . import lcu
 from .decomp import MAX_BITS, Decomposition, QueryCounter, ScheduleOverlaps
 from .errors import SpecError, require_cap
+from .lcu import AmplifiedStep
 from .linalg import exp_unitary, spectral_norm
 from .trotter import TrotterSchedule, optional_error_bound, schedule
 
@@ -197,11 +198,9 @@ class BlockEncoding:
         """Uniform coefficient loading: Hadamards on the b, c1, c2 axes.
 
         Self-inverse, so it serves as both the forward and adjoint stage.
-        Leading copies of the register (the amplification flag) are
-        transformed together.
         """
-        v = vec.reshape((-1,) + self.shape)
-        return lcu.hadamard_axes(v, (1, 2, 3)).reshape(vec.shape)
+        v = vec.reshape(self.shape)
+        return lcu.hadamard_axes(v, (0, 1, 2)).reshape(vec.shape)
 
     def apply_select(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         for name, cost in SELECT_BUDGET.items():
@@ -230,112 +229,7 @@ class BlockEncoding:
 
 
 # ---------------------------------------------------------------------------
-# robust oblivious amplitude amplification
-
-
-class AmplifiedStep:
-    """Flag-padded amplitude amplification around one block encoding.
-
-    One flag qubit dilutes the encoded block from 1/a to exactly
-    sin(pi/(2(2p+1))) so p reflection rounds rotate the success amplitude to
-    one; the flagged branch flips the side qubit, leaving the measured
-    zero-ancilla subspace untouched.  ``amplified`` forms the result from the
-    flagged block alone, as the polynomial sin((2p+1) arcsin sigma) of its
-    singular values; ``_amplified_iterate`` applies the reflections to the
-    register and is the oracle the tests pin it against.
-    """
-
-    def __init__(self, encoding: BlockEncoding):
-        self.encoding = encoding
-        a = encoding.subnormalization
-        self.p = lcu.rounds_for(a)
-        self.a_prime = 1.0 / np.sin(np.pi / (2 * (2 * self.p + 1)))
-        ratio = min(1.0, a / self.a_prime)
-        self._cos = np.sqrt(ratio)
-        self._sin = np.sqrt(max(0.0, 1.0 - ratio))
-        self.shape = (2,) + encoding.shape
-        self.size = 2 * encoding.size
-
-    def _rotate_flag(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
-        """Flag-axis rotation |0> -> cos|0> + sin|1>, or its adjoint."""
-        c, s = self._cos, self._sin
-        combine, lower = (np.add, -s) if adjoint else (np.subtract, s)
-        out = np.empty_like(v)
-        spare = np.empty_like(v[0])
-        np.multiply(c, v[0], out=out[0])
-        combine(out[0], np.multiply(s, v[1], out=spare), out=out[0])
-        np.multiply(lower, v[0], out=out[1])
-        np.add(out[1], np.multiply(c, v[1], out=spare), out=out[1])
-        return out
-
-    def apply_w(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """W' = (PREP'+ x I) SEL' (PREP' x I); adjoint swaps SEL for SEL+.
-
-        The flagged branch skips the select and flips the side qubit.
-        """
-        v = self._rotate_flag(vec.reshape(self.shape), adjoint=False)
-        v = self.encoding.prep(v)
-        v[0] = self.encoding.apply_select(v[0], adjoint=adjoint)
-        v[1] = v[1, :, :, :, ::-1]
-        v = self.encoding.prep(v)
-        v = self._rotate_flag(v, adjoint=True)
-        return v.reshape(vec.shape)
-
-    def apply_reflection(self, vec: np.ndarray) -> np.ndarray:
-        """R = -(1 - 2 W' Pi W'+)(1 - 2 Pi); Pi keeps the first dim amplitudes."""
-        dim = self.encoding.dim
-        v = vec.reshape(-1).copy()
-        v[:dim] -= 2.0 * v[:dim]
-        u = self.apply_w(v, adjoint=True)
-        u[dim:] = 0.0
-        u = self.apply_w(u)
-        u *= 2.0
-        u -= v
-        return u.reshape(vec.shape)
-
-    def flagged_block(self) -> np.ndarray:
-        """System block of the flag-padded encoding before amplification.
-
-        Equal to the replica-averaged transition divided by a', without
-        touching the high-dimensional registers.
-        """
-        enc = self.encoding
-        return enc.block() * enc.subnormalization / self.a_prime
-
-    def _amplified_iterate(self) -> np.ndarray:
-        def amplify(v: np.ndarray) -> np.ndarray:
-            v = self.apply_w(v)
-            for _ in range(self.p):
-                v = self.apply_reflection(v)
-            return v
-
-        return lcu.system_block(amplify, self.size, self.encoding.dim)
-
-    def _amplified_svd(self) -> np.ndarray:
-        """Closed form of the reflection product on the encoded block.
-
-        The reflections act as a rotation by 2*arcsin(sigma) in each
-        singular-direction plane, so p rounds map every singular value of the
-        flagged block to sin((2p+1) arcsin(sigma)): the odd polynomial of
-        ``lcu.amplified_block``, formed from matrix products with no SVD.
-        The name is older than that form and stays, because the benchmark's
-        layer trace times this method; the unit tests check it against the
-        applied reflections.
-        """
-        return lcu.amplified_block(self.flagged_block(), self.p)
-
-    def amplified(self) -> tuple[np.ndarray, float]:
-        """Amplified system block and the worst-column success weight.
-
-        Returns the zero-ancilla block of R^p W' as the odd polynomial of
-        the flagged block (``_amplified_svd``) together with the smallest
-        squared norm retained in the measured subspace over basis columns.
-        ``_amplified_iterate`` applies the reflections to the register; the
-        tests pin this form against it.
-        """
-        out = self._amplified_svd()
-        weights = np.sum(np.abs(out) ** 2, axis=0)
-        return out, float(weights.min())
+# amplification bounds (the amplification itself is ``lcu.AmplifiedStep``)
 
 
 def amplified_defect_bound(d: int, bits: int) -> float:
@@ -386,7 +280,6 @@ def simulate(
     The oracle budget is charged per step application: 2p+1 select
     applications for each of the M = rS steps.
     """
-    counter = QueryCounter()
     sched = schedule(decomp.term_count, k, r, t)
     overlaps = ScheduleOverlaps(decomp, sched)
     amplified: dict[tuple[int, int, float], tuple[np.ndarray, float, int]] = {}
@@ -408,8 +301,6 @@ def simulate(
     if r > 1:
         u = u @ np.linalg.matrix_power(block(S - 1) @ q, r - 1)
     (p,) = {p for _, _, p in amplified.values()}  # one d_pad: every step has one p
-    for name, cost in SELECT_BUDGET.items():
-        counter.tick(name, sched.M * (2 * p + 1) * cost)
     min_weight = min([1.0] + [weight for _, weight, _ in amplified.values()])
     v_first = decomp.eigensystems[sched.factors[0].term].vectors
     v_last = decomp.eigensystems[sched.factors[-1].term].vectors
@@ -424,7 +315,7 @@ def simulate(
         measured_error=measured,
         rounding_bound=rounding,
         trotter_bound=trotter_term,
-        queries=counter.snapshot(),
+        queries={name: sched.M * (2 * p + 1) * cost for name, cost in SELECT_BUDGET.items()},
         n=decomp.n,
         k=k,
         r=r,

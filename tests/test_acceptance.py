@@ -170,8 +170,8 @@ def test_criterion_05_amplified_block_and_success_weight():
         for bits in BITS_GRID:
             step = sh.AmplifiedStep(sh.BlockEncoding(overlaps, 0, bits))
             # the applied reflections on registers of up to 2^17 amplitudes;
-            # one larger walk takes about 25 s, so those check the
-            # singular-value form
+            # the largest walk (2^20 amplitudes) takes about 13 s, so those
+            # check the singular-value form
             iterate = step.size <= 1 << 17
             block, weight = applied_amplification(step) if iterate else step.amplified()
             assert spectral_norm(block - exact) <= sh.amplified_defect_bound(d, bits)

@@ -15,6 +15,7 @@ from pathint.trotter import schedule
 
 from support import (
     amplified_svd_oracle,
+    applied_amplification,
     average_oracle,
     pauli_string,
     random_decomposition_terms,
@@ -288,3 +289,55 @@ def test_amplified_block_refuses_a_singular_value_above_one(unit):
     """Schur bounds 1 + 1e-6 and 4 (1 + 1e-6): both are measured, and refused."""
     with pytest.raises(InvariantViolation, match="singular value above one"):
         lcu.amplified_block((1 + 1e-6) * unit, 13)
+
+
+# ---------------------------------------------------------------------------
+# the one amplification of both encodings
+
+
+def test_short_time_amplifies_with_the_shared_class():
+    assert sh.AmplifiedStep is lcu.AmplifiedStep
+
+
+@pytest.mark.parametrize(("shape", "r", "bits", "p"), [
+    ("sine", 4, 4, 9), ("linear", 8, 5, 15), ("random", 4, 4, 32),
+])
+def test_long_time_closed_form_is_the_applied_amplification(shape, r, bits, p):
+    """The reflections applied to the flagged long-time register agree with
+    the odd polynomial of its block, and lift every column to weight one."""
+    if shape == "random":
+        ham = random_smooth_system(np.random.default_rng(21), grid=32)
+    else:
+        ham = lt.two_level_sweep(1.0, 0.2, shape=shape, grid=8)
+    step = lcu.AmplifiedStep(lt.PropagatorEncoding(ham, 20.0, r, bits))
+    assert step.p == p
+    walked, walked_weight = applied_amplification(step)
+    block, weight = step.amplified()
+    assert np.max(np.abs(walked - block)) <= 1e-11
+    assert walked_weight == pytest.approx(weight, abs=1e-11)
+    assert weight >= 1.0 - 1e-12
+
+
+def test_prep_commutes_through_the_side_flip():
+    """PREP+ FLIP PREP = FLIP: the flagged branch of the amplified walk is
+    a bare side flip only while PREP leaves the side axis alone."""
+    rng = np.random.default_rng(17)
+    for enc in long_encodings(4) + short_encodings(4):
+        x = rng.normal(size=enc.shape) + 1j * rng.normal(size=enc.shape)
+        x /= np.linalg.norm(x)
+        flipped = np.flip(enc.prep(x), axis=-2)
+        if isinstance(enc, lt.PropagatorEncoding):
+            got = enc.prep(flipped, adjoint=True)
+        else:
+            got = enc.prep(flipped)
+        assert np.max(np.abs(got - np.flip(x, axis=-2))) <= 1e-15
+
+
+def test_amplified_applies_no_select(monkeypatch):
+    def refuse(self, vec, adjoint=False):
+        raise AssertionError("amplified() applied the select")
+
+    monkeypatch.setattr(lcu.SignedPermutationCells, "apply", refuse)
+    for enc in long_encodings(4)[:1] + short_encodings(4)[:1]:
+        block, _ = lcu.AmplifiedStep(enc).amplified()
+        assert block.shape == (enc.dim, enc.dim)
