@@ -273,31 +273,28 @@ def _pair_overlap(decomp: Decomposition, cur: int, nxt: int) -> PairOverlap:
 class ScheduleOverlaps:
     """Overlap tables for every transition step of a schedule.
 
-    The final factor has no successor; its table is the identity pair
-    (term, term), which the block-encoding machinery uses to realize the
-    trailing diagonal phase through the same code path.  ``d`` is the
-    sparsity: the largest number of genuine overlaps in any row or column
-    of any table.
+    ``pairs[m]`` is step m's (term, next term) pair.  The final factor has
+    no successor; its pair is the identity pair (term, term), which the
+    block-encoding machinery uses to realize the trailing diagonal phase
+    through the same code path.  ``d`` is the sparsity: the largest number
+    of genuine overlaps in any row or column of any table.
     """
 
     def __init__(self, decomp: Decomposition, schedule: "TrotterSchedule"):
         self.decomp = decomp
         self.schedule = schedule
         terms = [f.term for f in schedule.factors]
-        pairs = dict.fromkeys(zip(terms, terms[1:] + terms[-1:]))
-        self._tables = {pair: _pair_overlap(decomp, *pair) for pair in pairs}
+        self.pairs = list(zip(terms, terms[1:] + terms[-1:]))
+        self._tables = {pair: _pair_overlap(decomp, *pair) for pair in dict.fromkeys(self.pairs)}
         self.d = max(
             int(max(t.genuine.sum(axis=0).max(), t.genuine.sum(axis=1).max()))
             for t in self._tables.values()
         )
 
     def pair_for_step(self, m: int) -> PairOverlap:
-        factors = self.schedule.factors
-        if not 0 <= m < len(factors):
-            raise SpecError(f"step index {m} outside schedule of {len(factors)} factors")
-        cur = factors[m].term
-        nxt = factors[m + 1].term if m + 1 < len(factors) else cur
-        return self._tables[(cur, nxt)]
+        if not 0 <= m < len(self.pairs):
+            raise SpecError(f"step index {m} outside schedule of {len(self.pairs)} factors")
+        return self._tables[self.pairs[m]]
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ Replica ``b`` weights a column by 1 while ``b < thr`` and by (-1)^b from
 
 The select register is viewed as ``(lead, 2^B, colors, 2N)`` with the
 cells stacked in ``(lead, colors)`` order, so the leading axes and the
-color axes together index the cells.  By the LCU lemma an encoding's
-zero-ancilla block is the cell sum weighted by |PREP[k, 0]|^2 and averaged
-over replicas (``SignedPermutationCells.average``), which is also the sum
-of the routed edges alone, each at its replica average times its phase;
-walking the register (``system_block``) is the oracle the tests check both
-against.  ``edge_rule`` gives a colored edge of either encoding its phase
-and threshold, and ``route`` writes edges into a cell with it.
+color axes together index the cells.  ``edge_rule`` gives a colored edge
+of either encoding its phase and threshold, and ``route`` writes edges
+into a cell with it.  By the LCU lemma an encoding's zero-ancilla block is
+the cell sum weighted by |PREP[k, 0]|^2 and averaged over replicas, in
+which blank columns cancel: the weighted sum of the routed edges alone
+(``edge_sum``), the one closed form of both encodings.  Cells are built
+only to walk the register (``system_block``), the tests' oracle.
 
 Oblivious amplitude amplification with p rounds (``rounds_for``) maps
 each singular value sigma of an encoded block to sin((2p+1) arcsin sigma)
@@ -123,6 +123,20 @@ def route(
     phase[k, j], thr[k, j] = edge_rule(amp, carried, bits)
 
 
+def edge_sum(
+    out: np.ndarray, to: np.ndarray, j: np.ndarray, amp: np.ndarray,
+    carried: np.ndarray | complex, bits: int,
+) -> np.ndarray:
+    """Add each edge j -> ``to`` into ``out`` at its replica average times
+    its ``edge_rule`` phase: the side-0 block of the replica-averaged cells
+    they route into.  Unbuffered and in edge order, so edges that share an
+    entry each add their term.
+    """
+    phase, thr = edge_rule(amp, carried, bits)
+    np.add.at(out, (to, j), replica_average(thr, bits) * phase)
+    return out
+
+
 def hadamard_axes(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Tensor-Hadamard transform along each power-of-two axis in turn (normalized).
 
@@ -219,20 +233,6 @@ class SignedPermutationCells:
                 np.negative(x, out=x, where=flip)
                 out[lead, :, color][:, perm] = x
         return out.reshape(vec.shape)
-
-    def average(self, weights: np.ndarray | float = 1.0) -> np.ndarray:
-        """Replica-averaged sum of the cells, cell k scaled by ``weights[k]``.
-
-        A dense (2N x 2N) matrix; with PREP's |PREP[k, 0]|^2 as the weights
-        its side-0 block is the encoding's zero-ancilla block.
-        """
-        cells, two_n = self.perm.shape
-        scale = np.broadcast_to(weights, cells)[:, None] * replica_average(self.thr, self.bits)
-        cols = np.broadcast_to(np.arange(two_n), self.perm.shape)
-        out = np.zeros((two_n, two_n), dtype=complex)
-        # unbuffered, in cell order: the float sum of adding the cells one by one
-        np.add.at(out, (self.perm, cols), scale * self.phase)
-        return out
 
 
 def rounds_for(subnormalization: float) -> int:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -691,7 +691,8 @@ class PropagatorEncoding:
     That block is the replica-averaged cell sum with weight |step[l,0]|^2
     |branch[beta,0]|^2 |color[c1,0]|^2 |color[c2,0]|^2 = |branch[beta,0]|^2
     / ((r+1) d^2) on cell (l, beta, c1, c2), the probability PREP|0> puts
-    on that ancilla index.
+    on that ancilla index.  So the (r+1) d^2 stay cells together, and each
+    routed edge alone, carry exactly 1 / subnormalization.
     """
 
     def __init__(
@@ -734,36 +735,45 @@ class PropagatorEncoding:
         # the preparations of the step, branch and two color axes (0, 1, 3, 4)
         color = _dft(self.d)
         self._preps = (_dft(r + 1), _branch_unitary(first / np.linalg.norm(first)), color, color)
-        self.cells = self._build_cells(present)
+        self.edges = self._edges(present)
 
     # -- construction helpers -----------------------------------------------
 
-    def _build_cells(self, present: np.ndarray) -> lcu.SignedPermutationCells:
-        """Select cells in (step, branch, color1, color2) order.
+    def _edges(self, present: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Both transition branches' edges as ``lcu.route`` columns, cells
+        in (step, branch, color1, color2) order.
 
-        The zero-transition branch applies the accumulated eigenphases with
-        threshold 2^B, so every replica keeps it; branch 3 keeps the folded
-        side flip and cancels.  At each step the edge j -> f, present both
-        ways, takes color (slot of f in j's list, slot of j in f's list).
-        The one-transition branch routes it to f with its boundary amplitude
-        (interior steps carry zero and cancel); the two-transition branch
-        returns it to j with the returning-path amplitude.
+        At each step the edge j -> f, present both ways, takes color (slot
+        of f in j's list, slot of j in f's list).  The one-transition branch
+        routes it to f with its boundary amplitude (interior steps carry
+        zero and cancel); the two-transition branch returns it to j with the
+        returning-path amplitude.
         """
-        dim, trunc = self.dim, self.truncation
+        trunc = self.truncation
         cell = np.arange((self.r + 1) * 4 * self.d**2).reshape(self.r + 1, 4, self.d, self.d)
-        perm, phase, thr = lcu.blank_cells(cell.size, dim)
-        stay = cell[:, 0].ravel()
-        perm[stay] = np.arange(2 * dim)
-        phase[stay, :dim] = trunc.phase
-        thr[stay, :dim] = self.width
         slot = np.cumsum(present, axis=2) - 1
         ell, j, f = np.nonzero(present & np.swapaxes(present, 1, 2))
         hop, back = cell[ell, 1:3, slot[ell, j, f], slot[ell, f, j]].T
         end = np.where(ell == self.r, trunc.eta_end[f, j], 0.0)
         eta = np.where(ell == 0, trunc.eta_start[f, j], end)
         carried = np.where(ell == 0, trunc.phase[f], trunc.phase[j])
-        lcu.route(perm, phase, thr, self.bits, hop, j, f, eta, carried)
-        lcu.route(perm, phase, thr, self.bits, back, j, j, trunc.zeta[ell, j, f], trunc.phase[j])
+        one = (hop, j, f, eta, carried)
+        two = (back, j, j, trunc.zeta[ell, j, f], trunc.phase[j])
+        return tuple(np.concatenate(pair) for pair in zip(one, two))
+
+    @cached_property
+    def cells(self) -> lcu.SignedPermutationCells:
+        """Select cells of the register walks, built on first use.  The
+        zero-transition branch applies the eigenphases with threshold 2^B,
+        kept by every replica; branch 3 keeps the folded side flip and
+        cancels; the edges are routed into branches 1 and 2."""
+        dim, cells = self.dim, (self.r + 1) * 4 * self.d**2
+        perm, phase, thr = lcu.blank_cells(cells, dim)
+        stay = np.arange(cells).reshape(self.r + 1, 4, -1)[:, 0].ravel()
+        perm[stay] = np.arange(2 * dim)
+        phase[stay, :dim] = self.truncation.phase
+        thr[stay, :dim] = self.width
+        lcu.route(perm, phase, thr, self.bits, *self.edges)
         return lcu.SignedPermutationCells(perm, phase, thr, self.bits, self.d * self.d)
 
     # -- structured applications --------------------------------------------
@@ -785,9 +795,11 @@ class PropagatorEncoding:
         return self.prep(v, adjoint=True)
 
     def block(self) -> np.ndarray:
-        """System block of Pi W Pi, with the cell weights the class docstring gives."""
-        weights = reduce(np.multiply.outer, [np.abs(mat[:, 0]) ** 2 for mat in self._preps])
-        return self.cells.average(weights.ravel())[: self.dim, : self.dim]
+        """System block of Pi W Pi with the class docstring's cell weights:
+        the stay eigenphases plus ``lcu.edge_sum``, over the subnormalization."""
+        _, j, to, amp, carried = self.edges
+        out = np.diag(self.truncation.phase)
+        return lcu.edge_sum(out, to, j, amp, carried, self.bits) / self.subnormalization
 
     # -- reference targets ---------------------------------------------------
 

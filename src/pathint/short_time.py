@@ -131,20 +131,6 @@ def _step_edges(overlaps: ScheduleOverlaps, m: int):
     return c1 * colors + c2, j, q, table.overlap[q, j], eigenphase[j]
 
 
-def _step_cells(overlaps: ScheduleOverlaps, m: int, bits: int) -> lcu.SignedPermutationCells:
-    """Select cells of one step: the d^2-coloring of its overlap graph.
-
-    Each edge of ``_step_edges`` is routed into its cell with its phase and
-    rounded overlap magnitude.  Every other column keeps the folded side
-    flip with threshold 0 and cancels in the replica average; padding
-    colors hold no edges.
-    """
-    cells = _pad_colors(overlaps.d) ** 2
-    perm, phase, thr = lcu.blank_cells(cells, overlaps.decomp.dim)
-    lcu.route(perm, phase, thr, bits, *_step_edges(overlaps, m))
-    return lcu.SignedPermutationCells(perm, phase, thr, bits, cells)
-
-
 def synthesis_defect_bound(d: int, bits: int) -> float:
     """Worst-case distance of the synthesized step from the exact one."""
     return 2.0 * d * d / (1 << bits)
@@ -184,13 +170,17 @@ class BlockEncoding:
         self.subnormalization = float(self.d_pad**2)
         self.shape = (self.width, self.d_pad, self.d_pad, 2, self.dim)
         self.size = int(np.prod(self.shape))
-        self._overlaps, self._m = overlaps, m
         self.edges = _step_edges(overlaps, m)
 
     @cached_property
     def cells(self) -> lcu.SignedPermutationCells:
-        """Select cells of the register walks, built on first use."""
-        return _step_cells(self._overlaps, self._m, self.bits)
+        """Select cells of the register walks, built on first use: each edge
+        routed into its color cell, every other column a folded side flip
+        that cancels in the replica average."""
+        cells = self.d_pad**2
+        perm, phase, thr = lcu.blank_cells(cells, self.dim)
+        lcu.route(perm, phase, thr, self.bits, *self.edges)
+        return lcu.SignedPermutationCells(perm, phase, thr, self.bits, cells)
 
     # -- structured applications --------------------------------------------
 
@@ -216,16 +206,12 @@ class BlockEncoding:
         """System block of Pi W Pi, summed from the step's edges.
 
         PREP|0> is uniform over the d_pad^2 cells and each genuine edge
-        (q, j) lies in one of them, so by the LCU lemma entry (q, j) is its
-        replica average times its phase over d_pad^2: bit for bit the
-        side-0 block of ``cells.average()`` over the subnormalization.
+        (q, j) lies in one of them, so by the LCU lemma the block is
+        ``lcu.edge_sum`` of the edges over d_pad^2.
         """
         _, j, q, amp, carried = self.edges
-        phase, thr = lcu.edge_rule(amp, carried, self.bits)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        # added to zero as in the cell sum, which turns a -0.0 into +0.0
-        out[q, j] += lcu.replica_average(thr, self.bits) * phase
-        return out / self.subnormalization
+        return lcu.edge_sum(out, q, j, amp, carried, self.bits) / self.subnormalization
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +271,7 @@ def simulate(
     amplified: dict[tuple[int, int, float], tuple[np.ndarray, float, int]] = {}
 
     def block(m: int) -> np.ndarray:
-        factor = sched.factors[m]
-        nxt = sched.factors[m + 1].term if m + 1 < sched.M else factor.term
-        key = (factor.term, nxt, factor.weight)
+        key = (*overlaps.pairs[m], sched.factors[m].weight)
         if key not in amplified:
             step = AmplifiedStep(BlockEncoding(overlaps, m, bits))
             amplified[key] = step.amplified() + (step.p,)

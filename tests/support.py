@@ -193,7 +193,8 @@ def route_oracle(perm, phase, thr, bits: int, edges) -> None:
 
 
 def average_oracle(cells, weights=1.0) -> np.ndarray:
-    """SignedPermutationCells.average as a loop that adds one cell at a time."""
+    """Replica-averaged sum of the cells, cell k scaled by ``weights[k]``, as a
+    loop that adds one cell at a time: a dense (2N x 2N) matrix."""
     from pathint.lcu import replica_average
 
     two_n = cells.perm.shape[1]
@@ -265,13 +266,13 @@ def signed_permutation(overlaps, m: int, b: int, c1: int, c2: int, bits: int) ->
     before the side flip."""
     from pathint import lcu
     from pathint.errors import SpecError
-    from pathint.short_time import _pad_colors, _step_cells
+    from pathint.short_time import BlockEncoding, _pad_colors
 
     if not 0 <= b < (1 << bits):
         raise SpecError(f"replica index {b} outside B={bits} range")
     if not 0 <= c1 < overlaps.d or not 0 <= c2 < overlaps.d:
         raise SpecError("color index out of range")
-    cells = _step_cells(overlaps, m, bits)
+    cells = BlockEncoding(overlaps, m, bits).cells
     k = c1 * _pad_colors(overlaps.d) + c2
     dim = overlaps.decomp.dim
     u = np.zeros((2 * dim, 2 * dim), dtype=complex)
@@ -283,10 +284,10 @@ def signed_permutation(overlaps, m: int, b: int, c1: int, c2: int, bits: int) ->
 
 def projected_step(overlaps, m: int, bits: int) -> np.ndarray:
     """Side-0 block of the alternating sum (the synthesized transition)."""
-    from pathint.short_time import _step_cells
+    from pathint.short_time import BlockEncoding
 
     dim = overlaps.decomp.dim
-    return _step_cells(overlaps, m, bits).average()[:dim, :dim]
+    return average_oracle(BlockEncoding(overlaps, m, bits).cells)[:dim, :dim]
 
 
 def applied_amplification(step) -> tuple[np.ndarray, float]:

@@ -27,6 +27,7 @@ from pathint.trotter import schedule, trotter_unitary
 
 from support import (
     applied_amplification,
+    average_oracle,
     class_edges,
     pauli_string,
     projected_step,
@@ -155,7 +156,7 @@ def test_criterion_04_projected_encoding_reproduces_the_step():
         dim = decomp.dim
         for bits in BITS_GRID:
             enc = sh.BlockEncoding(overlaps, 0, bits)
-            synth = sh._step_cells(overlaps, 0, bits).average()[:dim, :dim]
+            synth = average_oracle(enc.cells)[:dim, :dim]
             got = lcu.system_block(enc.apply_w, enc.size, dim)
             assert np.max(np.abs(got - synth / enc.subnormalization)) <= 1e-10
 

@@ -54,3 +54,18 @@ def test_long_sim_reaches_the_traced_time_ordered_propagator(tmp_path, monkeypat
         "--r", "64", "--out", str(tmp_path / "l.csv"),
     ]) == 0
     assert slices[:2] == [64, 128] and len(slices) > 4
+
+
+def test_counter_hooks_read_real_encodings():
+    # the hooks read r and d of a long-time encoding and size of an
+    # amplified step; a renamed attribute fails here, not in a traced walk
+    from pathint import lcu
+    from pathint import long_time as lt
+
+    spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    enc = lt.PropagatorEncoding(lt.two_level_sweep(1.0, 0.2, shape="sine", grid=8), 40.0, 8, 4)
+    assert layertrace._select_cells((enc,), {}, None) == len(enc.cells.perm)
+    step = lcu.AmplifiedStep(enc)
+    assert layertrace._register_bytes((step,), {}, None) == 16 * step.size

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_route_writes_the_edge_rule():
     for bits in (3, 6):
         perm, phase, thr = lcu.blank_cells(1, dim)
         lcu.route(perm, phase, thr, bits, np.zeros(dim, dtype=int), j, to, amp, carried)
-        avg = lcu.SignedPermutationCells(perm, phase, thr, bits, 1).average()
+        avg = average_oracle(lcu.SignedPermutationCells(perm, phase, thr, bits, 1))
         want = np.zeros((2 * dim, 2 * dim), dtype=complex)
         for col in j[1:]:
             a = amp[col]
@@ -89,7 +90,7 @@ def test_hadamard_axes_is_the_normalized_sylvester_matrix():
     assert np.array_equal(arr, before)
 
 
-def long_encodings(bits, frames=("Z",)):
+def long_encodings(bits, frames=("Z",), r=8):
     """Sine, linear and 3-level systems and interaction frames of 0.02 * gen.
 
     The 1-qubit frame couples with Z + 0.45 X, the 2-qubit frame with
@@ -105,7 +106,7 @@ def long_encodings(bits, frames=("Z",)):
         lt.interaction_frame(0.02 * pauli_string(gen), coupling[gen], 40.0, grid=64)
         for gen in frames
     )
-    return [lt.PropagatorEncoding(ham, 40.0, 8, bits) for ham in systems]
+    return [lt.PropagatorEncoding(ham, 40.0, r, bits) for ham in systems]
 
 
 def short_encodings(bits):
@@ -144,8 +145,21 @@ def test_edge_sum_is_the_cell_average(bits):
             overlaps = dc.ScheduleOverlaps(decomp, schedule(decomp.term_count, k, 1, 0.7))
             for m in range(overlaps.schedule.M):
                 enc = sh.BlockEncoding(overlaps, m, bits)
-                want = enc.cells.average()[: enc.dim, : enc.dim] / enc.subnormalization
+                want = average_oracle(enc.cells)[: enc.dim, : enc.dim] / enc.subnormalization
                 assert np.array_equal(enc.block(), want)
+
+
+@pytest.mark.parametrize("r", [4, 8, 16])
+@pytest.mark.parametrize("bits", [3, 8, 12, 40])
+def test_long_time_block_is_the_prep_weighted_cell_average(r, bits):
+    """block() never forms PREP's weights: it relies on the stay cells
+    together, and each routed edge alone, carrying 1 / subnormalization.
+    The cell average weighted by |PREP[k, 0]|^2 over the step, branch and
+    two color axes checks that derivation."""
+    for enc in long_encodings(bits, frames=("Z", "ZI"), r=r):
+        weights = reduce(np.multiply.outer, [np.abs(mat[:, 0]) ** 2 for mat in enc._preps])
+        want = average_oracle(enc.cells, weights.ravel())[: enc.dim, : enc.dim]
+        assert np.max(np.abs(enc.block() - want)) <= 1e-15
 
 
 def test_closed_form_block_is_the_walked_block():
@@ -156,12 +170,18 @@ def test_closed_form_block_is_the_walked_block():
 
 
 def test_block_applies_no_select(monkeypatch):
-    def refuse(self, vec, adjoint=False):
-        raise AssertionError("block() applied the select")
+    """Neither encoding builds or applies a select cell to construct itself,
+    to form its closed-form block or to amplify it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form built or applied select cells")
 
     monkeypatch.setattr(lcu.SignedPermutationCells, "apply", refuse)
+    monkeypatch.setattr(lcu, "blank_cells", refuse)
+    monkeypatch.setattr(lcu, "route", refuse)
     for enc in long_encodings(4)[:1] + short_encodings(4)[:1]:
         assert enc.block().shape == (enc.dim, enc.dim)
+        block, _ = lcu.AmplifiedStep(enc).amplified()
+        assert block.shape == (enc.dim, enc.dim)
 
 
 def test_system_block_refuses_a_register_above_the_cap():
@@ -185,10 +205,10 @@ def test_system_block_refuses_an_output_above_the_cap():
 
 @pytest.fixture
 def pinned_to_the_loops(monkeypatch):
-    """Check every lcu.route and average call against the per-edge and
-    per-cell loops of tests/support.py, bit for bit; returns the call log."""
+    """Check every lcu.route call against the per-edge loop of
+    tests/support.py, bit for bit; returns the call log."""
     calls = []
-    route, average = lcu.route, lcu.SignedPermutationCells.average
+    route = lcu.route
 
     def checked_route(perm, phase, thr, bits, *edges):
         want = perm.copy(), phase.copy(), thr.copy()
@@ -198,30 +218,24 @@ def pinned_to_the_loops(monkeypatch):
             assert np.array_equal(got, expect)
         calls.append("route")
 
-    def checked_average(self, weights=1.0):
-        out = average(self, weights)
-        assert (out == average_oracle(self, weights)).all()
-        calls.append("average")
-        return out
-
     monkeypatch.setattr(lcu, "route", checked_route)
-    monkeypatch.setattr(lcu.SignedPermutationCells, "average", checked_average)
     return calls
 
 
 @pytest.mark.parametrize("bits", [3, 8])
 def test_short_cells_match_the_loops(pinned_to_the_loops, bits):
     for enc in short_encodings(bits):
-        enc.cells.average()
+        enc.cells
     # one encoding per factor of the k = 1, r = 1 schedules: 4 + 4 + 6
-    assert pinned_to_the_loops.count("route") == pinned_to_the_loops.count("average") == 14
+    assert pinned_to_the_loops.count("route") == 14
 
 
 @pytest.mark.parametrize("bits", [8, 12])
 def test_long_cells_match_the_loops(pinned_to_the_loops, bits):
     for enc in long_encodings(bits, frames=("Z", "ZI")):
-        enc.block()
-    assert pinned_to_the_loops.count("route") == 2 * pinned_to_the_loops.count("average") == 10
+        enc.cells
+    # both branches' edges go in one call per encoding
+    assert pinned_to_the_loops.count("route") == 5
 
 
 @pytest.mark.parametrize("bits", [3, 8])
@@ -244,9 +258,7 @@ def test_random_edges_match_the_loops(pinned_to_the_loops, bits):
     # every tie went to the even neighbor, or to the clamp 2^B - 1 from 2^B - 1/2
     tied = thr[k, j][ties]
     assert ((tied % 2 == 0) | (tied == (1 << bits) - 1)).all()
-    weights = rng.uniform(size=cells)
-    lcu.SignedPermutationCells(perm, phase, thr, bits, cells).average(weights)
-    assert pinned_to_the_loops == ["route", "average"]
+    assert pinned_to_the_loops == ["route"]
 
 
 @pytest.mark.parametrize("m", [1, 3, 7, 9, 27, 101, 403, 1609])

@@ -14,6 +14,7 @@ from pathint.trotter import schedule, trotter_unitary
 from support import (
     amplified_svd_oracle,
     applied_amplification,
+    average_oracle,
     class_edges,
     pauli_string,
     projected_step,
@@ -253,7 +254,7 @@ def test_alternating_sum_matches_definitional_average():
                 flipped = np.vstack([u[dim:], u[:dim]])
                 acc += flipped
     acc /= 1 << bits
-    got = sh._step_cells(overlaps, 0, bits).average()
+    got = average_oracle(sh.BlockEncoding(overlaps, 0, bits).cells)
     assert np.max(np.abs(acc - got)) <= 1e-12
 
 
@@ -298,7 +299,8 @@ def test_alternating_sum_defect_bound():
 def test_alternating_sum_block_structure():
     decomp = zz_zx()
     dim = decomp.dim
-    full = sh._step_cells(dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 1.0)), 0, 5).average()
+    overlaps = dc.ScheduleOverlaps(decomp, schedule(2, 0, 1, 1.0))
+    full = average_oracle(sh.BlockEncoding(overlaps, 0, 5).cells)
     assert np.all(full[:, dim:] == 0)
     assert np.all(full[dim:, :dim] == 0)
 
@@ -330,7 +332,7 @@ def test_block_identity_examples():
         overlaps = dc.ScheduleOverlaps(decomp, sched)
         enc = sh.BlockEncoding(overlaps, m, bits)
         dim = decomp.dim
-        synth = sh._step_cells(overlaps, m, bits).average()[:dim, :dim]
+        synth = average_oracle(enc.cells)[:dim, :dim]
         got = lcu.system_block(enc.apply_w, enc.size, dim) * enc.subnormalization
         assert np.max(np.abs(got - synth)) <= 1e-10
 
@@ -345,7 +347,7 @@ def test_block_identity_with_padded_colors():
     assert enc.d_pad == 4
     assert enc.subnormalization == 16.0
     dim = decomp.dim
-    synth = sh._step_cells(overlaps, 0, 5).average()[:dim, :dim]
+    synth = average_oracle(enc.cells)[:dim, :dim]
     got = lcu.system_block(enc.apply_w, enc.size, dim) * enc.subnormalization
     assert np.max(np.abs(got - synth)) <= 1e-10
 
@@ -591,7 +593,7 @@ def test_simulate_builds_no_select_cells(monkeypatch):
     def refuse(*args):
         raise AssertionError("simulate built select cells")
 
-    monkeypatch.setattr(sh, "_step_cells", refuse)
+    monkeypatch.setattr(lcu, "blank_cells", refuse)
     res = sh.simulate(wide_zz_xx_yz(), k=1, r=2, t=0.6, bits=8)
     assert res.d == 4
     assert res.measured_error <= 4 * (res.rounding_bound + res.trotter_bound)
