@@ -152,10 +152,6 @@ def square_well_potential(depth: float, left: float, right: float) -> Potential:
     return Potential(energy=energy, v_max=abs(float(depth)))
 
 
-def position_op(cfg: LatticeConfig) -> np.ndarray:
-    return np.diag(cfg.positions()).astype(complex)
-
-
 def momentum_op(cfg: LatticeConfig) -> np.ndarray:
     """Momentum as the Fourier conjugate of position, F diag(momenta()) F^H.
 
@@ -204,9 +200,7 @@ class ActionOracle:
 
         exp(i*(mass/(2*tau))*(x_to - x_from)**2 - i*tau*V(x_from))
 
-    from :func:`action_phase` and counts one query.  The doubled-register
-    matrix view counts one query as well, since a single oracle application
-    serves a whole superposition.
+    from :func:`action_phase` and counts one query.
     """
 
     def __init__(
@@ -231,11 +225,6 @@ class ActionOracle:
         """Array of phases indexed [q_from, q_to], without query accounting."""
         q = np.arange(self.cfg.dim)
         return action_phase(self.cfg, self._v, q[:, None], q[None, :])
-
-    def doubled_matrix(self) -> np.ndarray:
-        """Diagonal unitary on the doubled register |q_from>|q_to>."""
-        self.counter.tick("action")
-        return np.diag(self.phase_table().reshape(-1))
 
 
 def step_global_phase(cfg: LatticeConfig, potential: Potential) -> complex:

@@ -20,18 +20,20 @@ from .errors import InvariantViolation, require_cap
 
 # Relative gap below which eigenvalues are treated as one degenerate cluster.
 DEGENERACY_RTOL = 1e-9
+# Largest |h - h^H| entry, relative to max(1, max|h|), a Hermitian matrix may show.
+HERMITIAN_RTOL = 1e-10
 
 
-def check_hermitian(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity of a matrix or a stack, each matrix at its own
-    scale max(1, max|h_i|), and return it symmetrized."""
+def check_hermitian(h: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity of a matrix or a stack, each matrix to
+    HERMITIAN_RTOL at its own scale max(1, max|h_i|), and return it symmetrized."""
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise InvariantViolation(f"expected square matrices, got shape {h.shape}")
     adj = np.swapaxes(h, -1, -2).conj()
     flat = (-1, h.shape[-1] ** 2)
     defect = np.abs(h - adj).reshape(flat).max(axis=1)
-    bad = defect > tol * np.maximum(np.abs(h).reshape(flat).max(axis=1), 1.0)
+    bad = defect > HERMITIAN_RTOL * np.maximum(np.abs(h).reshape(flat).max(axis=1), 1.0)
     if bad.any():
         raise InvariantViolation(f"matrix is not Hermitian (defect {defect[bad].max():.3e})")
     return (h + adj) / 2

@@ -161,7 +161,8 @@ class TimeDependentHamiltonian:
         return adiabatic_bounds(self)
 
     def frames(self, r: int) -> tuple[SmoothEigensystem, np.ndarray]:
-        """Tracked frames and transition rates on the r-panel grid.
+        """Tracked frames and transition rates on the r-panel grid; these
+        are the only transition rates the module computes.
 
         Both depend on the sweep alone, not on the total time, so they are
         computed once per r and shared by every truncation and jump_term of
@@ -313,7 +314,8 @@ class SmoothEigensystem:
         """Largest discrete diagonal transition rate left by the gauge.
 
         The transport gauge zeroes Im<chi_j|chi_j'> identically, so this is
-        rounding noise; an unaligned gauge would show O(1) values here.
+        rounding noise, and ``_rate_matrices`` sets the diagonal to zero; an
+        unaligned gauge would show O(1) values here.
         """
         steps = np.diff(self.s_grid)
         imag = np.abs(np.imag(self.step_overlaps()))
@@ -370,29 +372,6 @@ def smooth_eigensystem(
     return SmoothEigensystem(s_grid=s_grid, values=values, vectors=vectors)
 
 
-def transition_rate(ham: TimeDependentHamiltonian, s: float, j: int, k: int) -> complex:
-    """Single-point rate <chi_j|dh|chi_k>/(lambda_j - lambda_k).
-
-    Levels are labeled ascending at the queried s, in the deterministic
-    single-point gauge.  The diagonal is excluded: the transport gauge pins
-    it to zero, so asking for it is a caller error rather than a value.
-    """
-    if j == k:
-        raise SpecError(
-            "the transport gauge pins the diagonal rate to zero; "
-            "request off-diagonal indices"
-        )
-    eig = hermitian_eig(ham.sample("h", float(s)))
-    if not (0 <= j < ham.dim and 0 <= k < ham.dim):
-        raise SpecError(f"level indices ({j}, {k}) out of range for dim {ham.dim}")
-    gap = float(eig.values[j] - eig.values[k])
-    scale = max(1.0, float(np.max(np.abs(eig.values))))
-    if abs(gap) < GAP_FLOOR * scale:
-        raise InvariantViolation(f"levels {j} and {k} are degenerate at s={s}")
-    deriv = ham.sample("dh", float(s))
-    return complex(eig.vectors[:, j].conj() @ deriv @ eig.vectors[:, k] / gap)
-
-
 def _rate_matrices(eigsys: SmoothEigensystem, derivs: np.ndarray) -> np.ndarray:
     """Off-diagonal transition rates at every grid point, zero diagonal."""
     numer = np.einsum(
@@ -433,13 +412,19 @@ class AdiabaticBounds:
 def adiabatic_bounds(ham: TimeDependentHamiltonian) -> AdiabaticBounds:
     """Estimate the derivative-norm bounds on a fixed 129-point grid.
 
-    Higher derivatives of h come from central differences of the analytic
-    dh, which keeps the noise floor at the level of the second difference
-    of an exact quantity rather than of a doubly-differenced h.  Callers
-    read ``ham.bounds``, which computes this once per Hamiltonian.
+    The minimum gap is ``spectral_gap`` of the plain ``eigh`` spectra there,
+    with no frame tracked: sorted spectra have the same least level distance
+    as tracked curves, and ``eigh`` (unlike ``eigvalsh``) gives the values
+    ``smooth_eigensystem`` tracks, bit for bit.  Higher derivatives of h
+    come from central differences of the analytic dh, which keeps the noise
+    floor at the level of the second difference of an exact quantity rather
+    than of a doubly-differenced h.  Callers read ``ham.bounds``, which
+    computes this once per Hamiltonian.
     """
     pts = np.linspace(0.0, 1.0, 129)
-    gap_min = smooth_eigensystem(ham, pts).gap_min
+    gap_min, floor = spectral_gap(np.linalg.eigh(ham.sample("h", pts))[0])
+    if gap_min <= floor:
+        raise InvariantViolation("spectral gap collapsed below tolerance mid-grid")
 
     delta = 1e-3
     inner = np.clip(pts, delta, 1.0 - delta)

@@ -227,14 +227,11 @@ def test_criterion_08_longtime_error_quadratic_in_total_time():
 def test_criterion_09_rates_antisymmetric_with_zero_diagonal():
     for seed in range(10):
         ham = random_smooth_system(np.random.default_rng(800 + seed), dim=3, grid=16)
-        eigsys = lt.smooth_eigensystem(ham)
-        assert eigsys.diagonal_rate_defect() < 1e-9
-        for s in (0.15, 0.5, 0.85):
-            for j in range(3):
-                for k in range(j):
-                    fwd = lt.transition_rate(ham, s, j, k)
-                    bwd = lt.transition_rate(ham, s, k, j)
-                    assert abs(bwd + np.conj(fwd)) < 1e-9
+        for r in (16, 64):
+            # the rates every truncation and encoding reads, at every grid point
+            eigsys, rates = ham.frames(r)
+            assert eigsys.diagonal_rate_defect() < 1e-9
+            assert np.max(np.abs(rates + np.swapaxes(rates, 1, 2).conj())) < 1e-9
 
 
 @criterion(10, "lattice step exactness", 120.0)

@@ -398,13 +398,13 @@ def test_long_sim_tracks_a_sweep_once_for_every_total_time(tmp_path, monkeypatch
         "--r", "512", "--out",
     ]
     assert cli.main(argv + [str(tmp_path / "shared.csv")]) == 0
-    # one track for the bounds, one for the frames every truncation reads
-    assert calls == [129, 513]
+    # one track, for the frames every truncation reads; the bounds track none
+    assert calls == [513]
     # the same run with a fresh Hamiltonian, so fresh frames, for each T
     original = cli._system_builder
     monkeypatch.setattr(cli, "_system_builder", lambda value: lambda t: original(value)(t))
     assert cli.main(argv + [str(tmp_path / "fresh.csv")]) == 0
-    assert len(calls) == 2 + 2 * 5
+    assert calls == [513] * (1 + 5)
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
@@ -422,7 +422,7 @@ def test_long_sim_interaction_frame_tracks_once_per_total_time(tmp_path, monkeyp
     ])
     assert code == 0
     # the frame's drift scales with T, so each T is a new Hamiltonian
-    assert calls == [129, 65, 129, 65]
+    assert calls == [65, 65]
 
 
 def count_midpoint_grids(monkeypatch) -> list[tuple[object, int, int]]:

@@ -31,7 +31,6 @@ from pathint.lattice import (
     lagrangian_steps,
     momentum_mode_mask,
     momentum_op,
-    position_op,
     split_step_reference,
     square_well_potential,
     step_global_phase,
@@ -88,13 +87,6 @@ def test_potential_bound_enforced():
     assert harm.v_max == pytest.approx(0.5 * 4.0 * 9.0)
 
 
-def test_position_operator_spectrum():
-    cfg = LatticeConfig(n=4, x_max=8.0, mass=1.0, r=1)
-    x = position_op(cfg)
-    assert np.allclose(x, np.diag(np.diag(x)))
-    assert np.array_equal(np.real(np.diag(x)), np.arange(16) * 0.5)
-
-
 def test_momentum_operator_eigenstructure():
     cfg = LatticeConfig(n=3, x_max=4.0, mass=1.0, r=1)
     p = momentum_op(cfg)
@@ -143,20 +135,6 @@ def test_walk_phases_are_the_oracle_table():
         want = table[0, :] * np.fft.fft(table[:, 0] * psi, norm="ortho")
         (got,) = lagrangian_steps(cfg, pot.grid_values(cfg), psi, 1)
         assert np.array_equal(got, want)
-
-
-def test_action_oracle_doubled_register():
-    cfg = LatticeConfig(n=2, x_max=2.0, mass=1.0, r=1)
-    pot = constant_potential(0.4)
-    counter = QueryCounter()
-    orc = ActionOracle(cfg, pot, counter=counter)
-    mat = orc.doubled_matrix()
-    assert counter.snapshot() == {"action": 1}
-    assert np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
-    diag = np.diag(mat)
-    for qf in range(4):
-        for qt in range(4):
-            assert diag[qf * 4 + qt] == pytest.approx(orc(qf, qt))
 
 
 def test_step_matches_free_propagator():
