@@ -103,7 +103,7 @@ def spec_from_dict(doc: object) -> ExperimentSpec:
 
 
 def spec_hash(spec: ExperimentSpec) -> str:
-    canon = json.dumps(asdict(spec), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(vars(spec), sort_keys=True, separators=(",", ":"))  # no deep copy
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

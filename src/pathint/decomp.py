@@ -277,7 +277,7 @@ class ScheduleOverlaps:
     no successor; its pair is the identity pair (term, term), which the
     block-encoding machinery uses to realize the trailing diagonal phase
     through the same code path.  ``d`` is the sparsity: the largest number
-    of genuine overlaps in any row or column of any table.
+    of genuine overlaps in any row or column of any table (``tables``, one per distinct pair).
     """
 
     def __init__(self, decomp: Decomposition, schedule: "TrotterSchedule"):
@@ -285,16 +285,16 @@ class ScheduleOverlaps:
         self.schedule = schedule
         terms = [f.term for f in schedule.factors]
         self.pairs = list(zip(terms, terms[1:] + terms[-1:]))
-        self._tables = {pair: _pair_overlap(decomp, *pair) for pair in dict.fromkeys(self.pairs)}
+        self.tables = {pair: _pair_overlap(decomp, *pair) for pair in dict.fromkeys(self.pairs)}
         self.d = max(
             int(max(t.genuine.sum(axis=0).max(), t.genuine.sum(axis=1).max()))
-            for t in self._tables.values()
+            for t in self.tables.values()
         )
 
     def pair_for_step(self, m: int) -> PairOverlap:
         if not 0 <= m < len(self.pairs):
             raise SpecError(f"step index {m} outside schedule of {len(self.pairs)} factors")
-        return self._tables[self.pairs[m]]
+        return self.tables[self.pairs[m]]
 
 
 # ---------------------------------------------------------------------------

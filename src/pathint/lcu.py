@@ -20,15 +20,15 @@ which blank columns cancel: the weighted sum of the routed edges alone
 (``edge_sum``), the one closed form of both encodings.  Cells are built
 only to walk the register (``system_block``), the tests' oracle.
 
-Oblivious amplitude amplification with p rounds (``rounds_for``) maps
-each singular value sigma of an encoded block to sin((2p+1) arcsin sigma)
-(Berry et al., PRL 114, 090502 (2015)).  That map is an odd polynomial, so
-``amplified_block`` applies it as a singular value transformation
-(Gilyen, Su, Low and Wiebe, arXiv:1806.01838) from matrix products alone.
-``AmplifiedStep`` is the one amplification of both encodings.  It asks of
-an encoding only ``apply_w(vec, adjoint)``, ``block()``, ``dim``,
-``subnormalization``, ``size`` and a register ``shape`` whose second-to-last
-axis is the side qubit.
+Oblivious amplitude amplification with p rounds (``rounds_for``) maps each
+singular value sigma of an encoded block to sin((2p+1) arcsin sigma) (Berry
+et al., PRL 114, 090502 (2015)).  That map is an odd polynomial, so
+``amplified_block`` applies it as a singular value transformation (Gilyen,
+Su, Low and Wiebe, arXiv:1806.01838) from matrix products alone, to one
+block or a whole stack.  ``AmplifiedStep`` is the one amplification of both
+encodings.  It asks of an encoding only ``apply_w(vec, adjoint)``,
+``block()``, ``dim``, ``subnormalization``, ``size`` and a register
+``shape`` whose second-to-last axis is the side qubit.
 """
 
 from __future__ import annotations
@@ -245,19 +245,25 @@ def rounds_for(subnormalization: float) -> int:
     return p
 
 
+def flag_dilution(subnormalization: float) -> tuple[int, float]:
+    """p = ``rounds_for(a)`` and a' = 1/sin(pi/(2(2p+1))), to which one flag qubit dilutes a."""
+    p = rounds_for(subnormalization)
+    return p, 1.0 / np.sin(np.pi / (2 * (2 * p + 1)))
+
+
 def _odd_chebyshev(block: np.ndarray, m: int) -> np.ndarray:
     """``block`` with each singular value sigma mapped to T_m(sigma), m odd.
 
     The pair (T_k, T_k+1) climbs the bits of m by T_2k = 2 T_k^2 - 1 and
     T_2k+1 = 2 T_k T_k+1 - T_1, two products a bit.  Odd terms are
     U f(Sigma) V^H and even ones V g(Sigma) V^H, so an odd term goes on the
-    left of a product and squares through its adjoint.
+    left of a product and squares through its adjoint.  Leading axes stack blocks.
     """
-    eye = np.eye(block.shape[1])
-    odd, even, k_parity = block, 2.0 * (block.conj().T @ block) - eye, 1
+    eye = np.eye(block.shape[-1])
+    odd, even, k_parity = block, 2.0 * (block.conj().swapaxes(-1, -2) @ block) - eye, 1
     for bit in map(int, bin(m)[3:-1]):
         # the next even term squares T_k (bit 0) or T_k+1 (bit 1)
-        square = odd.conj().T @ odd if bit != k_parity else even @ even
+        square = odd.conj().swapaxes(-1, -2) @ odd if bit != k_parity else even @ even
         odd, even, k_parity = 2.0 * (odd @ even) - block, 2.0 * square - eye, bit
     return 2.0 * (odd @ even) - block
 
@@ -267,13 +273,14 @@ def amplified_block(block: np.ndarray, p: int) -> np.ndarray:
 
     sin(m arcsin sigma) = (-1)^p T_m(sigma) for m = 2p+1, and T_ab = T_a o T_b,
     so the ladder runs once per odd prime factor of m: six products for
-    27 = 3^3, four for 7, twelve for 101, twenty for 1609.  The Schur bound
-    sqrt(||A||_1 ||A||_inf) shows sigma <= 1 without a decomposition; only
-    a block it does not clear is measured.
+    27 = 3^3, four for 7, twelve for 101, twenty for 1609, over a whole
+    (..., D, D) stack at once.  Each block's Schur bound sqrt(||A||_1 ||A||_inf)
+    shows sigma <= 1 without a decomposition; only a block it does not clear is measured.
     """
     mags = np.abs(block)
-    schur = math.sqrt(mags.sum(axis=0).max() * mags.sum(axis=1).max())
-    if schur > 1.0 and spectral_norm(block) > 1.0 + 1e-9:
+    schur = np.sqrt(mags.sum(axis=-2).max(axis=-1) * mags.sum(axis=-1).max(axis=-1))
+    del mags  # freed before the ladder's stack-sized temporaries
+    if any(spectral_norm(a) > 1.0 + 1e-9 for a in block[schur > 1.0]):
         raise InvariantViolation("encoded block has singular value above one")
     out, m, f = block, 2 * p + 1, 3
     while m > 1:
@@ -296,10 +303,8 @@ class AmplifiedStep:
 
     def __init__(self, encoding):
         self.encoding = encoding
-        a = encoding.subnormalization
-        self.p = rounds_for(a)
-        self.a_prime = 1.0 / np.sin(np.pi / (2 * (2 * self.p + 1)))
-        ratio = min(1.0, a / self.a_prime)
+        self.p, self.a_prime = flag_dilution(encoding.subnormalization)
+        ratio = min(1.0, encoding.subnormalization / self.a_prime)
         self._cos = np.sqrt(ratio)
         self._sin = np.sqrt(max(0.0, 1.0 - ratio))
         self.shape = (2,) + encoding.shape

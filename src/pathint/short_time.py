@@ -6,11 +6,12 @@ register; the transition operator is synthesized as a linear combination of
 signed permutation unitaries (one per magnitude replica b and color class
 (c1, c2)), block encoded with uniform PREP, and boosted to near-unit success
 amplitude with oblivious amplitude amplification (``lcu.AmplifiedStep``,
-shared with the long-time encoding).  ``simulate`` takes the amplified
-block as an odd polynomial of the encoded block (``lcu.amplified_block``)
-and multiplies one repetition's steps once, then raises their product to
-the r-th repetition.  Everything is computed with dense or structured
-matrices; oracle use is charged at the published per-application budget.
+shared with the long-time encoding).  ``simulate`` builds no encoding: it
+stacks one repetition's step blocks, amplifies the stack with one odd
+polynomial ladder (``lcu.amplified_block``), multiplies the steps once and
+raises their product to the r-th repetition.  Everything is computed with
+dense or structured matrices; oracle use is charged at the published
+per-application budget.
 
 Register layout for one encoded step (slowest to fastest axis):
 ``b`` magnitude replica (2^B), ``c1``/``c2`` color indices (d padded to a
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lcu
-from .decomp import MAX_BITS, Decomposition, QueryCounter, ScheduleOverlaps
+from .decomp import MAX_BITS, Decomposition, PairOverlap, QueryCounter, ScheduleOverlaps
 from .errors import SpecError, require_cap
 from .lcu import AmplifiedStep
 from .linalg import exp_unitary, spectral_norm
@@ -85,9 +86,7 @@ def transition_operator(overlaps: ScheduleOverlaps, m: int) -> np.ndarray:
     the eigenvalue phase; the final factor reduces to the phase alone via the
     identity overlap pair.
     """
-    table = overlaps.pair_for_step(m)
-    values, _, tau = _factor_eigendata(overlaps.decomp, overlaps.schedule, m)
-    return table.overlap @ np.diag(np.exp(-1j * values * tau))
+    return overlaps.pair_for_step(m).overlap @ np.diag(_eigenphase(overlaps, m))
 
 
 def transition_product(decomp: Decomposition, sched: TrotterSchedule) -> np.ndarray:
@@ -112,23 +111,30 @@ def _pad_colors(d: int) -> int:
     return p
 
 
-def _step_edges(overlaps: ScheduleOverlaps, m: int):
-    """Colored edges of one step, as ``lcu.route`` columns ``(k, j, q, amp, carried)``.
+def _pair_edges(table: PairOverlap, d_pad: int):
+    """Colored edges of one (term, next term) pair, as ``(k, j, q, amp)``.
 
     The genuine edge j -> q, where q is the c1-th genuine partner of j and
     j the c2-th genuine partner of q (both counted in ascending order), goes
-    to cell k = c1 * d_pad + c2 and carries the overlap amplitude and the
-    eigenphase of j.
+    to cell k = c1 * d_pad + c2 and carries the overlap amplitude; a step of
+    the pair adds the eigenphase of j (``_eigenphase``) to make ``lcu.route`` columns.
     """
-    table = overlaps.pair_for_step(m)
-    values, _, tau = _factor_eigendata(overlaps.decomp, overlaps.schedule, m)
-    colors = _pad_colors(overlaps.d)
     genuine = table.genuine
     q, j = np.nonzero(genuine)
     c1 = np.cumsum(genuine, axis=0)[q, j] - 1
     c2 = np.cumsum(genuine, axis=1)[q, j] - 1
-    eigenphase = np.exp(-1j * values * tau)
-    return c1 * colors + c2, j, q, table.overlap[q, j], eigenphase[j]
+    return c1 * d_pad + c2, j, q, table.overlap[q, j]
+
+
+def _eigenphase(overlaps: ScheduleOverlaps, m: int) -> np.ndarray:
+    values, _, tau = _factor_eigendata(overlaps.decomp, overlaps.schedule, m)
+    return np.exp(-1j * values * tau)
+
+
+def _require_bits(bits: int) -> int:
+    if not 1 <= bits <= MAX_BITS:
+        raise SpecError(f"magnitude precision must be 1 to {MAX_BITS} bits")
+    return bits
 
 
 def synthesis_defect_bound(d: int, bits: int) -> float:
@@ -159,9 +165,7 @@ class BlockEncoding:
         bits: int,
         counter: QueryCounter | None = None,
     ):
-        if not 1 <= bits <= MAX_BITS:
-            raise SpecError(f"magnitude precision must be 1 to {MAX_BITS} bits")
-        self.bits = bits
+        self.bits = _require_bits(bits)
         self.counter = counter if counter is not None else QueryCounter()
         self.d = overlaps.d
         self.d_pad = _pad_colors(self.d)
@@ -170,7 +174,8 @@ class BlockEncoding:
         self.subnormalization = float(self.d_pad**2)
         self.shape = (self.width, self.d_pad, self.d_pad, 2, self.dim)
         self.size = int(np.prod(self.shape))
-        self.edges = _step_edges(overlaps, m)
+        k, j, q, amp = _pair_edges(overlaps.pair_for_step(m), self.d_pad)
+        self.edges = (k, j, q, amp, _eigenphase(overlaps, m)[j])
 
     @cached_property
     def cells(self) -> lcu.SignedPermutationCells:
@@ -260,32 +265,37 @@ def simulate(
 
     The schedule is one repetition of S factors written r times, so only
     the S steps of one repetition and the final identity-pair step are
-    amplified, one per (term pair, weight) step type.  With Q the product of
-    a repetition's first S - 1 blocks and B_cross the block whose next term
-    opens the next repetition, the product is B_final Q (B_cross Q)^(r-1).
-    The oracle budget is charged per step application: 2p+1 select
-    applications for each of the M = rS steps.
+    amplified, one per (term pair, weight) step type: one d_pad, so one p, and
+    one stack of flagged blocks summed from each pair's edges for one ladder.
+    With Q the product of a repetition's first S - 1 blocks and B_cross the
+    block whose next term opens the next repetition, the product is
+    B_final Q (B_cross Q)^(r-1).  The oracle budget is charged per step
+    application: 2p+1 select applications for each of the M = rS steps.
     """
     sched = schedule(decomp.term_count, k, r, t)
     overlaps = ScheduleOverlaps(decomp, sched)
-    amplified: dict[tuple[int, int, float], tuple[np.ndarray, float, int]] = {}
-
-    def block(m: int) -> np.ndarray:
-        key = (*overlaps.pairs[m], sched.factors[m].weight)
-        if key not in amplified:
-            step = AmplifiedStep(BlockEncoding(overlaps, m, bits))
-            amplified[key] = step.amplified() + (step.p,)
-        return amplified[key][0]
-
-    S = sched.M // r
-    q = np.eye(decomp.dim, dtype=complex)
+    _require_bits(bits)
+    dim, d_pad, S = decomp.dim, _pad_colors(overlaps.d), sched.M // r
+    edges = {pair: _pair_edges(table, d_pad) for pair, table in overlaps.tables.items()}
+    keys = {m: (*overlaps.pairs[m], sched.factors[m].weight) for m in [*range(S), sched.M - 1]}
+    types = {key: m for m, key in keys.items()}  # one step of each type
+    columns = []
+    for slot, m in enumerate(types.values()):
+        _, j, to, amp = edges[overlaps.pairs[m]]
+        columns.append((slot * dim + to, j, amp, _eigenphase(overlaps, m)[j]))
+    to, j, amp, carried = map(np.concatenate, zip(*columns))
+    p, a_prime = lcu.flag_dilution(d_pad**2)
+    stack = lcu.edge_sum(np.zeros((len(types) * dim, dim), complex), to, j, amp, carried, bits)
+    stack /= a_prime  # in place: one unamplified stack lives through the ladder
+    amplified = lcu.amplified_block(stack.reshape(-1, dim, dim), p)
+    min_weight = min(1.0, float(np.sum(np.abs(amplified) ** 2, axis=-2).min()))
+    blocks = dict(zip(types, amplified))
+    q = np.eye(dim, dtype=complex)
     for m in range(S - 1):
-        q = block(m) @ q
-    u = block(sched.M - 1) @ q
+        q = blocks[keys[m]] @ q
+    u = blocks[keys[sched.M - 1]] @ q
     if r > 1:
-        u = u @ np.linalg.matrix_power(block(S - 1) @ q, r - 1)
-    (p,) = {p for _, _, p in amplified.values()}  # one d_pad: every step has one p
-    min_weight = min([1.0] + [weight for _, weight, _ in amplified.values()])
+        u = u @ np.linalg.matrix_power(blocks[keys[S - 1]] @ q, r - 1)
     v_first = decomp.eigensystems[sched.factors[0].term].vectors
     v_last = decomp.eigensystems[sched.factors[-1].term].vectors
     result = v_last @ u @ v_first.conj().T

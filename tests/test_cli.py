@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -105,6 +106,33 @@ def test_gauss_check_deterministic_and_within_tolerance(tmp_path):
             }
         )
     )
+
+
+def asdict_hash(spec: cli.ExperimentSpec) -> str:
+    """The manifest hash as first written, over ``dataclasses.asdict``."""
+    canon = json.dumps(dataclasses.asdict(spec), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def test_spec_hash_is_the_asdict_hash(tmp_path, monkeypatch):
+    from test_readme import readme_decomposition, readme_examples
+
+    nested = cli.spec_from_dict({
+        "kind": "short-sim",
+        "params": {
+            "decomp": json.loads(FIVE_TERM_DECOMP), "k": 1, "r": 2, "t": 0.5, "bits": 6,
+            "sweep": {"param": "r", "values": [2, 4]},
+        },
+        "seed": 2**63 + 5,
+        "output": "nested é.csv",
+    })
+    specs = [nested]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "decomp.json").write_text(readme_decomposition())
+    specs += [cli._spec_from_args(cli._parse(argv)) for argv in readme_examples()]
+    for spec in specs:
+        assert cli.spec_hash(spec) == asdict_hash(spec)
+    assert len({cli.spec_hash(spec) for spec in specs}) == 6
 
 
 def test_trotter_error_sweep(tmp_path):

@@ -303,6 +303,59 @@ def test_amplified_block_refuses_a_singular_value_above_one(unit):
         lcu.amplified_block((1 + 1e-6) * unit, 13)
 
 
+def assert_stack_is_the_block_map(stack, p):
+    got = lcu.amplified_block(stack, p)
+    assert got.shape == stack.shape
+    for block, out in zip(stack, got):
+        assert np.array_equal(out, lcu.amplified_block(block, p))
+
+
+@pytest.mark.parametrize("m", [27, 101, 1609])
+def test_stacked_amplified_block_is_the_per_block_map_on_random_stacks(m):
+    rng = np.random.default_rng(m)
+    for dim in (2, 16, 64):
+        a = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
+        tops = np.array([0.058, 0.5, 0.9, 1.0])
+        stack = a * (tops / np.array([spectral_norm(x) for x in a]))[:, None, None]
+        assert_stack_is_the_block_map(stack, (m - 1) // 2)
+
+
+@pytest.mark.parametrize("bits", [3, 8])
+def test_stacked_amplified_block_is_the_per_block_map_on_step_stacks(bits):
+    """Every flagged step block of a schedule, stacked as simulate stacks
+    its step types, on Z+X, ZZ+ZX, ZZ+XX+YZ and the 5-qubit wide sum."""
+    for decomp in edge_sum_decompositions()[:4]:
+        for k in (0, 1, 2):
+            overlaps = dc.ScheduleOverlaps(decomp, schedule(decomp.term_count, k, 1, 0.7))
+            steps = [
+                lcu.AmplifiedStep(sh.BlockEncoding(overlaps, m, bits))
+                for m in range(overlaps.schedule.M)
+            ]
+            (p,) = {step.p for step in steps}
+            assert_stack_is_the_block_map(np.stack([s.flagged_block() for s in steps]), p)
+
+
+def test_stacked_amplified_block_measures_only_the_uncleared_block(monkeypatch):
+    """Identity blocks sit at Schur bound 0.9; the scaled Fourier block at
+    0.9 * 4 is the one the bound does not clear."""
+    measured = []
+
+    def counted(a):
+        measured.append(a)
+        return spectral_norm(a)
+
+    monkeypatch.setattr(lcu, "spectral_norm", counted)
+    stack = np.stack([0.9 * np.eye(16), 0.9 * qft_matrix(4), 0.5 * np.eye(16)]).astype(complex)
+    lcu.amplified_block(stack, 13)
+    assert len(measured) == 1 and np.array_equal(measured[0], stack[1])
+
+
+def test_stacked_amplified_block_refuses_one_block_above_one():
+    stack = np.stack([0.5 * np.eye(4), (1 + 1e-6) * np.eye(4), 0.9 * qft_matrix(2)])
+    with pytest.raises(InvariantViolation, match="singular value above one"):
+        lcu.amplified_block(stack, 13)
+
+
 # ---------------------------------------------------------------------------
 # the one amplification of both encodings
 

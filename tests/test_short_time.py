@@ -556,14 +556,17 @@ def test_simulate_error_envelope_point():
 
 
 def test_simulate_matches_applied_reflections(monkeypatch):
+    """The stacked ladder of simulate against a step loop whose every step
+    applies the reflections to its register."""
     cases = [(z_x(), 1, 2, 6), (zz_xx_yz(), 0, 2, 3)]
     closed = [sh.simulate(decomp, k=k, r=r, t=0.7, bits=bits) for decomp, k, r, bits in cases]
     monkeypatch.setattr(sh.AmplifiedStep, "_amplified_svd", sh.AmplifiedStep._amplified_iterate)
     for (decomp, k, r, bits), want in zip(cases, closed):
-        got = sh.simulate(decomp, k=k, r=r, t=0.7, bits=bits)
-        assert np.max(np.abs(got.unitary - want.unitary)) <= 1e-11
-        assert got.measured_error == pytest.approx(want.measured_error, abs=1e-11)
-        assert got.queries == want.queries
+        unitary, queries, _, _ = step_loop_simulation(decomp, k, r, 0.7, bits)
+        measured = spectral_norm(unitary - exp_unitary(decomp.total(), 0.7))
+        assert np.max(np.abs(unitary - want.unitary)) <= 1e-11
+        assert measured == pytest.approx(want.measured_error, abs=1e-11)
+        assert queries == want.queries
 
 
 @pytest.mark.parametrize("make", [z_x, zz_xx_yz])
@@ -577,6 +580,31 @@ def test_simulate_composes_repetitions_as_the_step_loop(make, k):
         assert res.queries == queries
         assert res.p == p
         assert res.min_success_weight == weight
+
+
+def test_simulate_amplifies_one_stack(monkeypatch):
+    """One amplified_block call covers every step type, and no step builds
+    a BlockEncoding: per-step amplification fails here."""
+    calls = []
+    amplified_block = lcu.amplified_block
+
+    def counted(block, p):
+        calls.append(block.shape)
+        return amplified_block(block, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built a BlockEncoding")
+
+    monkeypatch.setattr(lcu, "amplified_block", counted)
+    monkeypatch.setattr(sh.BlockEncoding, "__init__", refuse)
+    decomp = zz_xx_yz()
+    sched = schedule(decomp.term_count, 2, 3, 0.7)
+    pairs = dc.ScheduleOverlaps(decomp, sched).pairs
+    S = sched.M // 3
+    types = {(*pairs[m], sched.factors[m].weight) for m in [*range(S), sched.M - 1]}
+    res = sh.simulate(decomp, k=2, r=3, t=0.7, bits=6)
+    assert calls == [(len(types), decomp.dim, decomp.dim)]
+    assert res.measured_error <= 4 * (res.rounding_bound + res.trotter_bound)
 
 
 def test_simulate_does_not_walk_the_register(monkeypatch):
