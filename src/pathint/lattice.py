@@ -17,6 +17,9 @@ Gauss-sum reciprocity, exposed here as :func:`gauss_sum_check`.
 Each step of the circuit differs from the split product by the unit phase
 ``exp(-i*pi/4) * exp(i*tau*V(0))``, tracked analytically rather than absorbed
 into the oracle.
+
+:func:`trajectory` is the one loop that applies the circuit step; every
+caller, from ``lagrangian-sim`` to the dense propagator, drives it.
 """
 
 from __future__ import annotations
@@ -193,40 +196,6 @@ def action_phase(
     return np.exp(1j * (np.pi * dq * dq / cfg.dim) - 1j * cfg.tau * values[q_from])
 
 
-class ActionOracle:
-    """Diagonal phase oracle for the action of one timeslice pair.
-
-    Calling with grid indices (q_from, q_to) returns
-
-        exp(i*(mass/(2*tau))*(x_to - x_from)**2 - i*tau*V(x_from))
-
-    from :func:`action_phase` and counts one query.
-    """
-
-    def __init__(
-        self,
-        cfg: LatticeConfig,
-        potential: Potential,
-        counter: QueryCounter | None = None,
-    ) -> None:
-        self.cfg = cfg
-        self.potential = potential
-        self.counter = counter if counter is not None else QueryCounter()
-        self._v = potential.grid_values(cfg)
-
-    def __call__(self, q_from: int, q_to: int) -> complex:
-        dim = self.cfg.dim
-        if not (0 <= q_from < dim and 0 <= q_to < dim):
-            raise SpecError("grid index out of range for the action oracle")
-        self.counter.tick("action")
-        return complex(action_phase(self.cfg, self._v, q_from, q_to))
-
-    def phase_table(self) -> np.ndarray:
-        """Array of phases indexed [q_from, q_to], without query accounting."""
-        q = np.arange(self.cfg.dim)
-        return action_phase(self.cfg, self._v, q[:, None], q[None, :])
-
-
 def step_global_phase(cfg: LatticeConfig, potential: Potential) -> complex:
     """Unit phase g with circuit_step * g == split step, per step."""
     v0 = float(potential.energy(0.0))
@@ -248,56 +217,40 @@ def require_unit_norms(norms: np.ndarray | float, caller: str) -> None:
         raise SpecError(f"{caller} expects a normalized state")
 
 
-def lagrangian_steps(
+def trajectory(
     cfg: LatticeConfig,
     values: np.ndarray,
     state: np.ndarray,
-    steps: int,
+    rows: int,
     counter: QueryCounter | None = None,
 ) -> Iterator[np.ndarray]:
-    """Yield a grid state, or every matrix column, after each of ``steps`` circuit steps.
+    """Yield the circuit walk and its split-step reference from ``state``, in blocks.
 
-    ``values`` is ``Potential.grid_values(cfg)`` and the step phases are
-    built once, so a trajectory evaluates both once.  Each step applies the
-    action oracle against a zeroed second register, an inverse Fourier
-    transform, and the oracle again with the zeroed register first: two
-    oracle queries and one transform.  The second query's potential is at
-    x = 0, a global phase per step.
-    """
-    q = np.arange(cfg.dim)
-    first, second = action_phase(cfg, values, q, 0), action_phase(cfg, values, 0, q)
-    if state.ndim == 2:
-        first, second = first[:, None], second[:, None]
-    for _ in range(steps):
-        state = second * np.fft.fft(first * state, axis=0, norm="ortho")
-        if counter is not None:
-            counter.tick("action", 2)
-            counter.tick("qft")
-        yield state
+    ``values`` is ``Potential.grid_values(cfg)``, and ``state`` is one grid
+    vector or a stack of them along the last axis.  Each block is a fresh
+    (k, 2) + state.shape array with k <= ``rows``: row j holds the pair
+    (circuit state, reference state) after step start + j, for steps 0 .. r.
 
-
-def trajectory(
-    cfg: LatticeConfig, values: np.ndarray, state: np.ndarray, rows: int
-) -> Iterator[np.ndarray]:
-    """Yield the circuit and its split-step reference from ``state``, in blocks.
-
-    Each block is a fresh (k, 2, 2**n) array with k <= ``rows``: row j holds
-    the pair (circuit state, reference state) after step start + j, for
-    steps 0 .. r.  The reference is ``split_step_reference`` without a dense
-    matrix: its kinetic factor is diagonal in the Fourier basis (Feit, Fleck
-    and Steiger, J. Comput. Phys. 47, 412 (1982)).  Both halves open with a
-    phase vector and a forward transform, so a step is one stacked product
-    and one stacked transform, then the circuit's second oracle phase and
-    the reference's kinetic phase and inverse transform, each written into
-    its row.  The phases are built once; the circuit half is
-    :func:`lagrangian_steps` bit for bit.
+    A circuit step applies the action oracle against a zeroed second
+    register, an inverse Fourier transform, and the oracle again with the
+    zeroed register first.  Each step ticks two oracle queries and one
+    transform on ``counter``, however many states are stacked: the oracle
+    acts on superpositions.  The second query's potential is at x = 0, a
+    global phase per step.  The reference is ``split_step_reference``
+    without a dense matrix: its kinetic factor is diagonal in the Fourier
+    basis (Feit, Fleck and Steiger, J. Comput. Phys. 47, 412 (1982)).  Both
+    halves open with a phase vector and a forward transform, so a step is
+    one stacked product and one stacked transform, then the circuit's
+    second oracle phase and the reference's kinetic phase and inverse
+    transform, each written into its row.  The phases are built once.
     """
     q = np.arange(cfg.dim)
     opening = np.stack([action_phase(cfg, values, q, 0), np.exp(-1j * cfg.tau * values)])
+    opening = opening.reshape((2,) + (1,) * (state.ndim - 1) + (cfg.dim,))
     second = action_phase(cfg, values, 0, q)
     kinetic = np.exp(-1j * cfg.tau * cfg.momenta() ** 2 / (2.0 * cfg.mass))
     for start in range(0, cfg.r + 1, rows):
-        block = np.empty((min(rows, cfg.r + 1 - start), 2, cfg.dim), dtype=complex)
+        block = np.empty((min(rows, cfg.r + 1 - start), 2) + state.shape, dtype=complex)
         for step, row in enumerate(block, start):
             if step == 0:
                 row[...] = state
@@ -306,16 +259,19 @@ def trajectory(
                 np.fft.fft(row, axis=-1, norm="ortho", out=row)
                 np.multiply(second, row[0], out=row[0])
                 np.multiply(kinetic, row[1], out=row[1])
-                np.fft.ifft(row[1], norm="ortho", out=row[1])
+                np.fft.ifft(row[1], axis=-1, norm="ortho", out=row[1])
+                if counter is not None:
+                    counter.tick("action", 2)
+                    counter.tick("qft")
             pair = row
         yield block
 
 
-def _last(states: Iterator[np.ndarray]) -> np.ndarray:
-    """The final state of a walk of at least one step."""
-    for state in states:
+def _last(blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """The final block of a walk."""
+    for block in blocks:
         pass
-    return state
+    return block
 
 
 def lagrangian_step(
@@ -326,7 +282,8 @@ def lagrangian_step(
 ) -> np.ndarray:
     """Advance a normalized grid state by one circuit step."""
     state = require_normalized(cfg, state, "lagrangian_step")
-    return next(lagrangian_steps(cfg, potential.grid_values(cfg), state, 1, counter))
+    # the first block of two rows holds steps 0 and 1; no later step is taken
+    return next(trajectory(cfg, potential.grid_values(cfg), state, 2, counter))[1, 0]
 
 
 def lagrangian_propagator(
@@ -334,23 +291,23 @@ def lagrangian_propagator(
     potential: Potential,
     counter: QueryCounter | None = None,
 ) -> np.ndarray:
-    """Dense matrix of r composed circuit steps.
+    """Dense matrix of r composed circuit steps: the walk of every basis state.
 
     Multiplying by ``step_global_phase(cfg, potential) ** r`` recovers the
     split product ``(exp(-i*tau*P^2/2m) exp(-i*tau*V))**r`` exactly.  Query
-    accounting is per step, not per basis column: the oracle acts on
-    superpositions.
+    accounting is per step, not per basis state.
     """
     require_cap("step_work", cfg.r * cfg.dim, "propagator work r * 2^n")
-    u = np.eye(cfg.dim, dtype=complex)
-    return _last(lagrangian_steps(cfg, potential.grid_values(cfg), u, cfg.r, counter))
+    basis = np.eye(cfg.dim, dtype=complex)  # row c is basis state c
+    walk = trajectory(cfg, potential.grid_values(cfg), basis, 1, counter)
+    return _last(walk)[0, 0].T
 
 
 def brute_force_propagator(cfg: LatticeConfig, potential: Potential) -> np.ndarray:
     """Propagator by literal summation over all interior lattice paths.
 
     Enumerates every path (q_0, q_1, ..., q_r) with fixed endpoints,
-    multiplies the oracle's per-transition action phases along it, and
+    multiplies the per-transition phases of :func:`action_phase` along it, and
     accumulates with the prefactor (exp(-i*pi/4)/sqrt(2^n))**r.  The result
     equals the split product with no extra phase.  Only feasible while the interior
     path count 2^(n(r-1)) stays within the ``brute_force_paths`` cap.
@@ -359,7 +316,8 @@ def brute_force_propagator(cfg: LatticeConfig, potential: Potential) -> np.ndarr
     # costs the same at any r (require_cap shows it as 2^64+)
     require_cap("brute_force_paths", 1 << min(cfg.n * (cfg.r - 1), 64), "interior path count")
     dim = cfg.dim
-    trans = ActionOracle(cfg, potential).phase_table()
+    q = np.arange(dim)
+    trans = action_phase(cfg, potential.grid_values(cfg), q[:, None], q[None, :])
     prefactor = (np.exp(-1j * np.pi / 4) / math.sqrt(dim)) ** cfg.r
     out = np.zeros((dim, dim), dtype=complex)
     for q_start in range(dim):
@@ -471,7 +429,7 @@ def feasible_error_check(
     ham = kinetic_op(cfg) + np.diag(v)
     exact = exp_unitary(ham, cfg.total_time) @ psi
 
-    stepped = _last(lagrangian_steps(cfg, v, psi, cfg.r, counter))
+    stepped = _last(trajectory(cfg, v, psi, 1, counter))[0, 0]
 
     pos_gap = np.max(np.abs(np.abs(exact) ** 2 - np.abs(stepped) ** 2))
     exact_modes = np.fft.fft(exact, norm="ortho")

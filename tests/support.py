@@ -243,7 +243,7 @@ def alpha_comm_oracle(decomp, k: int) -> float:
 
 
 def split_steps(cfg, values: np.ndarray, state: np.ndarray, steps: int):
-    """Yield a grid state, or every matrix column, after each of ``steps`` split steps.
+    """Yield a grid state after each of ``steps`` split steps.
 
     Each step is ``lattice.split_step_reference`` without a dense matrix: the
     kinetic factor is diagonal in the Fourier basis (Feit, Fleck and Steiger,
@@ -253,11 +253,9 @@ def split_steps(cfg, values: np.ndarray, state: np.ndarray, steps: int):
     """
     potential = np.exp(-1j * cfg.tau * values)
     kinetic = np.exp(-1j * cfg.tau * cfg.momenta() ** 2 / (2.0 * cfg.mass))
-    if state.ndim == 2:
-        potential, kinetic = potential[:, None], kinetic[:, None]
     for _ in range(steps):
-        modes = np.fft.fft(potential * state, axis=0, norm="ortho")
-        state = np.fft.ifft(kinetic * modes, axis=0, norm="ortho")
+        modes = np.fft.fft(potential * state, norm="ortho")
+        state = np.fft.ifft(kinetic * modes, norm="ortho")
         yield state
 
 
@@ -337,24 +335,29 @@ def step_loop_simulation(decomp, k: int, r: int, t: float, bits: int):
 def lagrangian_csv_oracle(params: dict) -> bytes:
     """lagrangian-sim's CSV from a plain loop: one row of numpy calls per step.
 
-    The CLI computes its columns a block of rows at a time; it must write
-    these bytes exactly.
+    The circuit step is the two action-oracle phases around one transform,
+    one state at a time, apart from the stacked walk ``lattice.trajectory``
+    that the CLI streams a block of rows at a time; it must write these
+    bytes exactly.
     """
     from pathint import cli
-    from pathint.lattice import LatticeConfig, lagrangian_steps, require_normalized
+    from pathint.lattice import LatticeConfig, action_phase, require_normalized
 
     cfg = LatticeConfig(n=params["n"], x_max=params["xmax"], mass=params["mass"], r=params["r"])
     potential = cli._potential_from_param(params["potential"], cfg)
     state = reference = cli._initial_state(params["initial"], cfg)
     values = potential.grid_values(cfg)
-    walk = zip(lagrangian_steps(cfg, values, state, cfg.r), split_steps(cfg, values, state, cfg.r))
+    q = np.arange(cfg.dim)
+    first, second = action_phase(cfg, values, q, 0), action_phase(cfg, values, 0, q)
+    references = split_steps(cfg, values, state, cfg.r)
     positions = cfg.positions()
     momenta = cfg.momenta()
     lines = ["step,norm,fidelity,position_mean,momentum_mean"]
     for step in range(cfg.r + 1):
         if step > 0:
             require_normalized(cfg, state, "lagrangian_step")
-            state, reference = next(walk)
+            state = second * np.fft.fft(first * state, norm="ortho")
+            reference = next(references)
         norm = float(np.linalg.norm(state))
         fidelity = float(abs(np.vdot(reference, state)))
         weights = np.abs(state) ** 2

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from pathint.decomp import QueryCounter
 from pathint.errors import CAPS, CapExceeded, SpecError
 from pathint.lattice import (
-    ActionOracle,
     LatticeConfig,
     Potential,
+    action_phase,
     brute_force_propagator,
     constant_potential,
     feasible_error_bound,
@@ -28,7 +28,6 @@ from pathint.lattice import (
     harmonic_potential,
     lagrangian_propagator,
     lagrangian_step,
-    lagrangian_steps,
     momentum_mode_mask,
     momentum_op,
     split_step_reference,
@@ -109,32 +108,31 @@ def test_action_oracle_call_values():
     cfg = LatticeConfig(n=3, x_max=4.0, mass=1.0, r=1)
     pot = harmonic_mid(cfg)
     v = pot.grid_values(cfg)
-    orc = ActionOracle(cfg, pot)
     for q in range(8):
-        got = orc(q, 0)
+        got = action_phase(cfg, v, q, 0)
         want = np.exp(2j * np.pi * q * q / 16 - 1j * cfg.tau * v[q])
         assert abs(got - want) < 1e-12
-    free = ActionOracle(cfg, zero_potential())
+    free = zero_potential().grid_values(cfg)
     rng = np.random.default_rng(11)
     for _ in range(100):
         q = int(rng.integers(8))
-        assert free(q, q) == pytest.approx(1.0)
+        assert action_phase(cfg, free, q, q) == pytest.approx(1.0)
         a, b = int(rng.integers(8)), int(rng.integers(8))
-        assert abs(abs(orc(a, b)) - 1.0) < 1e-12
-    with pytest.raises(SpecError):
-        orc(8, 0)
+        assert abs(abs(action_phase(cfg, v, a, b)) - 1.0) < 1e-12
 
 
 def test_walk_phases_are_the_oracle_table():
-    # The walk's two queries are the oracle's rows (q, 0) and (0, q), so one
-    # step equals the step formed from the oracle's own table, bit for bit.
+    # The walk's two queries are the table's column (q, 0) and row (0, q), so
+    # one step equals the step formed from the whole action table, bit for bit.
     cfg = LatticeConfig(n=10, x_max=20.0, mass=1.3, r=1)
     psi = gaussian_packet(cfg, 9.0, 1.0, 0.6)
+    q = np.arange(cfg.dim)
     for pot in (harmonic_mid(cfg), square_well_potential(0.9, 5.0, 15.0)):
-        table = ActionOracle(cfg, pot).phase_table()
+        values = pot.grid_values(cfg)
+        table = action_phase(cfg, values, q[:, None], q[None, :])
         want = table[0, :] * np.fft.fft(table[:, 0] * psi, norm="ortho")
-        (got,) = lagrangian_steps(cfg, pot.grid_values(cfg), psi, 1)
-        assert np.array_equal(got, want)
+        (block,) = trajectory(cfg, values, psi, 2)
+        assert np.array_equal(block[1, 0], want)
 
 
 def test_step_matches_free_propagator():
@@ -178,8 +176,9 @@ def test_split_steps_match_the_dense_split_step():
     # 2^n * eps * tau*p_max^2/2m, and that largest kinetic phase is
     # pi*(2^n - 1)^2/2^n for any geometry, so past n = 6 the oracle itself is
     # off by more than 1e-12 (6.9e-12 at n = 8).  The product F diag F^dag,
-    # with F from qft_matrix, holds the walk to 1e-12 at every n.  The
-    # circuit half is lagrangian_steps bit for bit, across block boundaries.
+    # with F from qft_matrix, holds the walk to 1e-12 at every n.  A stack
+    # of states walks as each state alone, and a walk does not depend on
+    # where its blocks break, bit for bit.
     eps = np.finfo(float).eps
     rng = np.random.default_rng(7)
     for n in range(1, 9):
@@ -195,13 +194,13 @@ def test_split_steps_match_the_dense_split_step():
             square_well_potential(1.5, 2.0, 6.0),
         ):
             values = pot.grid_values(cfg)
-            reference = []
+            circuit, reference = [], []
             for column in np.eye(cfg.dim, dtype=complex):
                 (block,) = trajectory(cfg, values, column, 2)
                 assert np.array_equal(block[0], [column, column])
-                (step,) = lagrangian_steps(cfg, values, column, 1)
-                assert np.array_equal(block[1, 0], step)
+                circuit.append(block[1, 0])
                 reference.append(block[1, 1])
+            assert np.array_equal(lagrangian_propagator(cfg, pot), np.array(circuit).T)
             got = np.array(reference).T
             assert spectral_norm(got - split_step_reference(cfg, pot)) < tol
             explicit = (f * np.exp(-1j * kinetic)) @ f.conj().T * np.exp(-1j * cfg.tau * values)
@@ -212,7 +211,8 @@ def test_split_steps_match_the_dense_split_step():
             pairs = np.concatenate(list(trajectory(three, values, psi, 2)))
             assert pairs.shape == (4, 2, cfg.dim)
             assert np.linalg.norm(pairs[-1, 1] - want) < 1e-12
-            assert np.array_equal(pairs[1:, 0], list(lagrangian_steps(three, values, psi, 3)))
+            (whole,) = trajectory(three, values, psi, 4)
+            assert np.array_equal(pairs, whole)
 
 
 def test_step_rejects_bad_states():

@@ -21,7 +21,7 @@ UNCALLED = {
     "lattice.step_global_phase":
         "paper identity: the circuit step equals the split step up to this phase (criterion 10)",
     "lattice.lagrangian_propagator":
-        "independent reference: the stepped propagator assembled as a dense matrix",
+        "the production walk on every basis state at once, as a dense matrix (criterion 10)",
     "lattice.brute_force_propagator":
         "independent reference: the lattice path sum by enumerating every path",
     "long_time.jump_term":
