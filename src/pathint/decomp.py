@@ -308,9 +308,6 @@ class QueryCounter:
     def tick(self, name: str, k: int = 1) -> None:
         self.counts[name] = self.counts.get(name, 0) + k
 
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.counts)
-
 
 # Most magnitude bits B: round_to_bits clamps to 2^B - 1, a float64 integer
 # only up to B = 53; at B = 54 a magnitude of 1.0 rounds to 2^B.

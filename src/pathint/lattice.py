@@ -33,7 +33,7 @@ import numpy as np
 
 from .decomp import QueryCounter
 from .errors import SpecError, require_cap
-from .linalg import exp_unitary, qft_matrix
+from .linalg import exp_unitary, fourier_matrix
 
 NORM_TOL = 1e-9
 CUTOFF_TOL = 1e-10
@@ -162,7 +162,7 @@ def momentum_op(cfg: LatticeConfig) -> np.ndarray:
     on column q, so the grid is read from ``momenta()`` alone; shifting by
     delta_x is the cyclic permutation of the grid.
     """
-    f = qft_matrix(cfg.n)
+    f = fourier_matrix(cfg.dim)
     return (f * cfg.momenta()) @ f.conj().T
 
 

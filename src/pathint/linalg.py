@@ -11,7 +11,6 @@ Everything downstream leans on two guarantees made here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -112,11 +111,9 @@ def exp_unitary(h: np.ndarray, t: float) -> np.ndarray:
     return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
 
 
-def qft_matrix(n: int) -> np.ndarray:
-    """Fourier matrix on n qubits, entry (k, j) = exp(2*pi*i*j*k/2^n)/sqrt(2^n)."""
-    if n < 1:
-        raise InvariantViolation("qft_matrix needs at least one qubit")
-    dim = 2**n
+def fourier_matrix(dim: int) -> np.ndarray:
+    """Unitary Fourier matrix of size dim, entry (k, j) = exp(2*pi*i*j*k/dim)/sqrt(dim);
+    at dim = 2^n, the QFT on n qubits."""
     grid = np.outer(np.arange(dim), np.arange(dim))
     return np.exp(2j * np.pi * grid / dim) / np.sqrt(dim)
 
@@ -166,47 +163,39 @@ MidpointEigensystem = Callable[[int, int], MidpointChunk]
 
 
 def midpoint_eigensystem(
-    ham: Callable[[np.ndarray], np.ndarray], steps: int, lo: int
+    sample: Callable[[np.ndarray], np.ndarray], steps: int, lo: int
 ) -> MidpointChunk:
     """``eigh`` of the drive at the midpoints s = (j + 1/2)/steps for the
     up to 2^14 slices j from lo on, with the overlaps of neighbouring
     eigenvector frames.
 
-    ``ham`` maps an array of s of shape (n,) to the stack of shape
-    (n, dim, dim); each matrix is checked Hermitian at its own scale.
+    ``sample`` maps an array of s of shape (n,) to the stack of shape
+    (n, dim, dim), already checked and symmetrized, as
+    ``long_time.TimeDependentHamiltonian.sample`` returns it.
     """
     s = (np.arange(lo, min(lo + MIDPOINT_CHUNK, steps)) + 0.5) / steps
-    hams = np.asarray(ham(s))
-    if hams.shape[:-2] != s.shape:
-        raise InvariantViolation(f"ham gave shape {hams.shape}, expected ({len(s)}, dim, dim)")
-    values, vectors = np.linalg.eigh(check_hermitian(hams))
+    values, vectors = np.linalg.eigh(sample(s))
     adj = np.swapaxes(vectors, -1, -2).conj()
     overlaps = np.concatenate([adj[:1], adj[1:] @ vectors[:-1]])
     return MidpointChunk(values, overlaps, vectors[-1].copy())
 
 
 def time_ordered_propagator(
-    ham: Callable[[np.ndarray], np.ndarray],
-    total_time: float,
-    steps: int,
-    eigensystem: MidpointEigensystem | None = None,
+    eigensystem: MidpointEigensystem, total_time: float, steps: int
 ) -> np.ndarray:
     """Midpoint-rule product approximation of the time-ordered evolution.
 
     The driving Hamiltonian is sampled at s = (j + 1/2)/steps on the unit
     interval and each slice contributes exp(-i H(s) * total_time/steps),
-    with later slices composed on the left.  Slices are taken a chunk of up
-    to 2^14 at a time, from ``eigensystem(steps, lo)``, by default
-    ``midpoint_eigensystem(ham, steps, lo)``, so reference-grade step
-    counts stay affordable.  A chunk is composed as
+    with later slices composed on the left.  Slices are read a chunk of up
+    to 2^14 at a time, from ``eigensystem(steps, lo)``, so reference-grade
+    step counts stay affordable.  A chunk is composed as
     V_last · Π_j (diag(p_j) · overlaps[j]) with the phases
     p_j = exp(-i lambda_j dt) scaling rows, so the only work that depends on
     total time is the phases and one ordered product of the chunk's factors.
     """
     if steps < 1:
         raise InvariantViolation("steps must be positive")
-    if eigensystem is None:
-        eigensystem = partial(midpoint_eigensystem, ham)
     dt = total_time / steps
     out = None
     for lo in range(0, steps, MIDPOINT_CHUNK):
@@ -224,10 +213,7 @@ def _nearest_unitary(a: np.ndarray) -> np.ndarray:
 
 
 def converged_propagator(
-    ham: Callable[[np.ndarray], np.ndarray],
-    total_time: float,
-    tol: float = 1e-9,
-    eigensystem: MidpointEigensystem | None = None,
+    eigensystem: MidpointEigensystem, total_time: float, tol: float = 1e-9
 ) -> np.ndarray:
     """Step-double the midpoint rule, with two Richardson eliminations, until
     successive refinements agree.
@@ -244,22 +230,21 @@ def converged_propagator(
     starts at 64 slices; one past the ``midpoint_slices`` cap is refused.
 
     Each refinement's chunks of slice eigenvalues and frame overlaps come
-    from ``eigensystem``, as in ``time_ordered_propagator``: by default
-    sampled and diagonalized anew from ``ham``, and for a
-    ``long_time.TimeDependentHamiltonian`` read from its
-    ``midpoint_eigensystem`` table, which keeps them across total times, so
-    a later total time pays only the phases and the ordered products.
+    from ``eigensystem``, as in ``time_ordered_propagator``; a
+    ``long_time.TimeDependentHamiltonian``'s ``midpoint_eigensystem`` keeps
+    them across total times, so a later total time pays only the phases
+    and the ordered products.
     """
     steps = 64
-    coarse = time_ordered_propagator(ham, total_time, steps, eigensystem)
-    fine = time_ordered_propagator(ham, total_time, 2 * steps, eigensystem)
+    coarse = time_ordered_propagator(eigensystem, total_time, steps)
+    fine = time_ordered_propagator(eigensystem, total_time, 2 * steps)
     once = (4.0 * fine - coarse) / 3.0
     prev = None
     while True:
         steps *= 2
         require_cap("midpoint_slices", 2 * steps, f"midpoint slices (tol {tol:g})")
         coarse = fine
-        fine = time_ordered_propagator(ham, total_time, 2 * steps, eigensystem)
+        fine = time_ordered_propagator(eigensystem, total_time, 2 * steps)
         once, old_once = (4.0 * fine - coarse) / 3.0, once
         cur = (16.0 * once - old_once) / 15.0
         if prev is not None and spectral_norm(cur - prev) < tol:

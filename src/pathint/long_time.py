@@ -39,19 +39,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
 from . import lcu
-from .decomp import MAX_BITS, QueryCounter, round_to_bits
+from .decomp import QueryCounter, require_bits, round_to_bits
 from .errors import CAPS, InvariantViolation, SpecError, require_cap
 from .linalg import (
     MidpointChunk,
     check_hermitian,
     converged_propagator,
     exp_unitary,
+    fourier_matrix,
     hermitian_eig,
     midpoint_eigensystem,
     spectral_norm,
@@ -179,7 +180,8 @@ class TimeDependentHamiltonian:
         return self._frames[r]
 
     def midpoint_eigensystem(self, steps: int, lo: int) -> MidpointChunk:
-        """``linalg.midpoint_eigensystem`` of h, kept per (steps, lo) chunk.
+        """``linalg.midpoint_eigensystem`` of the ``sample`` of h, kept per
+        (steps, lo) chunk.
 
         A chunk's eigenvalues, frame overlaps and last frame depend on the
         sweep alone, so every total time's ``longtime_error`` reads the same
@@ -190,7 +192,7 @@ class TimeDependentHamiltonian:
         key = (steps, lo)
         if key in self._midpoints:
             return self._midpoints[key]
-        chunk = midpoint_eigensystem(self.h, steps, lo)
+        chunk = midpoint_eigensystem(partial(self.sample, "h"), steps, lo)
         held = sum(arr.size for kept in self._midpoints.values() for arr in kept)
         if held + sum(arr.size for arr in chunk) <= CAPS["panel_entries"].limit:
             for arr in chunk:
@@ -301,30 +303,19 @@ class SmoothEigensystem:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def gap_min(self) -> float:
-        """Smallest distance between two curves at any grid point."""
-        return spectral_gap(self.values)[0]
-
-    def step_overlaps(self) -> np.ndarray:
-        """Same-curve overlaps <chi_j(s_i)|chi_j(s_{i+1})>, shape (steps, dim)."""
-        return np.einsum("iaj,iaj->ij", self.vectors[:-1].conj(), self.vectors[1:])
-
     def diagonal_rate_defect(self) -> float:
         """Largest discrete diagonal transition rate left by the gauge.
 
         The transport gauge zeroes Im<chi_j|chi_j'> identically, so this is
         rounding noise, and ``_rate_matrices`` sets the diagonal to zero; an
-        unaligned gauge would show O(1) values here.
+        unaligned gauge would show O(1) values here.  It reads the same-curve
+        overlaps <chi_j(s_i)|chi_j(s_{i+1})>.
         """
-        steps = np.diff(self.s_grid)
-        imag = np.abs(np.imag(self.step_overlaps()))
-        return float(np.max(imag / steps[:, None]))
+        overlaps = np.einsum("iaj,iaj->ij", self.vectors[:-1].conj(), self.vectors[1:])
+        return float(np.max(np.abs(np.imag(overlaps)) / np.diff(self.s_grid)[:, None]))
 
 
-def smooth_eigensystem(
-    ham: TimeDependentHamiltonian, s_grid: np.ndarray | None = None
-) -> SmoothEigensystem:
+def smooth_eigensystem(ham: TimeDependentHamiltonian, s_grid: np.ndarray) -> SmoothEigensystem:
     """Track eigenpairs across the sweep with a parallel-transport gauge.
 
     Frame 0 is the ``hermitian_eig`` gauge; every later frame is a column
@@ -337,8 +328,6 @@ def smooth_eigensystem(
     composition of the step matches, and its phase the renormalized running
     product of the conjugated unit overlaps along it.
     """
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 1.0, ham.grid + 1)
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or len(s_grid) < 2:
         raise SpecError("need at least two grid points to transport a gauge")
@@ -588,9 +577,7 @@ def longtime_error(
     if ham.exact_propagator is not None:
         reference = ham.exact_propagator(total_time)
     else:
-        reference = converged_propagator(
-            ham.h, total_time, tol=1e-9, eigensystem=ham.midpoint_eigensystem
-        )
+        reference = converged_propagator(ham.midpoint_eigensystem, total_time)
     return spectral_norm(reference - truncated_propagator(ham, total_time, r))
 
 
@@ -638,11 +625,6 @@ def jump_term(
 # signed-permutation encoding of the whole-evolution operator
 
 
-def _dft(n: int) -> np.ndarray:
-    grid = np.outer(np.arange(n), np.arange(n))
-    return np.exp(-2j * np.pi * grid / n) / np.sqrt(n)
-
-
 def _branch_unitary(first_column: np.ndarray) -> np.ndarray:
     """A unitary whose first column is the given real unit vector x != e_0:
     the Householder reflection I - 2 u u^T / |u|^2 with u = x - e_0, which
@@ -688,8 +670,7 @@ class PropagatorEncoding:
         bits: int,
         counter: QueryCounter | None = None,
     ):
-        if not 1 <= bits <= MAX_BITS:
-            raise SpecError(f"magnitude precision must be 1 to {MAX_BITS} bits")
+        require_bits(bits, "magnitude precision")
         if total_time <= 0:
             raise SpecError("total time must be positive")
         self.ham = ham
@@ -718,8 +699,8 @@ class PropagatorEncoding:
         w0 = 1.0 / (math.sqrt(r + 1.0) * self.d)
         first = np.array([w0, 1.0, 1.0, 0.0])
         # the preparations of the step, branch and two color axes (0, 1, 3, 4)
-        color = _dft(self.d)
-        self._preps = (_dft(r + 1), _branch_unitary(first / np.linalg.norm(first)), color, color)
+        step, color = fourier_matrix(r + 1).conj(), fourier_matrix(self.d).conj()
+        self._preps = (step, _branch_unitary(first / np.linalg.norm(first)), color, color)
         self.edges = self._edges(present)
 
     # -- construction helpers -----------------------------------------------

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lcu
-from .decomp import MAX_BITS, Decomposition, PairOverlap, QueryCounter, ScheduleOverlaps
+from .decomp import Decomposition, PairOverlap, QueryCounter, ScheduleOverlaps, require_bits
 from .errors import SpecError, require_cap
 from .lcu import AmplifiedStep
 from .linalg import exp_unitary, spectral_norm
@@ -131,12 +131,6 @@ def _eigenphase(overlaps: ScheduleOverlaps, m: int) -> np.ndarray:
     return np.exp(-1j * values * tau)
 
 
-def _require_bits(bits: int) -> int:
-    if not 1 <= bits <= MAX_BITS:
-        raise SpecError(f"magnitude precision must be 1 to {MAX_BITS} bits")
-    return bits
-
-
 def synthesis_defect_bound(d: int, bits: int) -> float:
     """Worst-case distance of the synthesized step from the exact one."""
     return 2.0 * d * d / (1 << bits)
@@ -165,7 +159,7 @@ class BlockEncoding:
         bits: int,
         counter: QueryCounter | None = None,
     ):
-        self.bits = _require_bits(bits)
+        self.bits = require_bits(bits, "magnitude precision")
         self.counter = counter if counter is not None else QueryCounter()
         self.d = overlaps.d
         self.d_pad = _pad_colors(self.d)
@@ -273,8 +267,8 @@ def simulate(
     application: 2p+1 select applications for each of the M = rS steps.
     """
     sched = schedule(decomp.term_count, k, r, t)
+    require_bits(bits, "magnitude precision")
     overlaps = ScheduleOverlaps(decomp, sched)
-    _require_bits(bits)
     dim, d_pad, S = decomp.dim, _pad_colors(overlaps.d), sched.M // r
     edges = {pair: _pair_edges(table, d_pad) for pair, table in overlaps.tables.items()}
     keys = {m: (*overlaps.pairs[m], sched.factors[m].weight) for m in [*range(S), sched.M - 1]}

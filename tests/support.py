@@ -41,15 +41,15 @@ def forbid_allocation(monkeypatch, most: int = 0) -> None:
         monkeypatch.setattr(np, name, guarded)
 
 
-def propagator_self_check(ham, total_time: float, steps: int) -> float:
-    """Richardson-style ratio check for the midpoint rule.
+def propagator_self_check(eigensystem, total_time: float, steps: int) -> float:
+    """Richardson-style ratio check for the midpoint rule on a chunk source.
 
     Returns ||U_steps - U_4steps|| / ||U_2steps - U_4steps||.  A healthy
     second-order rule gives a ratio of about 4; callers require >= 3.
     """
     from pathint.linalg import spectral_norm, time_ordered_propagator
 
-    u1, u2, u4 = (time_ordered_propagator(ham, total_time, k * steps) for k in (1, 2, 4))
+    u1, u2, u4 = (time_ordered_propagator(eigensystem, total_time, k * steps) for k in (1, 2, 4))
     denom = spectral_norm(u2 - u4)
     if denom == 0.0:
         return np.inf
@@ -329,7 +329,7 @@ def step_loop_simulation(decomp, k: int, r: int, t: float, bits: int):
         u = block @ u
     v_first = decomp.eigensystems[sched.factors[0].term].vectors
     v_last = decomp.eigensystems[sched.factors[-1].term].vectors
-    return v_last @ u @ v_first.conj().T, counter.snapshot(), p, min([1.0] + weights)
+    return v_last @ u @ v_first.conj().T, counter.counts, p, min([1.0] + weights)
 
 
 def lagrangian_csv_oracle(params: dict) -> bytes:
@@ -422,6 +422,7 @@ def smooth_eigensystem_oracle(ham, s_grid=None):
             values[i, cj] = raw_vals[i, nq]
 
     eigsys = SmoothEigensystem(s_grid=s_grid, values=values, vectors=vectors)
-    if eigsys.gap_min <= GAP_FLOOR * max(1.0, float(np.max(np.abs(values)))):
+    gap = float(np.min(np.diff(np.sort(values, axis=1), axis=1)))
+    if gap <= GAP_FLOOR * max(1.0, float(np.max(np.abs(values)))):
         raise InvariantViolation("spectral gap collapsed below tolerance mid-grid")
     return eigsys

@@ -246,7 +246,7 @@ def test_criterion_10_phase_corrected_propagator_and_path_sum():
             u = u * lat.step_global_phase(cfg, pot) ** cfg.r
             ref = np.linalg.matrix_power(lat.split_step_reference(cfg, pot), cfg.r)
             assert spectral_norm(u - ref) <= 1e-9
-            assert counter.snapshot()["action"] == 2 * cfg.r
+            assert counter.counts["action"] == 2 * cfg.r
     small = lat.LatticeConfig(n=2, x_max=4.0, mass=1.0, r=3)
     pot = lat.harmonic_potential(1.0, 0.7, 2.0, 4.0)
     brute = lat.brute_force_propagator(small, pot)

@@ -48,7 +48,7 @@ def _midpoint_slices(monkeypatch):
     # refinements never agree to tol 0, so the (lowered) cap ends them
     lower_cap(monkeypatch, "midpoint_slices", 1 << 10)
     ham = lt.two_level_sweep(1.0, 0.2, shape="sine", grid=8)
-    converged_propagator(ham.h, 20.0, tol=0.0)
+    converged_propagator(ham.midpoint_eigensystem, 20.0, tol=0.0)
 
 
 def _lattice(n: int, r: int) -> lattice.LatticeConfig:

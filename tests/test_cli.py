@@ -411,7 +411,7 @@ def count_tracking(monkeypatch) -> list[int]:
     calls = []
     original = long_time.smooth_eigensystem
 
-    def counting(ham, s_grid=None):
+    def counting(ham, s_grid):
         calls.append(len(s_grid))
         return original(ham, s_grid)
 
@@ -454,16 +454,17 @@ def test_long_sim_interaction_frame_tracks_once_per_total_time(tmp_path, monkeyp
 
 
 def count_midpoint_grids(monkeypatch) -> list[tuple[object, int, int]]:
-    """(drive, steps, chunk start) of every midpoint grid long_time samples
-    and diagonalizes from now on."""
+    """(Hamiltonian, steps, chunk start) of every midpoint grid long_time
+    samples and diagonalizes from now on."""
     from pathint import long_time
 
     calls = []
     original = long_time.midpoint_eigensystem
 
-    def counting(h, steps, lo):
-        calls.append((h, steps, lo))
-        return original(h, steps, lo)
+    def counting(sample, steps, lo):
+        # the sampler is the bound ``sample`` of the Hamiltonian it reads
+        calls.append((sample.func.__self__, steps, lo))
+        return original(sample, steps, lo)
 
     monkeypatch.setattr(long_time, "midpoint_eigensystem", counting)
     return calls
@@ -479,7 +480,7 @@ def test_long_sim_diagonalizes_each_midpoint_grid_once_for_every_total_time(
     ]
     assert cli.main(argv + [str(tmp_path / "shared.csv")]) == 0
     grids = [(steps, lo) for _, steps, lo in calls]
-    assert len({h for h, _, _ in calls}) == 1
+    assert len({id(ham) for ham, _, _ in calls}) == 1
     assert len(grids) == len(set(grids)) and (64, 0) in grids
     # a fresh Hamiltonian per T samples every grid its T needs again
     original = cli._system_builder
@@ -487,8 +488,40 @@ def test_long_sim_diagonalizes_each_midpoint_grid_once_for_every_total_time(
     calls.clear()
     assert cli.main(argv + [str(tmp_path / "fresh.csv")]) == 0
     assert [(steps, lo) for _, steps, lo in calls].count((64, 0)) == 5
+    assert len({id(ham) for ham, _, _ in calls}) == 5
     assert {(steps, lo) for _, steps, lo in calls} == set(grids)
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_every_drive_read_goes_through_sample(tmp_path, monkeypatch):
+    # h and dh count the calls whose caller is not TimeDependentHamiltonian.sample
+    import sys
+
+    from pathint import long_time
+
+    ham = long_time.two_level_sweep(1.0, 0.3, shape="sine")
+    sample = long_time.TimeDependentHamiltonian.sample.__code__
+    outside = []
+
+    def counted(name):
+        drive = getattr(ham, name)
+
+        def read(s):
+            if sys._getframe(1).f_code is not sample:
+                outside.append(name)
+            return drive(s)
+
+        return read
+
+    ham.h, ham.dh = counted("h"), counted("dh")
+    monkeypatch.setattr(cli, "_system_builder", lambda value: lambda total_time: ham)
+    assert cli.main([
+        "long-sim", "--system", "sweep:sine:1.0,0.3", "--T-sweep", "20,40,80",
+        "--r", "512", "--out", str(tmp_path / "l.csv"),
+    ]) == 0
+    long_time.PropagatorEncoding(ham, 40.0, 8, 8).block()
+    assert ham._midpoints and ham._frames
+    assert outside == []
 
 
 def test_long_sim_interaction_frame_samples_no_midpoint_grid(tmp_path, monkeypatch):

@@ -36,7 +36,7 @@ from pathint.lattice import (
     trajectory,
     zero_potential,
 )
-from pathint.linalg import exp_unitary, qft_matrix, spectral_norm
+from pathint.linalg import exp_unitary, fourier_matrix, spectral_norm
 
 
 def harmonic_mid(cfg: LatticeConfig, omega: float = 0.8) -> Potential:
@@ -90,7 +90,7 @@ def test_momentum_operator_eigenstructure():
     cfg = LatticeConfig(n=3, x_max=4.0, mass=1.0, r=1)
     p = momentum_op(cfg)
     assert spectral_norm(p - p.conj().T) < 1e-10
-    f = qft_matrix(3)
+    f = fourier_matrix(8)
     for q in range(8):
         val = 2 * np.pi * q / cfg.x_max
         assert np.linalg.norm(p @ f[:, q] - val * f[:, q]) < 1e-10
@@ -176,7 +176,7 @@ def test_split_steps_match_the_dense_split_step():
     # 2^n * eps * tau*p_max^2/2m, and that largest kinetic phase is
     # pi*(2^n - 1)^2/2^n for any geometry, so past n = 6 the oracle itself is
     # off by more than 1e-12 (6.9e-12 at n = 8).  The product F diag F^dag,
-    # with F from qft_matrix, holds the walk to 1e-12 at every n.  A stack
+    # with F from fourier_matrix, holds the walk to 1e-12 at every n.  A stack
     # of states walks as each state alone, and a walk does not depend on
     # where its blocks break, bit for bit.
     eps = np.finfo(float).eps
@@ -184,7 +184,7 @@ def test_split_steps_match_the_dense_split_step():
     for n in range(1, 9):
         cfg = LatticeConfig(n=n, x_max=8.0, mass=1.0, r=1)
         three = LatticeConfig(n=n, x_max=8.0, mass=1.0, r=3)
-        f = qft_matrix(n)
+        f = fourier_matrix(cfg.dim)
         kinetic = cfg.tau * cfg.momenta() ** 2 / (2.0 * cfg.mass)
         tol = max(1e-12, cfg.dim * eps * kinetic[-1])
         for pot in (
@@ -293,11 +293,11 @@ def test_query_accounting():
     pot = harmonic_mid(cfg)
     counter = QueryCounter()
     lagrangian_propagator(cfg, pot, counter=counter)
-    assert counter.snapshot() == {"action": 10, "qft": 5}
+    assert counter.counts == {"action": 10, "qft": 5}
     counter = QueryCounter()
     state = gaussian_packet(cfg, cfg.x_max / 2, 0.8, 0.0)
     lagrangian_step(cfg, pot, state, counter=counter)
-    assert counter.snapshot() == {"action": 2, "qft": 1}
+    assert counter.counts == {"action": 2, "qft": 1}
 
 
 def test_norm_drift_over_100_steps():
@@ -376,7 +376,7 @@ def test_feasible_check_harmonic_margin():
     assert measured <= bound / 2
     counter = QueryCounter()
     feasible_error_check(cfg, pot, 10.0, psi, counter=counter)
-    assert counter.snapshot() == {"action": 16, "qft": 8}
+    assert counter.counts == {"action": 16, "qft": 8}
 
 
 def test_feasible_check_rejects_cutoff_violation():

@@ -11,7 +11,7 @@ from pathint import lcu
 from pathint import long_time as lt
 from pathint import short_time as sh
 from pathint.errors import CAPS, CapExceeded, InvariantViolation
-from pathint.linalg import qft_matrix, spectral_norm
+from pathint.linalg import fourier_matrix, spectral_norm
 from pathint.trotter import schedule
 
 from support import (
@@ -282,7 +282,7 @@ def test_amplified_block_matches_the_svd_oracle_on_random_blocks(m):
 def test_amplified_block_measures_what_the_schur_bound_does_not_clear(monkeypatch):
     """A scaled Fourier matrix has every singular value 0.9 and Schur bound
     0.9 * sqrt(dim), so its norm is measured, and it passes."""
-    block = 0.9 * qft_matrix(4)
+    block = 0.9 * fourier_matrix(16)
     measured = []
 
     def counted(a):
@@ -296,7 +296,7 @@ def test_amplified_block_measures_what_the_schur_bound_does_not_clear(monkeypatc
     assert len(measured) == 2
 
 
-@pytest.mark.parametrize("unit", [np.eye(4), qft_matrix(4)])
+@pytest.mark.parametrize("unit", [np.eye(4), fourier_matrix(16)])
 def test_amplified_block_refuses_a_singular_value_above_one(unit):
     """Schur bounds 1 + 1e-6 and 4 (1 + 1e-6): both are measured, and refused."""
     with pytest.raises(InvariantViolation, match="singular value above one"):
@@ -345,13 +345,13 @@ def test_stacked_amplified_block_measures_only_the_uncleared_block(monkeypatch):
         return spectral_norm(a)
 
     monkeypatch.setattr(lcu, "spectral_norm", counted)
-    stack = np.stack([0.9 * np.eye(16), 0.9 * qft_matrix(4), 0.5 * np.eye(16)]).astype(complex)
+    stack = np.stack([0.9 * np.eye(16), 0.9 * fourier_matrix(16), 0.5 * np.eye(16)]).astype(complex)
     lcu.amplified_block(stack, 13)
     assert len(measured) == 1 and np.array_equal(measured[0], stack[1])
 
 
 def test_stacked_amplified_block_refuses_one_block_above_one():
-    stack = np.stack([0.5 * np.eye(4), (1 + 1e-6) * np.eye(4), 0.9 * qft_matrix(2)])
+    stack = np.stack([0.5 * np.eye(4), (1 + 1e-6) * np.eye(4), 0.9 * fourier_matrix(4)])
     with pytest.raises(InvariantViolation, match="singular value above one"):
         lcu.amplified_block(stack, 13)
 

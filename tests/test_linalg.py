@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathint import linalg
-from pathint.errors import InvariantViolation
+from pathint import long_time as lt
+from pathint.errors import InvariantViolation, SpecError
 from support import (
     PAULI_X,
     PAULI_Z,
@@ -108,9 +111,8 @@ def test_exp_unitary_needs_no_gauge(h):
 
 
 def test_qft_unitary_and_entries():
-    for n in (1, 2, 3):
-        q = linalg.qft_matrix(n)
-        dim = 2**n
+    for dim in (2, 3, 4, 8, 9):
+        q = linalg.fourier_matrix(dim)
         npt.assert_allclose(q.conj().T @ q, np.eye(dim), atol=1e-12)
         npt.assert_allclose(q[1, 1], np.exp(2j * np.pi / dim) / np.sqrt(dim))
 
@@ -121,13 +123,19 @@ def test_spectral_norm_matches_svd():
     assert linalg.spectral_norm(a) == pytest.approx(np.linalg.svd(a)[1][0])
 
 
+def chunks(drive):
+    """A chunk source that samples ``drive`` anew on every call; the drives
+    here are Hermitian by construction, so nothing checks them."""
+    return partial(linalg.midpoint_eigensystem, drive)
+
+
 def test_time_ordered_constant_matches_exp():
     h = 0.3 * PAULI_X + 0.9 * PAULI_Z
 
     def ham(s: np.ndarray) -> np.ndarray:
         return np.broadcast_to(h, np.shape(s) + h.shape)
 
-    u = linalg.time_ordered_propagator(ham, 1.0, 256)
+    u = linalg.time_ordered_propagator(chunks(ham), 1.0, 256)
     npt.assert_allclose(u, linalg.exp_unitary(h, 1.0), atol=1e-8)
 
 
@@ -136,7 +144,7 @@ def test_time_ordered_linear_drive_example():
     def ham(s: np.ndarray) -> np.ndarray:
         return np.multiply.outer(s, PAULI_Z)
 
-    u = linalg.time_ordered_propagator(ham, 1.0, 512)
+    u = linalg.time_ordered_propagator(chunks(ham), 1.0, 512)
     npt.assert_allclose(u, linalg.exp_unitary(PAULI_Z, 0.5), atol=1e-7)
 
 
@@ -144,7 +152,7 @@ def test_midpoint_richardson_ratio():
     def ham(s: np.ndarray) -> np.ndarray:
         return np.multiply.outer(np.cos(s), PAULI_Z) + np.multiply.outer(np.sin(s), PAULI_X)
 
-    ratio = propagator_self_check(ham, 2.0, 64)
+    ratio = propagator_self_check(chunks(ham), 2.0, 64)
     assert ratio >= 3.0
 
 
@@ -154,8 +162,8 @@ def test_converged_propagator_agrees_with_refined_midpoint():
             0.7 * np.sin(2 * s), PAULI_X
         )
 
-    ref = linalg.converged_propagator(ham, 1.5, tol=1e-10)
-    fine = linalg.time_ordered_propagator(ham, 1.5, 1 << 14)
+    ref = linalg.converged_propagator(chunks(ham), 1.5, tol=1e-10)
+    fine = linalg.time_ordered_propagator(chunks(ham), 1.5, 1 << 14)
     npt.assert_allclose(ref, fine, atol=1e-7)
     npt.assert_allclose(ref.conj().T @ ref, np.eye(2), atol=1e-10)
 
@@ -178,7 +186,7 @@ def _drive(name):
 @pytest.mark.parametrize("total_time", [20.0, 40.0, 80.0])
 def test_converged_propagator_matches_an_ode_oracle(shape, total_time):
     ham = _drive(shape)
-    got = linalg.converged_propagator(ham, total_time, tol=1e-9)
+    got = linalg.converged_propagator(chunks(ham), total_time, tol=1e-9)
     assert linalg.spectral_norm(got - ode_propagator(ham, total_time)) < 1e-9
 
 
@@ -188,8 +196,8 @@ def test_once_extrapolated_midpoint_rule_is_fourth_order(shape, total_time):
     # the midpoint rule's error is even in the step, so after the h^2 term
     # is eliminated the next is h^4: each doubling cuts the differences of
     # the once-extrapolated values by 16
-    ham = _drive(shape)
-    grids = [linalg.time_ordered_propagator(ham, total_time, n) for n in (512, 1024, 2048, 4096)]
+    source = chunks(_drive(shape))
+    grids = [linalg.time_ordered_propagator(source, total_time, n) for n in (512, 1024, 2048, 4096)]
     once = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(grids, grids[1:])]
     first, second = (linalg.spectral_norm(b - a) for a, b in zip(once, once[1:]))
     assert 12.0 <= first / second <= 20.0
@@ -207,7 +215,7 @@ def test_converged_propagator_grids_with_two_eliminations(shape):
             steps.append(n)
             return linalg.midpoint_eigensystem(ham, n, lo)
 
-        linalg.converged_propagator(ham, total_time, eigensystem=counting)
+        linalg.converged_propagator(counting, total_time)
         assert steps[:3] == [64, 128, 256] and max(steps) <= finest
 
 
@@ -220,11 +228,9 @@ def test_time_ordered_chunk_boundaries_match_the_slice_product(monkeypatch, step
     want = np.eye(3, dtype=complex)
     for j in range(steps):
         want = linalg.exp_unitary(ham.h((j + 0.5) / steps), total_time / steps) @ want
-    direct = linalg.time_ordered_propagator(ham.h, total_time, steps)
+    direct = linalg.time_ordered_propagator(chunks(partial(ham.sample, "h")), total_time, steps)
     assert linalg.spectral_norm(direct - want) < 1e-13
-    tabled = linalg.time_ordered_propagator(
-        ham.h, total_time, steps, eigensystem=ham.midpoint_eigensystem
-    )
+    tabled = linalg.time_ordered_propagator(ham.midpoint_eigensystem, total_time, steps)
     assert np.array_equal(tabled, direct)
     assert sorted(ham._midpoints) == [(steps, lo) for lo in range(0, steps, 4)]
     assert [len(chunk.values) for chunk in ham._midpoints.values()] == [
@@ -232,20 +238,34 @@ def test_time_ordered_chunk_boundaries_match_the_slice_product(monkeypatch, step
     ]
 
 
+def constant_z() -> lt.TimeDependentHamiltonian:
+    """h(s) = Z at construction; tests replace ``h`` afterwards."""
+    return lt.TimeDependentHamiltonian(
+        dim=2,
+        h=lambda s: np.broadcast_to(PAULI_Z, np.shape(s) + (2, 2)),
+        dh=lambda s: np.zeros(np.shape(s) + (2, 2), dtype=complex),
+        grid=4,
+    )
+
+
 def test_time_ordered_checks_each_slice_at_its_own_scale():
     # a tiny skew part on a unit-scale slice, next to slices a hundred times larger
     skew = PAULI_Z + 1e-9 * np.array([[0, 1], [0, 0]])
 
-    def ham(s: np.ndarray) -> np.ndarray:
+    def drive(s: np.ndarray) -> np.ndarray:
         s = np.asarray(s)[..., None, None]
         return np.where(s > 0.5, 100.0 * PAULI_Z, np.where(s > 0.2, skew, PAULI_Z))
 
     with pytest.raises(InvariantViolation):
         linalg.check_hermitian(skew)
+    ham = constant_z()
+    ham.h = drive
     with pytest.raises(InvariantViolation, match="not Hermitian"):
-        linalg.time_ordered_propagator(ham, 1.0, 64)
+        linalg.time_ordered_propagator(ham.midpoint_eigensystem, 1.0, 64)
 
 
 def test_time_ordered_rejects_drive_ignoring_the_array():
-    with pytest.raises(InvariantViolation, match=r"expected \(64, dim, dim\)"):
-        linalg.time_ordered_propagator(lambda s: PAULI_Z, 1.0, 64)
+    ham = constant_z()
+    ham.h = lambda s: PAULI_Z
+    with pytest.raises(SpecError, match=r"expected \(64, 2, 2\)"):
+        linalg.time_ordered_propagator(ham.midpoint_eigensystem, 1.0, 64)

@@ -7,6 +7,8 @@ converged reference propagator and the closed-form truncation.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from pathint import lcu
 from pathint import long_time as lt
 from pathint.decomp import QueryCounter
 from pathint.errors import CAPS, CapExceeded, InvariantViolation, SpecError
-from pathint.linalg import converged_propagator, spectral_norm
+from pathint.linalg import converged_propagator, midpoint_eigensystem, spectral_norm
 from support import (
     lower_cap,
     pauli_string,
@@ -199,8 +201,8 @@ def test_transition_rate_antisymmetry(seed):
 
 def test_smooth_eigensystem_gauge():
     ham = random_smooth_system(np.random.default_rng(5), grid=48)
-    eigsys = lt.smooth_eigensystem(ham)
-    overlaps = eigsys.step_overlaps()
+    eigsys = lt.smooth_eigensystem(ham, np.linspace(0.0, 1.0, 49))
+    overlaps = np.einsum("iaj,iaj->ij", eigsys.vectors[:-1].conj(), eigsys.vectors[1:])
     assert np.all(np.real(overlaps) > 0)
     assert float(np.max(np.abs(np.imag(overlaps)))) < 1e-12
     assert eigsys.diagonal_rate_defect() < 1e-9
@@ -253,7 +255,7 @@ def test_bounds_gap_is_the_tracked_gap(name):
     # values in another order, so the same least level distance, bit for bit
     ham = TRACKED[name]()
     tracked = lt.smooth_eigensystem(ham, np.linspace(0.0, 1.0, 129))
-    assert lt.adiabatic_bounds(ham).gap_min == tracked.gap_min
+    assert lt.adiabatic_bounds(ham).gap_min == lt.spectral_gap(tracked.values)[0]
 
 
 def test_bounds_refuse_a_gap_that_closes_on_their_grid():
@@ -273,7 +275,7 @@ def test_smooth_eigensystem_follows_curves_out_of_eigh_order():
         dh=lambda s: np.broadcast_to(sz, np.shape(s) + (2, 2)),
         grid=16,
     )
-    got = lt.smooth_eigensystem(ham)
+    got = lt.smooth_eigensystem(ham, np.linspace(0.0, 1.0, 17))
     want = smooth_eigensystem_oracle(ham)
     assert np.array_equal(got.values, want.values)
     assert np.max(np.abs(got.vectors - want.vectors)) < 1e-13
@@ -295,7 +297,7 @@ def fast_rotation() -> lt.TimeDependentHamiltonian:
 
 @pytest.mark.parametrize(
     "make, s_grid",
-    [(collapsing_system, np.linspace(0.0, 1.0, 513)), (fast_rotation, None)],
+    [(collapsing_system, np.linspace(0.0, 1.0, 513)), (fast_rotation, np.linspace(0.0, 1.0, 5))],
     ids=["collapse", "fast-rotation"],
 )
 def test_smooth_eigensystem_refuses_what_the_oracle_refuses(make, s_grid):
@@ -312,7 +314,7 @@ def test_frames_are_shared_across_total_times_and_read_only(monkeypatch):
     calls = []
     original = lt.smooth_eigensystem
 
-    def counting(ham, s_grid=None):
+    def counting(ham, s_grid):
         calls.append(len(s_grid))
         return original(ham, s_grid)
 
@@ -334,6 +336,12 @@ def test_frames_are_shared_across_total_times_and_read_only(monkeypatch):
         eigsys.values[0, 0] = 0.0
 
 
+def direct(ham: lt.TimeDependentHamiltonian):
+    """A chunk source that samples and diagonalizes ``ham`` anew on every
+    call, keeping nothing."""
+    return partial(midpoint_eigensystem, partial(ham.sample, "h"))
+
+
 def _three_level_system() -> lt.TimeDependentHamiltonian:
     return random_smooth_system(np.random.default_rng(23), dim=3, grid=16)
 
@@ -345,10 +353,8 @@ def test_reference_from_the_midpoint_table_is_the_direct_one(make):
     ham = make()
     grids = []
     for total_time in (20.0, 80.0):
-        tabled = converged_propagator(
-            ham.h, total_time, eigensystem=ham.midpoint_eigensystem
-        )
-        assert np.array_equal(tabled, converged_propagator(ham.h, total_time))
+        tabled = converged_propagator(ham.midpoint_eigensystem, total_time)
+        assert np.array_equal(tabled, converged_propagator(direct(ham), total_time))
         grids.append(sorted(ham._midpoints))
     # T = 80 reads the grids T = 20 stored, and refines past them
     assert grids[1][: len(grids[0])] == grids[0] and len(grids[1]) > len(grids[0])
@@ -378,22 +384,19 @@ def test_midpoint_table_stores_nothing_past_the_panel_cap(monkeypatch):
     calls = []
     original = lt.midpoint_eigensystem
 
-    def counting(h, steps, lo):
+    def counting(sample, steps, lo):
         calls.append((steps, lo))
-        return original(h, steps, lo)
+        return original(sample, steps, lo)
 
     monkeypatch.setattr(lt, "midpoint_eigensystem", counting)
     ham = sine_family()
-    first = [converged_propagator(ham.h, t, eigensystem=ham.midpoint_eigensystem)
-             for t in (20.0, 80.0)]
+    first = [converged_propagator(ham.midpoint_eigensystem, t) for t in (20.0, 80.0)]
     assert sorted(ham._midpoints) == [(64, 0), (128, 0)]
     # past the limit, each grid is sampled and diagonalized on every call
     assert calls.count((64, 0)) == 1 and calls.count((256, 0)) == 2
     for t, got in zip((20.0, 80.0), first):
-        assert np.array_equal(got, converged_propagator(ham.h, t))
-        assert np.array_equal(got, converged_propagator(
-            ham.h, t, eigensystem=ham.midpoint_eigensystem
-        ))
+        assert np.array_equal(got, converged_propagator(direct(ham), t))
+        assert np.array_equal(got, converged_propagator(ham.midpoint_eigensystem, t))
     assert sorted(ham._midpoints) == [(64, 0), (128, 0)]
 
 
@@ -449,7 +452,7 @@ def _random_frame(dim: int, built_at: float) -> lt.TimeDependentHamiltonian:
 def test_interaction_frame_exact_propagator_is_the_converged_one(dim, built_at, total_time):
     ham = _random_frame(dim, built_at)
     exact = ham.exact_propagator(total_time)
-    ref = converged_propagator(ham.h, total_time, tol=1e-11)
+    ref = converged_propagator(ham.midpoint_eigensystem, total_time, tol=1e-11)
     assert spectral_norm(exact - ref) < 1e-9
     assert spectral_norm(exact.conj().T @ exact - np.eye(dim)) < 1e-12
 
@@ -469,7 +472,7 @@ def test_truncation_matches_path_sum_series():
     total_time = 20.0
     trunc = lt.truncation(ham, total_time, r=2048)
     label, eigsys = trunc.label(), trunc.eigsys
-    ref = converged_propagator(ham.h, total_time, tol=1e-11)
+    ref = converged_propagator(ham.midpoint_eigensystem, total_time, tol=1e-11)
     exact_label = eigsys.vectors[-1].conj().T @ ref @ eigsys.vectors[0]
 
     weights = lt._trapezoid_weights(2048)
@@ -743,7 +746,7 @@ def test_encoding_validation_and_cap():
         lt.PropagatorEncoding(ham, 20.0, r=3, bits=6)
     with pytest.raises(SpecError):
         lt.PropagatorEncoding(ham, 20.0, r=8, bits=0)
-    with pytest.raises(SpecError, match=f"1 to {dc.MAX_BITS} bits"):
+    with pytest.raises(SpecError, match=f"magnitude precision must be at most {dc.MAX_BITS}"):
         lt.PropagatorEncoding(ham, 20.0, r=8, bits=dc.MAX_BITS + 1)
     with pytest.raises(SpecError):
         lt.PropagatorEncoding(ham, 0.0, r=8, bits=6)

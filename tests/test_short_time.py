@@ -386,9 +386,9 @@ def test_select_budget_is_constant():
         counter = dc.QueryCounter()
         enc = sh.BlockEncoding(dc.ScheduleOverlaps(decomp, sched), 0, 4, counter)
         enc.apply_select(np.zeros(enc.shape, dtype=complex))
-        assert counter.snapshot() == sh.SELECT_BUDGET
+        assert counter.counts == sh.SELECT_BUDGET
         enc.apply_w(np.zeros(enc.shape, dtype=complex))
-        assert counter.snapshot() == {k: 2 * v for k, v in sh.SELECT_BUDGET.items()}
+        assert counter.counts == {k: 2 * v for k, v in sh.SELECT_BUDGET.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +533,31 @@ def test_simulate_charges_what_the_applied_walk_counts(make, k, bits):
     step._amplified_iterate()
     # one select per application of W: 2p+1 for each of the dim columns
     per_column = {name: (2 * step.p + 1) * cost for name, cost in sh.SELECT_BUDGET.items()}
-    assert counted.snapshot() == {name: enc.dim * v for name, v in per_column.items()}
+    assert counted.counts == {name: enc.dim * v for name, v in per_column.items()}
     res = sh.simulate(decomp, k=k, r=2, t=0.8, bits=bits)
     assert res.p == step.p
     assert res.queries == {
-        name: res.M * total // enc.dim for name, total in counted.snapshot().items()
+        name: res.M * total // enc.dim for name, total in counted.counts.items()
     }
 
 
 def test_block_encoding_refuses_bits_beyond_exact_rounding():
     overlaps = dc.ScheduleOverlaps(z_x(), schedule(2, 0, 1, 1.0))
     assert sh.BlockEncoding(overlaps, 0, dc.MAX_BITS).width == 1 << dc.MAX_BITS
-    with pytest.raises(SpecError, match=f"1 to {dc.MAX_BITS} bits"):
+    with pytest.raises(SpecError, match=f"magnitude precision must be at most {dc.MAX_BITS}"):
         sh.BlockEncoding(overlaps, 0, dc.MAX_BITS + 1)
+    with pytest.raises(SpecError, match="magnitude precision must be an integer >= 1"):
+        sh.BlockEncoding(overlaps, 0, 0)
+
+
+def test_simulate_checks_bits_before_building_overlap_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("overlap tables built before the bits check")
+
+    monkeypatch.setattr(sh, "ScheduleOverlaps", refuse)
+    for bits in (0, dc.MAX_BITS + 1):
+        with pytest.raises(SpecError, match="magnitude precision"):
+            sh.simulate(z_x(), k=1, r=2, t=0.8, bits=bits)
 
 
 def test_simulate_error_envelope_point():

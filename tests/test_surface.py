@@ -1,4 +1,5 @@
-"""Every public top-level function and class of ``pathint`` has a user.
+"""Every public top-level function and class of ``pathint``, and every
+public method and property of a public class, has a user.
 
 A user is a code reference, a name or an attribute, anywhere in
 ``src/pathint``, or a mention in the benchmark harness.  The names below
@@ -38,21 +39,28 @@ UNCALLED = {
         "short-time amplification bound, to be derived and then called",
     "short_time.success_weight_bound":
         "short-time success-weight bound, to be derived and then called",
+    "long_time.SmoothEigensystem.diagonal_rate_defect":
+        "criterion 09's gauge check",
 }
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*METHODS, ast.ClassDef)
 
 
 def public_definitions() -> tuple[dict[str, str], set[str]]:
-    """``module.name`` of each public top-level def and class, and every name
-    or attribute any module of the package reads."""
+    """``module.name`` of each public top-level def and class and
+    ``module.Class.name`` of each public method or property of such a class,
+    and every name or attribute any module of the package reads."""
     defined, used = {}, set()
     for path in sorted((ROOT / "src" / "pathint").glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
                 defined[f"{path.stem}.{node.name}"] = node.name
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, METHODS) and not item.name.startswith("_"):
+                        defined[f"{path.stem}.{node.name}.{item.name}"] = item.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
